@@ -208,9 +208,10 @@ fn configure_threads(a: &Args) -> Result<usize, String> {
 }
 
 /// Fault parameters from `--mttf`/`--mttr`/`--origin-outage`/
-/// `--retry-penalty-ms`; `None` when no fault flag was given (the exact
-/// fault-free simulation path). The schedule seed follows the scenario
-/// seed so `--seed` varies faults and workload together.
+/// `--retry-penalty-ms`; `None` when no fault flag was given (nothing is
+/// ever down, and no `fault.*` telemetry is emitted). The schedule seed
+/// follows the scenario seed so `--seed` varies faults and workload
+/// together.
 fn fault_params(
     a: &Args,
     scenario_seed: u64,
@@ -244,9 +245,10 @@ fn fault_params(
             params.origin_outage
         ));
     }
-    if !(params.retry_penalty_ms >= 0.0 && params.retry_penalty_ms.is_finite()) {
+    if !(0.0..=cdn_core::sim::MAX_RETRY_PENALTY_MS).contains(&params.retry_penalty_ms) {
         return Err(format!(
-            "--retry-penalty-ms must be non-negative, got {}",
+            "--retry-penalty-ms must be in [0, {}], got {}",
+            cdn_core::sim::MAX_RETRY_PENALTY_MS,
             params.retry_penalty_ms
         ));
     }
@@ -771,9 +773,11 @@ mod tests {
         assert!(parse_scenario(&["--origin-outage", "1.0"])
             .unwrap_err()
             .contains("--origin-outage"));
-        assert!(parse_scenario(&["--retry-penalty-ms", "-1"])
-            .unwrap_err()
-            .contains("--retry-penalty-ms"));
+        for penalty in ["-1", "1e300", "inf"] {
+            assert!(parse_scenario(&["--retry-penalty-ms", penalty])
+                .unwrap_err()
+                .contains("--retry-penalty-ms"));
+        }
     }
 
     #[test]

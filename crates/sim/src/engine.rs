@@ -1,8 +1,8 @@
 //! The per-server request loop.
 
 use crate::fault::FaultSchedule;
-use crate::metrics::{Cause, CauseBreakdown, LatencyHistogram, RequestSample};
-use crate::plan::{ConsistencyMode, ServerPlan, SimConfig};
+use crate::metrics::{us_to_ms, Cause, CauseBreakdown, LatencyHistogram, RequestSample};
+use crate::plan::{ConsistencyMode, ServerPlan, SimConfig, HOP_DELAY_US};
 use crate::timeline::{ServerTimeline, TimelineAcc};
 use cdn_cache::{Cache, CacheStats, ObjectKey};
 use cdn_telemetry as telemetry;
@@ -39,7 +39,7 @@ pub struct EngineObs {
 }
 
 /// Per-server simulation outcome.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerReport {
     pub server: usize,
     pub histogram: LatencyHistogram,
@@ -117,7 +117,7 @@ pub enum Resolution {
     Failed,
 }
 
-/// Outcome of fault-aware resolution (see [`resolve_faulted`]).
+/// Outcome of resolving one request (see [`resolve`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Routed {
     pub resolution: Resolution,
@@ -130,50 +130,6 @@ pub struct Routed {
     /// The serving holder was the primary (origin) site. Only meaningful
     /// for remote resolutions.
     pub from_origin: bool,
-}
-
-/// Resolve one request against a server's plan and cache; returns the
-/// resolution and the hops travelled beyond the first-hop server.
-#[inline]
-pub fn resolve(
-    plan: &ServerPlan,
-    cache: &mut dyn Cache,
-    req: Request,
-    object_bytes: u64,
-    consistency: ConsistencyMode,
-) -> (Resolution, u32) {
-    let site = req.site as usize;
-    if plan.replicated[site] {
-        // Replicas are kept consistent by the CDN; even expired-flagged
-        // requests are served locally.
-        return (Resolution::Replica, 0);
-    }
-    let hops = plan.nearest_hops[site];
-    match req.flavor {
-        Flavor::Uncacheable => (Resolution::Bypass, hops),
-        Flavor::Normal => {
-            let key = ObjectKey::new(req.site, req.object);
-            if cache.access(key, object_bytes) {
-                (Resolution::CacheHit, 0)
-            } else {
-                (Resolution::CacheMiss, hops)
-            }
-        }
-        Flavor::Expired => {
-            let key = ObjectKey::new(req.site, req.object);
-            if cache.access(key, object_bytes) {
-                match consistency {
-                    // Strong: the stale copy must be refreshed from the
-                    // nearest replica before being served.
-                    ConsistencyMode::Strong => (Resolution::CacheRefresh, hops),
-                    // Weak: serve the (possibly stale) copy locally.
-                    ConsistencyMode::Weak => (Resolution::CacheHit, 0),
-                }
-            } else {
-                (Resolution::CacheMiss, hops)
-            }
-        }
-    }
 }
 
 /// Walk `plan.holders[site]` from `start_rank`, skipping dead holders.
@@ -201,11 +157,14 @@ fn first_live_holder(
     None
 }
 
-/// Fault-aware [`resolve`]: requests fail over along the distance-ranked
-/// holder list to the next-nearest *live* copy, skipping crashed servers
-/// (and, possibly, an unreachable origin).
+/// Resolve one request against a server's plan, cache and fault schedule.
+/// A site replicated here is served locally; otherwise a fresh cache hit is,
+/// and everything else is fetched from the nearest *live* copy along the
+/// distance-ranked holder list, skipping crashed servers (and, possibly, an
+/// unreachable origin). Under an empty schedule every holder is live, so
+/// the nearest copy `holders[site][0]` always serves.
 ///
-/// Semantics:
+/// Semantics under faults:
 /// * A down first-hop server serves nothing locally and its cache is not
 ///   touched (the contents survive the crash); the client retries against
 ///   the holder list directly, paying one skip for the dead first hop.
@@ -214,10 +173,7 @@ fn first_live_holder(
 /// * Under [`ConsistencyMode::Strong`] an expired cache hit whose refresh
 ///   finds no live copy fails; under weak consistency the stale copy is
 ///   served locally without needing any holder.
-///
-/// With an all-alive schedule this is behaviourally identical to
-/// [`resolve`]: `holders[site][0]` mirrors the scalar nearest-copy fields.
-pub fn resolve_faulted(
+pub fn resolve(
     plan: &ServerPlan,
     cache: &mut dyn Cache,
     req: Request,
@@ -257,49 +213,31 @@ pub fn resolve_faulted(
         };
     }
     if plan.replicated[site] {
+        // Replicas are kept consistent by the CDN; even expired-flagged
+        // requests are served locally.
         return local(Resolution::Replica);
     }
-    let fetch = |dead0| first_live_holder(plan, site, schedule, tick, 0, dead0);
-    let all_dead = plan.holders[site].len() as u32;
-    match req.flavor {
-        Flavor::Uncacheable => match fetch(0) {
-            Some(found) => remote(Resolution::Bypass, found),
-            None => failed(all_dead),
-        },
-        Flavor::Normal => {
-            let key = ObjectKey::new(req.site, req.object);
-            if cache.lookup(key) {
-                local(Resolution::CacheHit)
-            } else {
-                match fetch(0) {
-                    Some(found) => {
-                        cache.insert(key, object_bytes);
-                        remote(Resolution::CacheMiss, found)
-                    }
-                    None => failed(all_dead),
-                }
-            }
+    let fetch = |resolution| match first_live_holder(plan, site, schedule, tick, 0, 0) {
+        Some(found) => remote(resolution, found),
+        None => failed(plan.holders[site].len() as u32),
+    };
+    if req.flavor == Flavor::Uncacheable {
+        return fetch(Resolution::Bypass);
+    }
+    let key = ObjectKey::new(req.site, req.object);
+    if !cache.lookup(key) {
+        let routed = fetch(Resolution::CacheMiss);
+        if routed.resolution != Resolution::Failed {
+            cache.insert(key, object_bytes);
         }
-        Flavor::Expired => {
-            let key = ObjectKey::new(req.site, req.object);
-            if cache.lookup(key) {
-                match consistency {
-                    ConsistencyMode::Strong => match fetch(0) {
-                        Some(found) => remote(Resolution::CacheRefresh, found),
-                        None => failed(all_dead),
-                    },
-                    ConsistencyMode::Weak => local(Resolution::CacheHit),
-                }
-            } else {
-                match fetch(0) {
-                    Some(found) => {
-                        cache.insert(key, object_bytes);
-                        remote(Resolution::CacheMiss, found)
-                    }
-                    None => failed(all_dead),
-                }
-            }
-        }
+        return routed;
+    }
+    match (req.flavor, consistency) {
+        // Strong: the stale copy must be refreshed from the nearest live
+        // copy before being served.
+        (Flavor::Expired, ConsistencyMode::Strong) => fetch(Resolution::CacheRefresh),
+        // A fresh hit, or (weak) the possibly stale copy served locally.
+        _ => local(Resolution::CacheHit),
     }
 }
 
@@ -308,25 +246,13 @@ pub fn resolve_faulted(
 /// used exactly as given — size it from `plan.cache_bytes` (as
 /// [`crate::runner::simulate_system`] does) unless deliberately diverging,
 /// e.g. to model a cache-less server.
-pub fn simulate_server<I>(
-    plan: &ServerPlan,
-    config: &SimConfig,
-    requests: I,
-    warmup: u64,
-    object_bytes: impl Fn(u32, u32) -> u64,
-    cache: Box<dyn Cache>,
-) -> ServerReport
-where
-    I: Iterator<Item = Request>,
-{
-    simulate_server_faulted(plan, config, requests, warmup, object_bytes, cache, None)
-}
-
-/// [`simulate_server`] with an optional fault schedule. `None` takes the
-/// exact fault-free code path; a schedule with no down-windows produces
-/// bit-identical reports to `None` (regression-guarded in the runner
-/// tests). The tick passed to the schedule is the request's index in this
-/// server's stream, counted from the stream start (warm-up included).
+///
+/// `schedule` says which servers and origins are down when; `None` is the
+/// empty schedule, in which nothing ever is. The tick passed to the
+/// schedule is the request's index in this server's stream, counted from
+/// the stream start (warm-up included). Every latency is accounted in
+/// whole microseconds: `HOP_DELAY_US × (1 + hops)` plus one retry penalty
+/// per dead holder skipped.
 pub fn simulate_server_faulted<I>(
     plan: &ServerPlan,
     config: &SimConfig,
@@ -340,33 +266,14 @@ where
     I: Iterator<Item = Request>,
 {
     config.validate();
-    let retry_penalty_ms = config
-        .faults
-        .map(|f| f.retry_penalty_ms)
-        .unwrap_or_default();
+    let no_faults = FaultSchedule::default();
+    let schedule = schedule.unwrap_or(&no_faults);
+    let retry_penalty_us = config.faults.map_or(0, |f| f.retry_penalty_us());
     // The histograms live directly in the report: the two bin vectors are
     // the only heap state this loop needs, allocated once per server.
     let mut report = ServerReport {
         server: plan.server,
-        histogram: LatencyHistogram::new(config.bin_ms, config.n_bins),
-        cost_hops: 0,
-        total_requests: 0,
-        measured_requests: 0,
-        local_requests: 0,
-        cache_hits: 0,
-        replica_hits: 0,
-        delayed_hits: 0,
-        origin_fetches: 0,
-        peer_fetches: 0,
-        failover_fetches: 0,
-        failed_requests: 0,
-        failover_histogram: LatencyHistogram::new(config.bin_ms, config.n_bins),
-        total_bytes: 0,
-        origin_bytes: 0,
-        obs: None,
-        cause: CauseBreakdown::default(),
-        samples: Vec::new(),
-        timeline: None,
+        ..ServerReport::default()
     };
     let sample_every = config.sample_every.unwrap_or(0);
     // `None` and `Some(0)` both disable the timeline (`--window 0` is the
@@ -403,27 +310,15 @@ where
             }
         }
         let bytes = object_bytes(req.site, req.object);
-        let routed = match schedule {
-            None => {
-                let (resolution, hops) =
-                    resolve(plan, cache.as_mut(), req, bytes, config.consistency);
-                Routed {
-                    resolution,
-                    hops,
-                    dead_skipped: 0,
-                    from_origin: plan.nearest_is_primary[req.site as usize],
-                }
-            }
-            Some(schedule) => resolve_faulted(
-                plan,
-                cache.as_mut(),
-                req,
-                bytes,
-                config.consistency,
-                schedule,
-                tick,
-            ),
-        };
+        let routed = resolve(
+            plan,
+            cache.as_mut(),
+            req,
+            bytes,
+            config.consistency,
+            schedule,
+            tick,
+        );
         // Delayed-hit coalescing: any request for an object whose fetch is
         // still in flight rides that fetch — whether the cache already
         // admitted the object (a hit before the fetch landed) or declined
@@ -468,32 +363,26 @@ where
             }
         }
         let failed = routed.resolution == Resolution::Failed;
-        // With zero faults `dead_skipped` is 0 and the penalty term adds an
-        // exact +0.0, keeping fault-free latencies bit-identical. A failed
-        // request delivers nothing, so it is attributed zero latency.
-        let penalty_ms = if failed || delayed_fetch.is_some() {
-            0.0
-        } else {
-            retry_penalty_ms * routed.dead_skipped as f64
-        };
-        let latency = if failed {
-            0.0
+        // A failed request delivers nothing, so it is attributed zero
+        // latency. A coalesced request rides the pending fetch: it pays
+        // that fetch's transfer delay and no retry penalty of its own.
+        let (latency_us, penalty_us) = if failed {
+            (0, 0)
         } else if let Some(fetch_hops) = delayed_fetch {
-            // The coalesced request rides the pending fetch: it pays that
-            // fetch's transfer delay and no retry penalty of its own.
-            config.hop_delay_ms * (1.0 + fetch_hops as f64)
+            (HOP_DELAY_US * (1 + u64::from(fetch_hops)), 0)
         } else {
-            config.hop_delay_ms * (1.0 + routed.hops as f64)
-                + retry_penalty_ms * routed.dead_skipped as f64
+            let penalty_us = retry_penalty_us * u64::from(routed.dead_skipped);
+            let hops_us = HOP_DELAY_US * (1 + u64::from(routed.hops));
+            (hops_us + penalty_us, penalty_us)
         };
         let cause = if delayed_fetch.is_some() {
             Cause::DelayedHit
         } else {
             cause_of(&routed)
         };
-        report.cause.record(cause, latency);
+        report.cause.record(cause, latency_us);
         if cause == Cause::Failover {
-            report.cause.failover_surcharge_ms += penalty_ms;
+            report.cause.failover_surcharge_us += penalty_us;
         }
         if sample_every > 0 && tick % sample_every == 0 {
             report.samples.push(RequestSample {
@@ -513,8 +402,8 @@ where
                         cause,
                         Cause::ReplicaHit | Cause::CacheHit | Cause::DelayedHit | Cause::Failed
                     ),
-                latency_ms: latency,
-                penalty_ms,
+                latency_ms: us_to_ms(latency_us),
+                penalty_ms: us_to_ms(penalty_us),
             });
         }
         if let Some(tl) = timeline.as_mut() {
@@ -529,13 +418,13 @@ where
             } else if delayed_fetch.is_some() {
                 // Coalesced: bytes reach the client, but no hops or origin
                 // traffic of this request's own.
-                win.latency_sum_ms += latency;
-                win.sketch.record(latency);
+                win.latency_sum_us += latency_us;
+                win.sketch.record(us_to_ms(latency_us));
                 win.total_bytes += bytes;
                 win.delayed_hits += 1;
             } else {
-                win.latency_sum_ms += latency;
-                win.sketch.record(latency);
+                win.latency_sum_us += latency_us;
+                win.sketch.record(us_to_ms(latency_us));
                 win.cost_hops += routed.hops as u64;
                 win.total_bytes += bytes;
                 match routed.resolution {
@@ -573,15 +462,15 @@ where
             // and no origin bytes of its own — that is the whole point of
             // delayed hits.
             report.total_bytes += bytes;
-            report.histogram.record(latency);
+            report.histogram.record(latency_us);
             report.delayed_hits += 1;
             continue;
         }
         report.cost_hops += routed.hops as u64;
         report.total_bytes += bytes;
-        report.histogram.record(latency);
+        report.histogram.record(latency_us);
         if routed.dead_skipped > 0 {
-            report.failover_histogram.record(latency);
+            report.failover_histogram.record(latency_us);
         }
         match routed.resolution {
             Resolution::Replica => {
@@ -626,10 +515,9 @@ mod tests {
     use crate::plan::{ConsistencyMode as CM, Holder};
     use cdn_cache::LruCache as Lru;
 
+    /// Minimal holder lists: the local replica when replicated, otherwise
+    /// the primary `nearest[j]` hops away.
     fn plan(replicated: Vec<bool>, nearest: Vec<u32>, cache_bytes: u64) -> ServerPlan {
-        let nearest_is_primary: Vec<bool> = nearest.iter().map(|&h| h > 0).collect();
-        // Minimal holder lists consistent with the scalar fields: the local
-        // replica when replicated, the primary otherwise.
         let holders = replicated
             .iter()
             .zip(&nearest)
@@ -650,11 +538,21 @@ mod tests {
         ServerPlan {
             server: 0,
             replicated,
-            nearest_hops: nearest,
-            nearest_is_primary,
             holders,
             cache_bytes,
         }
+    }
+
+    /// [`resolve`] at tick 0 under the empty schedule, where nothing is
+    /// ever down: the resolution and the hops travelled.
+    fn resolve_up(
+        p: &ServerPlan,
+        cache: &mut dyn Cache,
+        r: Request,
+        consistency: CM,
+    ) -> (Resolution, u32) {
+        let routed = resolve(p, cache, r, 10, consistency, &FaultSchedule::default(), 0);
+        (routed.resolution, routed.hops)
     }
 
     fn req(site: u32, object: u32, flavor: Flavor) -> Request {
@@ -669,11 +567,11 @@ mod tests {
     fn replica_requests_are_free() {
         let p = plan(vec![true], vec![0], 100);
         let mut cache = Lru::new(100);
-        let (res, hops) = resolve(&p, &mut cache, req(0, 5, Flavor::Normal), 10, CM::Strong);
+        let (res, hops) = resolve_up(&p, &mut cache, req(0, 5, Flavor::Normal), CM::Strong);
         assert_eq!(res, Resolution::Replica);
         assert_eq!(hops, 0);
         // Even expired requests are local on replicas.
-        let (res, hops) = resolve(&p, &mut cache, req(0, 5, Flavor::Expired), 10, CM::Strong);
+        let (res, hops) = resolve_up(&p, &mut cache, req(0, 5, Flavor::Expired), CM::Strong);
         assert_eq!(res, Resolution::Replica);
         assert_eq!(hops, 0);
     }
@@ -682,9 +580,9 @@ mod tests {
     fn miss_then_hit_sequence() {
         let p = plan(vec![false], vec![7], 100);
         let mut cache = Lru::new(100);
-        let (res, hops) = resolve(&p, &mut cache, req(0, 1, Flavor::Normal), 10, CM::Strong);
+        let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Strong);
         assert_eq!((res, hops), (Resolution::CacheMiss, 7));
-        let (res, hops) = resolve(&p, &mut cache, req(0, 1, Flavor::Normal), 10, CM::Strong);
+        let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Strong);
         assert_eq!((res, hops), (Resolution::CacheHit, 0));
     }
 
@@ -692,11 +590,11 @@ mod tests {
     fn expired_hit_pays_refresh() {
         let p = plan(vec![false], vec![4], 100);
         let mut cache = Lru::new(100);
-        resolve(&p, &mut cache, req(0, 1, Flavor::Normal), 10, CM::Strong);
-        let (res, hops) = resolve(&p, &mut cache, req(0, 1, Flavor::Expired), 10, CM::Strong);
+        resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Strong);
+        let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Expired), CM::Strong);
         assert_eq!((res, hops), (Resolution::CacheRefresh, 4));
         // Refresh keeps the object cached: the next normal access hits.
-        let (res, _) = resolve(&p, &mut cache, req(0, 1, Flavor::Normal), 10, CM::Strong);
+        let (res, _) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Strong);
         assert_eq!(res, Resolution::CacheHit);
     }
 
@@ -704,8 +602,8 @@ mod tests {
     fn weak_consistency_serves_stale_locally() {
         let p = plan(vec![false], vec![4], 100);
         let mut cache = Lru::new(100);
-        resolve(&p, &mut cache, req(0, 1, Flavor::Normal), 10, CM::Weak);
-        let (res, hops) = resolve(&p, &mut cache, req(0, 1, Flavor::Expired), 10, CM::Weak);
+        resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Weak);
+        let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Expired), CM::Weak);
         assert_eq!((res, hops), (Resolution::CacheHit, 0));
     }
 
@@ -713,16 +611,10 @@ mod tests {
     fn uncacheable_bypasses_cache() {
         let p = plan(vec![false], vec![5], 100);
         let mut cache = Lru::new(100);
-        let (res, hops) = resolve(
-            &p,
-            &mut cache,
-            req(0, 1, Flavor::Uncacheable),
-            10,
-            CM::Strong,
-        );
+        let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Uncacheable), CM::Strong);
         assert_eq!((res, hops), (Resolution::Bypass, 5));
         // Not admitted: a subsequent normal request misses.
-        let (res, _) = resolve(&p, &mut cache, req(0, 1, Flavor::Normal), 10, CM::Strong);
+        let (res, _) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Strong);
         assert_eq!(res, Resolution::CacheMiss);
     }
 
@@ -736,13 +628,14 @@ mod tests {
             req(1, 1, Flavor::Normal),      // hit: 20 ms
             req(1, 2, Flavor::Uncacheable), // bypass: 80 ms
         ];
-        let report = simulate_server(
+        let report = simulate_server_faulted(
             &p,
             &cfg,
             stream.into_iter(),
             0,
             |_, _| 10,
             Box::new(Lru::new(p.cache_bytes)),
+            None,
         );
         assert_eq!(report.total_requests, 4);
         assert_eq!(report.measured_requests, 4);
@@ -758,13 +651,14 @@ mod tests {
         let p = plan(vec![false], vec![3], 1000);
         let cfg = SimConfig::default();
         let stream = vec![req(0, 1, Flavor::Normal), req(0, 1, Flavor::Normal)];
-        let report = simulate_server(
+        let report = simulate_server_faulted(
             &p,
             &cfg,
             stream.into_iter(),
             1,
             |_, _| 10,
             Box::new(Lru::new(p.cache_bytes)),
+            None,
         );
         assert_eq!(report.total_requests, 2);
         assert_eq!(report.measured_requests, 1);
@@ -787,13 +681,14 @@ mod tests {
             req(1, 2, Flavor::Uncacheable), // tick 3: bypass
             req(0, 2, Flavor::Normal),      // tick 4: replica
         ];
-        let report = simulate_server(
+        let report = simulate_server_faulted(
             &p,
             &cfg,
             stream.into_iter(),
             0,
             |_, _| 10,
             Box::new(Lru::new(p.cache_bytes)),
+            None,
         );
         let tl = report
             .timeline
@@ -824,13 +719,14 @@ mod tests {
                 ..Default::default()
             };
             let stream = vec![req(0, 1, Flavor::Normal)];
-            let r = simulate_server(
+            let r = simulate_server_faulted(
                 &p,
                 &cfg,
                 stream.into_iter(),
                 0,
                 |_, _| 10,
                 Box::new(Lru::new(p.cache_bytes)),
+                None,
             );
             assert!(r.timeline.is_none());
         }
@@ -847,13 +743,14 @@ mod tests {
             ..Default::default()
         };
         let stream: Vec<_> = (0..6).map(|o| req(0, o, Flavor::Normal)).collect();
-        let report = simulate_server(
+        let report = simulate_server_faulted(
             &p,
             &cfg,
             stream.into_iter(),
             3,
             |_, _| 10,
             Box::new(Lru::new(p.cache_bytes)),
+            None,
         );
         let tl = report.timeline.as_ref().unwrap();
         let ids: Vec<u64> = tl.windows.iter().map(|(id, _)| *id).collect();
@@ -869,8 +766,6 @@ mod tests {
         ServerPlan {
             server: 0,
             replicated: vec![false],
-            nearest_hops: vec![2],
-            nearest_is_primary: vec![false],
             holders: vec![vec![
                 Holder {
                     server: Some(1),
@@ -900,32 +795,11 @@ mod tests {
     }
 
     #[test]
-    fn all_alive_matches_plain_resolve() {
-        let p = failover_plan();
-        let schedule = down(&[], false);
-        let mut c1 = Lru::new(100);
-        let mut c2 = Lru::new(100);
-        for flavor in [
-            Flavor::Normal,
-            Flavor::Normal,
-            Flavor::Expired,
-            Flavor::Uncacheable,
-        ] {
-            let (res, hops) = resolve(&p, &mut c1, req(0, 1, flavor), 10, CM::Strong);
-            let routed =
-                resolve_faulted(&p, &mut c2, req(0, 1, flavor), 10, CM::Strong, &schedule, 0);
-            assert_eq!((res, hops), (routed.resolution, routed.hops));
-            assert_eq!(routed.dead_skipped, 0);
-            assert!(!routed.from_origin);
-        }
-    }
-
-    #[test]
     fn dead_nearest_holder_fails_over_to_next() {
         let p = failover_plan();
         let mut cache = Lru::new(100);
         let schedule = down(&[1], false);
-        let routed = resolve_faulted(
+        let routed = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Normal),
@@ -939,7 +813,7 @@ mod tests {
         assert_eq!(routed.dead_skipped, 1);
         assert!(!routed.from_origin);
         // Past the recovery window the nearest holder serves again.
-        let routed = resolve_faulted(
+        let routed = resolve(
             &p,
             &mut cache,
             req(0, 2, Flavor::Normal),
@@ -949,6 +823,19 @@ mod tests {
             100,
         );
         assert_eq!((routed.hops, routed.dead_skipped), (2, 0));
+        // A schedule with rows for servers 0 and 1 only: server 2, which
+        // has no row, is up, so it serves after the dead holder 1.
+        let short = FaultSchedule::from_windows(vec![Vec::new(), vec![(0, 100)]], Vec::new());
+        let routed = resolve(
+            &p,
+            &mut cache,
+            req(0, 3, Flavor::Normal),
+            10,
+            CM::Strong,
+            &short,
+            5,
+        );
+        assert_eq!((routed.hops, routed.dead_skipped), (5, 1));
     }
 
     #[test]
@@ -956,7 +843,7 @@ mod tests {
         let p = failover_plan();
         let mut cache = Lru::new(100);
         let schedule = down(&[1, 2], false);
-        let routed = resolve_faulted(
+        let routed = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Normal),
@@ -976,7 +863,7 @@ mod tests {
         let p = failover_plan();
         let mut cache = Lru::new(100);
         let schedule = down(&[1, 2], true);
-        let routed = resolve_faulted(
+        let routed = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Normal),
@@ -990,7 +877,7 @@ mod tests {
         assert!(cache.is_empty(), "failed fetch must not admit the object");
         // A cached copy still serves locally during the blackout.
         cache.insert(cdn_cache::ObjectKey::new(0, 1), 10);
-        let routed = resolve_faulted(
+        let routed = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Normal),
@@ -1008,7 +895,7 @@ mod tests {
         let schedule = down(&[1, 2], true);
         let mut cache = Lru::new(100);
         cache.insert(cdn_cache::ObjectKey::new(0, 1), 10);
-        let strong = resolve_faulted(
+        let strong = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Expired),
@@ -1018,7 +905,7 @@ mod tests {
             0,
         );
         assert_eq!(strong.resolution, Resolution::Failed);
-        let weak = resolve_faulted(
+        let weak = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Expired),
@@ -1037,7 +924,7 @@ mod tests {
         let mut cache = Lru::new(100);
         cache.insert(cdn_cache::ObjectKey::new(0, 1), 10);
         let schedule = down(&[0], false);
-        let routed = resolve_faulted(
+        let routed = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Normal),
@@ -1061,8 +948,6 @@ mod tests {
         let p = ServerPlan {
             server: 0,
             replicated: vec![true],
-            nearest_hops: vec![0],
-            nearest_is_primary: vec![false],
             holders: vec![vec![
                 Holder {
                     server: Some(0),
@@ -1077,7 +962,7 @@ mod tests {
         };
         let mut cache = Lru::new(0);
         let schedule = down(&[0], false);
-        let routed = resolve_faulted(
+        let routed = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Normal),
@@ -1091,7 +976,7 @@ mod tests {
         assert_eq!(routed.dead_skipped, 1);
         assert!(routed.from_origin);
         // Up again: served from the local replica.
-        let routed = resolve_faulted(
+        let routed = resolve(
             &p,
             &mut cache,
             req(0, 1, Flavor::Normal),
@@ -1166,13 +1051,14 @@ mod tests {
             req(0, 1, Flavor::Normal), // tick 1: delayed hit (rides fetch)
             req(0, 1, Flavor::Normal), // tick 2: fetch landed -> cache hit
         ];
-        let report = simulate_server(
+        let report = simulate_server_faulted(
             &p,
             &cfg,
             stream.into_iter(),
             0,
             |_, _| 10,
             Box::new(Lru::new(p.cache_bytes)),
+            None,
         );
         assert_eq!(report.origin_fetches, 1);
         assert_eq!(report.delayed_hits, 1);
@@ -1182,7 +1068,7 @@ mod tests {
         // no hops of its own.
         assert_eq!(report.cost_hops, 3);
         assert_eq!(report.total_bytes, 30, "all three requests deliver");
-        assert!((report.cause.delayed_hit.latency_ms - 80.0).abs() < 1e-9);
+        assert_eq!(report.cause.delayed_hit.latency_us, 80_000);
         // Causes stay disjoint and sum to measured.
         assert_eq!(report.cause.total_requests(), report.measured_requests);
         assert_eq!(
@@ -1208,13 +1094,14 @@ mod tests {
             req(0, 1, Flavor::Normal), // tick 2: delayed again
             req(0, 1, Flavor::Normal), // tick 3: fetch done -> fresh miss
         ];
-        let report = simulate_server(
+        let report = simulate_server_faulted(
             &p,
             &cfg,
             stream.into_iter(),
             0,
             |_, _| 10,
             Box::new(Lru::new(p.cache_bytes)),
+            None,
         );
         assert_eq!(report.origin_fetches, 2);
         assert_eq!(report.delayed_hits, 2);
@@ -1233,13 +1120,14 @@ mod tests {
                 fetch_latency,
                 ..Default::default()
             };
-            simulate_server(
+            simulate_server_faulted(
                 &p,
                 &cfg,
                 stream.clone().into_iter(),
                 4,
                 |_, _| 10,
                 Box::new(Lru::new(p.cache_bytes)),
+                None,
             )
         };
         let off = run(None);
@@ -1266,13 +1154,14 @@ mod tests {
             req(0, 1, Flavor::Normal), // tick 2: cache hit
             req(0, 2, Flavor::Normal), // tick 3: miss
         ];
-        let report = simulate_server(
+        let report = simulate_server_faulted(
             &p,
             &cfg,
             stream.into_iter(),
             0,
             |_, _| 10,
             Box::new(Lru::new(p.cache_bytes)),
+            None,
         );
         let tl = report.timeline.as_ref().unwrap();
         let sum: u64 = tl.windows.iter().map(|(_, w)| w.delayed_hits).sum();
@@ -1286,13 +1175,14 @@ mod tests {
         let p = plan(vec![false], vec![2], 0);
         let cfg = SimConfig::default();
         let stream = vec![req(0, 1, Flavor::Normal), req(0, 1, Flavor::Normal)];
-        let report = simulate_server(
+        let report = simulate_server_faulted(
             &p,
             &cfg,
             stream.into_iter(),
             0,
             |_, _| 10,
             Box::new(Lru::new(p.cache_bytes)),
+            None,
         );
         assert_eq!(report.cache_hits, 0);
         assert_eq!(report.cost_hops, 4);

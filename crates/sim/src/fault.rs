@@ -28,11 +28,17 @@ pub struct FaultParams {
     pub origin_outage: f64,
     /// Latency penalty per dead holder skipped during failover, ms — the
     /// cost of a timed-out connection attempt before retrying the next
-    /// copy.
+    /// copy. At most [`MAX_RETRY_PENALTY_MS`]; the engine charges it in
+    /// whole microseconds ([`Self::retry_penalty_us`]).
     pub retry_penalty_ms: f64,
     /// Seed for the schedule; independent of the workload seed.
     pub seed: u64,
 }
+
+/// Largest accepted [`FaultParams::retry_penalty_ms`]: one hour. A request
+/// skips at most `u32::MAX` dead holders, so its latency in µs — hops plus
+/// one penalty per skip — always fits in a `u64`.
+pub const MAX_RETRY_PENALTY_MS: f64 = 3_600_000.0;
 
 impl Default for FaultParams {
     fn default() -> Self {
@@ -49,7 +55,7 @@ impl Default for FaultParams {
 impl FaultParams {
     /// # Panics
     /// Panics on non-positive MTTF/MTTR, an outage fraction outside
-    /// `[0, 1)`, or a negative/non-finite retry penalty.
+    /// `[0, 1)`, or a retry penalty outside `[0, MAX_RETRY_PENALTY_MS]`.
     pub fn validate(&self) {
         assert!(self.mttf > 0.0, "MTTF must be positive");
         assert!(
@@ -61,9 +67,15 @@ impl FaultParams {
             "origin outage fraction must be in [0, 1)"
         );
         assert!(
-            self.retry_penalty_ms >= 0.0 && self.retry_penalty_ms.is_finite(),
-            "retry penalty must be non-negative"
+            (0.0..=MAX_RETRY_PENALTY_MS).contains(&self.retry_penalty_ms),
+            "retry penalty must be in [0, {MAX_RETRY_PENALTY_MS}] ms"
         );
+    }
+
+    /// The retry penalty in whole microseconds, the unit the engine
+    /// accounts latency in.
+    pub fn retry_penalty_us(&self) -> u64 {
+        (self.retry_penalty_ms * 1000.0).round() as u64
     }
 
     /// True when these parameters can never take anything down — the
@@ -75,8 +87,10 @@ impl FaultParams {
 }
 
 /// Precomputed down-windows for every server plus the origins. Windows are
-/// half-open `[start, end)` tick intervals, sorted and disjoint.
-#[derive(Debug, Clone)]
+/// half-open `[start, end)` tick intervals, sorted and disjoint. A server
+/// without a row, like every server of the empty [`Default`] schedule, is
+/// never down.
+#[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     down: Vec<Vec<(u64, u64)>>,
     origin_down: Vec<(u64, u64)>,
@@ -129,14 +143,6 @@ fn in_windows(windows: &[(u64, u64)], tick: u64) -> bool {
 }
 
 impl FaultSchedule {
-    /// A schedule where nothing ever goes down.
-    pub fn none(n_servers: usize) -> Self {
-        Self {
-            down: vec![Vec::new(); n_servers],
-            origin_down: Vec::new(),
-        }
-    }
-
     /// Build a schedule from explicit down-windows — scripted outages for
     /// what-if runs and fine-grained tests. Windows must be half-open
     /// `[start, end)`, sorted, and disjoint.
@@ -186,7 +192,9 @@ impl FaultSchedule {
     /// Is CDN server `server` down at `tick` (of its own stream)?
     #[inline]
     pub fn is_server_down(&self, server: usize, tick: u64) -> bool {
-        in_windows(&self.down[server], tick)
+        self.down
+            .get(server)
+            .is_some_and(|windows| in_windows(windows, tick))
     }
 
     /// Are the primary (origin) sites unreachable at `tick`?
@@ -244,6 +252,12 @@ mod tests {
             assert!(!s.is_server_down(i, 0));
         }
         assert!(!s.is_origin_down(12_345));
+        // The default schedule has no rows at all, and a server without a
+        // row is never down.
+        let empty = FaultSchedule::default();
+        assert_eq!(empty.n_servers(), 0);
+        assert!(!empty.is_server_down(3, 0));
+        assert!(!empty.is_origin_down(0));
         assert!(FaultParams::default().is_zero_fault());
         assert!(!faulty().is_zero_fault());
     }
@@ -325,6 +339,36 @@ mod tests {
     fn per_server_streams_are_independent() {
         let s = FaultSchedule::generate(&faulty(), 2, 50_000);
         assert_ne!(s.down[0], s.down[1]);
+    }
+
+    #[test]
+    fn retry_penalty_converts_to_whole_microseconds() {
+        let penalty = |ms| FaultParams {
+            retry_penalty_ms: ms,
+            ..Default::default()
+        };
+        assert_eq!(penalty(200.0).retry_penalty_us(), 200_000);
+        assert_eq!(penalty(150.5).retry_penalty_us(), 150_500);
+        // At the bound, a request skipping every holder it could still has
+        // a latency that fits in u64 µs.
+        let max = penalty(MAX_RETRY_PENALTY_MS);
+        max.validate();
+        let skips = u64::from(u32::MAX);
+        let worst = max
+            .retry_penalty_us()
+            .checked_mul(skips)
+            .and_then(|p| p.checked_add(crate::plan::HOP_DELAY_US * (1 + skips)));
+        assert!(worst.is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "retry penalty")]
+    fn oversized_retry_penalty_rejected() {
+        FaultParams {
+            retry_penalty_ms: 2.0 * MAX_RETRY_PENALTY_MS,
+            ..Default::default()
+        }
+        .validate();
     }
 
     #[test]

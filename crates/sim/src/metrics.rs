@@ -5,70 +5,77 @@ use cdn_workload::Flavor;
 use std::fmt::Write as _;
 
 /// Histogram of response times with fixed-width bins plus an overflow bin.
-/// The paper's CDF plots are exactly `cdf()` of this structure.
+/// The paper's CDF plots are exactly `cdf()` of this structure. Samples
+/// are whole microseconds, so the sum, the max and every merge are exact
+/// integer arithmetic; the millisecond accessors convert on the way out.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    bin_ms: f64,
+    bin_us: u64,
     counts: Vec<u64>,
     overflow: u64,
-    sum_ms: f64,
+    sum_us: u64,
     n: u64,
-    max_ms: f64,
+    max_us: u64,
+}
+
+/// The simulator's sizing: 1 ms bins up to 4.096 s.
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new(1_000, 4096)
+    }
+}
+
+/// Microseconds to milliseconds, the unit every reported latency is in.
+/// Exact when `us` is a whole number of milliseconds below 2^53 µs, as
+/// every latency the paper's 20 ms hops produce is.
+pub(crate) fn us_to_ms(us: u64) -> f64 {
+    us as f64 / 1000.0
 }
 
 impl LatencyHistogram {
-    /// `bin_ms`-wide bins covering `[0, bin_ms * n_bins)`.
+    /// `bin_us`-wide bins covering `[0, bin_us * n_bins)` µs.
     ///
     /// # Panics
-    /// Panics unless `bin_ms > 0` and `n_bins > 0`.
-    pub fn new(bin_ms: f64, n_bins: usize) -> Self {
-        assert!(bin_ms > 0.0 && bin_ms.is_finite(), "invalid bin width");
+    /// Panics unless `bin_us > 0` and `n_bins > 0`.
+    pub fn new(bin_us: u64, n_bins: usize) -> Self {
+        assert!(bin_us > 0, "invalid bin width");
         assert!(n_bins > 0, "need at least one bin");
         Self {
-            bin_ms,
+            bin_us,
             counts: vec![0; n_bins],
             overflow: 0,
-            sum_ms: 0.0,
+            sum_us: 0,
             n: 0,
-            max_ms: 0.0,
+            max_us: 0,
         }
     }
 
-    /// Default sizing for the paper's scale: 1 ms bins up to 4 s.
-    pub fn default_paper() -> Self {
-        Self::new(1.0, 4096)
-    }
-
-    /// Record one response time.
-    pub fn record(&mut self, ms: f64) {
-        debug_assert!(ms >= 0.0);
-        let idx = (ms / self.bin_ms).floor() as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
+    /// Record one response time, µs.
+    pub fn record(&mut self, us: u64) {
+        match self.counts.get_mut((us / self.bin_us) as usize) {
+            Some(bin) => *bin += 1,
+            None => self.overflow += 1,
         }
-        self.sum_ms += ms;
+        self.sum_us += us;
         self.n += 1;
-        if ms > self.max_ms {
-            self.max_ms = ms;
-        }
+        self.max_us = self.max_us.max(us);
     }
 
-    /// Merge another histogram (must have identical shape).
+    /// Merge another histogram (must have identical shape). Integer adds
+    /// only, so merges commute.
     ///
     /// # Panics
     /// Panics on shape mismatch.
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.bin_ms, other.bin_ms, "bin width mismatch");
+        assert_eq!(self.bin_us, other.bin_us, "bin width mismatch");
         assert_eq!(self.counts.len(), other.counts.len(), "bin count mismatch");
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.overflow += other.overflow;
-        self.sum_ms += other.sum_ms;
+        self.sum_us += other.sum_us;
         self.n += other.n;
-        self.max_ms = self.max_ms.max(other.max_ms);
+        self.max_us = self.max_us.max(other.max_us);
     }
 
     /// Number of samples.
@@ -76,18 +83,23 @@ impl LatencyHistogram {
         self.n
     }
 
+    /// Exact sum of every recorded value, µs.
+    pub fn sum_us(&self) -> u64 {
+        self.sum_us
+    }
+
     /// Mean latency in ms (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
-            self.sum_ms / self.n as f64
+            us_to_ms(self.sum_us) / self.n as f64
         }
     }
 
-    /// Largest recorded value.
+    /// Largest recorded value, ms.
     pub fn max(&self) -> f64 {
-        self.max_ms
+        us_to_ms(self.max_us)
     }
 
     /// The q-quantile (`0 <= q <= 1`) via the histogram (upper bin edge).
@@ -101,10 +113,10 @@ impl LatencyHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             acc += c;
             if acc >= target {
-                return (i as f64 + 1.0) * self.bin_ms;
+                return (i as f64 + 1.0) * self.bin_ms();
             }
         }
-        self.max_ms
+        self.max()
     }
 
     /// CDF points `(upper bin edge ms, cumulative fraction)` for every
@@ -118,17 +130,17 @@ impl LatencyHistogram {
         let last_used = self.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
         for (i, &c) in self.counts.iter().enumerate().take(last_used + 1) {
             acc += c;
-            out.push(((i as f64 + 1.0) * self.bin_ms, acc as f64 / self.n as f64));
+            out.push(((i as f64 + 1.0) * self.bin_ms(), acc as f64 / self.n as f64));
         }
         if self.overflow > 0 {
-            out.push((self.max_ms, 1.0));
+            out.push((self.max(), 1.0));
         }
         out
     }
 
     /// Bin width in ms.
     pub fn bin_ms(&self) -> f64 {
-        self.bin_ms
+        us_to_ms(self.bin_us)
     }
 
     /// Per-bin sample counts (bin `i` covers `[i*bin_ms, (i+1)*bin_ms)`).
@@ -141,48 +153,16 @@ impl LatencyHistogram {
         self.overflow
     }
 
-    /// Exact running sum of every recorded value (ms). Exposed so the
-    /// sharded runner can defer the order-sensitive float fold to the final
-    /// per-server merge while folding the integer bins eagerly.
-    pub(crate) fn sum_ms(&self) -> f64 {
-        self.sum_ms
-    }
-
-    /// Reassemble a histogram from separately folded parts — the inverse of
-    /// (`bin_counts`, `overflow_count`, `sum_ms`, `count`, `max`). The
-    /// sharded runner folds `counts`/`overflow`/`n` eagerly (integer adds
-    /// are associative) and `sum_ms` per server in server order, then
-    /// rebuilds the system histogram here.
-    pub(crate) fn from_parts(
-        bin_ms: f64,
-        counts: Vec<u64>,
-        overflow: u64,
-        sum_ms: f64,
-        n: u64,
-        max_ms: f64,
-    ) -> Self {
-        assert!(bin_ms > 0.0 && bin_ms.is_finite(), "invalid bin width");
-        assert!(!counts.is_empty(), "need at least one bin");
-        Self {
-            bin_ms,
-            counts,
-            overflow,
-            sum_ms,
-            n,
-            max_ms,
-        }
-    }
-
     /// Fraction of samples at or below `ms`.
     pub fn fraction_at_or_below(&self, ms: f64) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
-        let idx = (ms / self.bin_ms).floor() as usize;
+        let idx = (ms / self.bin_ms()).floor() as usize;
         let mut acc: u64 = self.counts.iter().take(idx + 1).sum();
         // Overflow samples lie somewhere in [bin range end, max]; they are
         // certainly at-or-below `ms` once `ms` reaches the recorded max.
-        if idx >= self.counts.len() && ms >= self.max_ms {
+        if idx >= self.counts.len() && ms >= self.max() {
             acc += self.overflow;
         }
         acc as f64 / self.n as f64
@@ -241,15 +221,15 @@ impl Cause {
 }
 
 /// Requests attributed to one cause, with the total latency they paid.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CauseLatency {
     pub requests: u64,
-    pub latency_ms: f64,
+    pub latency_us: u64,
 }
 
 /// Per-cause latency attribution over every measured request — the
 /// "where is latency paid" rollup the sampled traces drill into.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CauseBreakdown {
     pub replica_hit: CauseLatency,
     pub cache_hit: CauseLatency,
@@ -258,9 +238,9 @@ pub struct CauseBreakdown {
     pub origin_fetch: CauseLatency,
     pub failover: CauseLatency,
     pub failed: CauseLatency,
-    /// Retry-penalty ms paid by failover requests on top of hop latency
-    /// (already included in `failover.latency_ms`).
-    pub failover_surcharge_ms: f64,
+    /// Retry-penalty µs paid by failover requests on top of hop latency
+    /// (already included in `failover.latency_us`).
+    pub failover_surcharge_us: u64,
 }
 
 impl CauseBreakdown {
@@ -288,23 +268,23 @@ impl CauseBreakdown {
         }
     }
 
-    /// Attribute one request's latency to `cause`.
-    pub fn record(&mut self, cause: Cause, latency_ms: f64) {
+    /// Attribute one request's latency (µs) to `cause`.
+    pub fn record(&mut self, cause: Cause, latency_us: u64) {
         let slot = self.slot(cause);
         slot.requests += 1;
-        slot.latency_ms += latency_ms;
+        slot.latency_us += latency_us;
     }
 
-    /// Fold another breakdown in (field-wise sums; order-sensitive only in
-    /// float rounding, so merge in a fixed order).
+    /// Fold another breakdown in (field-wise integer sums, so merges
+    /// commute).
     pub fn merge(&mut self, other: &Self) {
         for cause in Cause::ALL {
             let o = other.get(cause);
             let slot = self.slot(cause);
             slot.requests += o.requests;
-            slot.latency_ms += o.latency_ms;
+            slot.latency_us += o.latency_us;
         }
-        self.failover_surcharge_ms += other.failover_surcharge_ms;
+        self.failover_surcharge_us += other.failover_surcharge_us;
     }
 
     /// Requests across every cause — equals `measured_requests`.
@@ -312,9 +292,9 @@ impl CauseBreakdown {
         Cause::ALL.iter().map(|&c| self.get(c).requests).sum()
     }
 
-    /// Latency across every cause — equals the histogram's sum.
-    pub fn total_latency_ms(&self) -> f64 {
-        Cause::ALL.iter().map(|&c| self.get(c).latency_ms).sum()
+    /// Latency across every cause, µs — equals the histogram's sum.
+    pub fn total_latency_us(&self) -> u64 {
+        Cause::ALL.iter().map(|&c| self.get(c).latency_us).sum()
     }
 }
 
@@ -555,20 +535,23 @@ mod tests {
 
     #[test]
     fn record_and_mean() {
-        let mut h = LatencyHistogram::new(1.0, 100);
-        h.record(10.0);
-        h.record(20.0);
-        h.record(30.0);
+        let mut h = LatencyHistogram::new(1_000, 100);
+        h.record(10_000);
+        h.record(20_000);
+        h.record(30_500);
         assert_eq!(h.count(), 3);
-        assert!((h.mean() - 20.0).abs() < 1e-12);
-        assert_eq!(h.max(), 30.0);
+        assert_eq!(h.sum_us(), 60_500);
+        assert_eq!(h.mean(), 60.5 / 3.0);
+        assert_eq!(h.max(), 30.5);
+        // 30.5 ms lands in the [30, 31) ms bin.
+        assert_eq!(h.bin_counts()[30], 1);
     }
 
     #[test]
     fn overflow_counted() {
-        let mut h = LatencyHistogram::new(1.0, 10);
-        h.record(5.0);
-        h.record(500.0);
+        let mut h = LatencyHistogram::new(1_000, 10);
+        h.record(5_000);
+        h.record(500_000);
         assert_eq!(h.count(), 2);
         let cdf = h.cdf();
         assert_eq!(cdf.last().unwrap().1, 1.0);
@@ -577,8 +560,8 @@ mod tests {
 
     #[test]
     fn cdf_is_monotone_and_ends_at_one() {
-        let mut h = LatencyHistogram::new(2.0, 50);
-        for v in [1.0, 3.0, 3.5, 7.0, 20.0, 20.0] {
+        let mut h = LatencyHistogram::new(2_000, 50);
+        for v in [1_000, 3_000, 3_500, 7_000, 20_000, 20_000] {
             h.record(v);
         }
         let cdf = h.cdf();
@@ -591,9 +574,9 @@ mod tests {
 
     #[test]
     fn percentile_bounds() {
-        let mut h = LatencyHistogram::new(1.0, 100);
+        let mut h = LatencyHistogram::new(1_000, 100);
         for i in 0..100 {
-            h.record(i as f64 + 0.5);
+            h.record(i * 1_000 + 500);
         }
         assert!((h.percentile(0.5) - 50.0).abs() <= 1.0);
         assert!((h.percentile(0.99) - 99.0).abs() <= 1.0);
@@ -602,9 +585,9 @@ mod tests {
 
     #[test]
     fn fraction_at_or_below_matches_cdf() {
-        let mut h = LatencyHistogram::new(1.0, 100);
-        h.record(10.0);
-        h.record(20.0);
+        let mut h = LatencyHistogram::new(1_000, 100);
+        h.record(10_000);
+        h.record(20_000);
         assert!((h.fraction_at_or_below(10.0) - 0.5).abs() < 1e-12);
         assert!((h.fraction_at_or_below(9.0) - 0.0).abs() < 1e-12);
         assert!((h.fraction_at_or_below(25.0) - 1.0).abs() < 1e-12);
@@ -613,8 +596,8 @@ mod tests {
     #[test]
     fn overflow_bin_accounting() {
         // 10 one-ms bins cover [0, 10); half the samples land past the end.
-        let mut h = LatencyHistogram::new(1.0, 10);
-        for v in [2.0, 4.0, 50.0, 500.0] {
+        let mut h = LatencyHistogram::new(1_000, 10);
+        for v in [2_000, 4_000, 50_000, 500_000] {
             h.record(v);
         }
         assert_eq!(h.count(), 4);
@@ -629,13 +612,13 @@ mod tests {
         assert!((h.fraction_at_or_below(1e9) - 1.0).abs() < 1e-12);
         // The top quantile comes from the overflow's recorded max.
         assert_eq!(h.percentile(1.0), 500.0);
-        assert!((h.mean() - (2.0 + 4.0 + 50.0 + 500.0) / 4.0).abs() < 1e-12);
+        assert_eq!(h.mean(), (2.0 + 4.0 + 50.0 + 500.0) / 4.0);
     }
 
     #[test]
     fn cdf_with_overflow_is_monotone_and_ends_at_one() {
-        let mut h = LatencyHistogram::new(2.0, 8);
-        for v in [1.0, 3.0, 5.0, 15.9, 40.0, 77.0] {
+        let mut h = LatencyHistogram::new(2_000, 8);
+        for v in [1_000, 3_000, 5_000, 15_900, 40_000, 77_000] {
             h.record(v);
         }
         let cdf = h.cdf();
@@ -654,7 +637,7 @@ mod tests {
 
     #[test]
     fn zero_request_histogram_is_well_defined() {
-        let h = LatencyHistogram::new(1.0, 16);
+        let h = LatencyHistogram::new(1_000, 16);
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.max(), 0.0);
@@ -668,41 +651,43 @@ mod tests {
 
     #[test]
     fn merge_combines_everything() {
-        let mut a = LatencyHistogram::new(1.0, 10);
-        let mut b = LatencyHistogram::new(1.0, 10);
-        a.record(1.0);
-        b.record(2.0);
-        b.record(100.0);
+        let mut a = LatencyHistogram::new(1_000, 10);
+        let mut b = LatencyHistogram::new(1_000, 10);
+        a.record(1_000);
+        b.record(2_000);
+        b.record(100_000);
         a.merge(&b);
         assert_eq!(a.count(), 3);
+        assert_eq!(a.sum_us(), 103_000);
         assert_eq!(a.max(), 100.0);
-        assert!((a.mean() - (1.0 + 2.0 + 100.0) / 3.0).abs() < 1e-12);
+        assert_eq!(a.overflow_count(), 1);
+        assert_eq!(a.mean(), (1.0 + 2.0 + 100.0) / 3.0);
     }
 
     #[test]
     #[should_panic]
     fn merge_shape_mismatch_panics() {
-        let mut a = LatencyHistogram::new(1.0, 10);
-        let b = LatencyHistogram::new(2.0, 10);
+        let mut a = LatencyHistogram::new(1_000, 10);
+        let b = LatencyHistogram::new(2_000, 10);
         a.merge(&b);
     }
 
     #[test]
     fn cause_breakdown_records_and_merges() {
         let mut a = CauseBreakdown::default();
-        a.record(Cause::CacheHit, 20.0);
-        a.record(Cause::Failover, 220.0);
-        a.failover_surcharge_ms += 100.0;
+        a.record(Cause::CacheHit, 20_000);
+        a.record(Cause::Failover, 220_000);
+        a.failover_surcharge_us += 100_000;
         let mut b = CauseBreakdown::default();
-        b.record(Cause::CacheHit, 20.0);
-        b.record(Cause::Failed, 0.0);
+        b.record(Cause::CacheHit, 20_000);
+        b.record(Cause::Failed, 0);
         a.merge(&b);
         assert_eq!(a.cache_hit.requests, 2);
-        assert_eq!(a.get(Cause::CacheHit).latency_ms, 40.0);
+        assert_eq!(a.get(Cause::CacheHit).latency_us, 40_000);
         assert_eq!(a.failed.requests, 1);
         assert_eq!(a.total_requests(), 4);
-        assert_eq!(a.total_latency_ms(), 260.0);
-        assert_eq!(a.failover_surcharge_ms, 100.0);
+        assert_eq!(a.total_latency_us(), 260_000);
+        assert_eq!(a.failover_surcharge_us, 100_000);
         // Labels are stable — counters and JSONL key off them.
         let labels: Vec<&str> = Cause::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(
@@ -755,7 +740,7 @@ mod tests {
     #[test]
     fn empty_report_ratios_are_zero() {
         let r = SimReport {
-            histogram: LatencyHistogram::new(1.0, 1),
+            histogram: LatencyHistogram::new(1_000, 1),
             mean_latency_ms: 0.0,
             mean_cost_hops: 0.0,
             total_requests: 0,
@@ -767,7 +752,7 @@ mod tests {
             origin_fetches: 0,
             peer_fetches: 0,
             failover_fetches: 0,
-            failover_histogram: LatencyHistogram::new(1.0, 1),
+            failover_histogram: LatencyHistogram::new(1_000, 1),
             failed_requests: 0,
             total_bytes: 0,
             origin_bytes: 0,

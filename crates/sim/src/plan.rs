@@ -5,7 +5,7 @@ use crate::fault::FaultParams;
 use cdn_placement::{Nearest, Placement, PlacementProblem};
 
 /// One copy holder of a site as seen from a plan's server — the failover
-/// targets of [`crate::engine::resolve_faulted`].
+/// targets of [`crate::engine::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Holder {
     /// The CDN server holding the copy, or `None` for the primary (origin)
@@ -16,22 +16,16 @@ pub struct Holder {
 }
 
 /// What one CDN server needs to serve requests: which sites it replicates,
-/// how many hops away the nearest copy of every site is, and how many bytes
-/// its cache gets (the capacity left over after replicas).
+/// where every copy of each site is, and how many bytes its cache gets
+/// (the capacity left over after replicas).
 #[derive(Debug, Clone)]
 pub struct ServerPlan {
     pub server: usize,
     /// `replicated[j]` — site j is fully replicated here.
     pub replicated: Vec<bool>,
-    /// `nearest_hops[j]` — hops to the nearest copy of site j (0 when
-    /// replicated locally).
-    pub nearest_hops: Vec<u32>,
-    /// `nearest_is_primary[j]` — the nearest copy of site j is the primary
-    /// (origin) site rather than a CDN replica.
-    pub nearest_is_primary: Vec<bool>,
     /// `holders[j]` — every copy holder of site j (replicators plus the
-    /// primary) ranked by distance. `holders[j][0]` always matches
-    /// `nearest_hops[j]`/`nearest_is_primary[j]`; later entries are the
+    /// primary) ranked by distance. `holders[j][0]` is the nearest copy
+    /// (this server itself when it replicates j); later entries are the
     /// failover order when holders are down.
     pub holders: Vec<Vec<Holder>>,
     /// Bytes available to the LRU cache.
@@ -43,12 +37,6 @@ impl ServerPlan {
     pub fn from_placement(problem: &PlacementProblem, placement: &Placement, i: usize) -> Self {
         let m = problem.m_sites();
         let replicated = (0..m).map(|j| placement.is_replicated(i, j)).collect();
-        let nearest_hops = (0..m)
-            .map(|j| placement.nearest_dist(problem, i, j))
-            .collect();
-        let nearest_is_primary = (0..m)
-            .map(|j| matches!(placement.nearest(i, j), Nearest::Primary))
-            .collect();
         let holders = (0..m)
             .map(|j| {
                 placement
@@ -67,8 +55,6 @@ impl ServerPlan {
         Self {
             server: i,
             replicated,
-            nearest_hops,
-            nearest_is_primary,
             holders,
             cache_bytes: placement.free_bytes(i),
         }
@@ -96,22 +82,22 @@ pub enum ConsistencyMode {
     Weak,
 }
 
+/// Per-hop network delay, µs: the paper's 20 ms/hop (propagation +
+/// queueing + processing). A request served `h` hops beyond its first-hop
+/// server takes `HOP_DELAY_US × (1 + h)`.
+pub const HOP_DELAY_US: u64 = 20_000;
+
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Per-hop network delay, ms. The paper sets 20 ms/hop (propagation +
-    /// queueing + processing).
-    pub hop_delay_ms: f64,
     /// Fraction of each server's stream used to warm the cache before
     /// measurement starts ("we allowed an appropriate warm-up period").
     pub warmup_fraction: f64,
-    /// Latency-histogram bin width (ms) and bin count.
-    pub bin_ms: f64,
-    pub n_bins: usize,
     /// Cache-consistency regime for expired objects.
     pub consistency: ConsistencyMode,
-    /// Fault injection: `None` runs the exact fault-free code path (and is
-    /// guaranteed bit-identical to `Some` of zero-fault parameters).
+    /// Fault injection. `None` routes against the empty schedule, in which
+    /// nothing is ever down, and emits no `fault.*` telemetry; zero-fault
+    /// parameters give bit-identical reports.
     pub faults: Option<FaultParams>,
     /// Sample every Nth request of each server's stream into
     /// [`crate::RequestSample`]s (`None` disables sampling). Keyed on the
@@ -142,19 +128,15 @@ pub struct SimConfig {
     /// Number of engine shards (contiguous server ranges run as parallel
     /// units). `None` picks `min(n_servers, 64)`. The shard count is part
     /// of the configuration, never derived from the thread count, so
-    /// results are bit-identical at any parallelism — and, because all
-    /// order-sensitive float folds happen per server at the final merge,
-    /// at any shard count too.
+    /// results are bit-identical at any parallelism — and, because every
+    /// accumulator merges by integer addition, at any shard count too.
     pub shards: Option<usize>,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            hop_delay_ms: 20.0,
             warmup_fraction: 0.2,
-            bin_ms: 1.0,
-            n_bins: 4096,
             consistency: ConsistencyMode::Strong,
             faults: None,
             sample_every: None,
@@ -167,10 +149,6 @@ impl Default for SimConfig {
 
 impl SimConfig {
     pub(crate) fn validate(&self) {
-        assert!(
-            self.hop_delay_ms > 0.0 && self.hop_delay_ms.is_finite(),
-            "hop delay must be positive"
-        );
         assert!(
             (0.0..1.0).contains(&self.warmup_fraction),
             "warm-up fraction must be in [0, 1)"
@@ -219,30 +197,35 @@ mod tests {
         let plans = ServerPlan::all_from_placement(&p, &pl);
         assert_eq!(plans.len(), 2);
         assert!(plans[0].replicated[1]);
-        assert_eq!(plans[0].nearest_hops[1], 0);
         assert_eq!(plans[0].cache_bytes, 500);
-        assert!(!plans[0].nearest_is_primary[1]);
         assert!(!plans[1].replicated[1]);
-        assert_eq!(plans[1].nearest_hops[1], 3); // via server 0, closer than primary (13)
-        assert!(!plans[1].nearest_is_primary[1]);
-        assert_eq!(plans[1].nearest_hops[0], 11); // primary
-        assert!(plans[1].nearest_is_primary[0]);
         assert_eq!(plans[1].cache_bytes, 1500);
 
-        // Holder lists: rank 0 mirrors the scalar nearest fields, and every
-        // copy (replicas + primary) appears in distance order.
+        // Holder lists: rank 0 is the nearest copy, and every copy
+        // (replicas + primary) appears in distance order.
         for plan in &plans {
             for j in 0..2 {
                 let h = &plan.holders[j];
-                assert_eq!(h[0].hops, plan.nearest_hops[j]);
-                assert_eq!(h[0].server.is_none(), plan.nearest_is_primary[j]);
+                assert_eq!(h[0].hops, pl.nearest_dist(&p, plan.server, j));
+                assert_eq!(
+                    h[0].server.is_none(),
+                    matches!(pl.nearest(plan.server, j), Nearest::Primary)
+                );
                 for w in h.windows(2) {
                     assert!(w[0].hops <= w[1].hops);
                 }
             }
         }
-        // Site 1 is replicated at server 0: server 1 can fail over from the
-        // replica (3 hops) to the primary (13 hops).
+        // Site 1 is replicated at server 0, which heads its own list.
+        assert_eq!(
+            plans[0].holders[1][0],
+            Holder {
+                server: Some(0),
+                hops: 0
+            }
+        );
+        // Server 1 can fail over from the replica at server 0 (3 hops,
+        // closer than the primary) to the primary (13 hops).
         assert_eq!(
             plans[1].holders[1],
             vec![
@@ -256,7 +239,7 @@ mod tests {
                 },
             ]
         );
-        // Site 0 has no replicas: the primary is the only holder.
+        // Site 0 has no replicas: the primary (11 hops) is the only holder.
         assert_eq!(
             plans[1].holders[0],
             vec![Holder {
@@ -268,9 +251,8 @@ mod tests {
 
     #[test]
     fn default_config_is_papers() {
-        let c = SimConfig::default();
-        assert_eq!(c.hop_delay_ms, 20.0);
-        c.validate();
+        assert_eq!(HOP_DELAY_US, 20_000);
+        SimConfig::default().validate();
     }
 
     #[test]

@@ -7,10 +7,13 @@
 
 use crate::engine::{simulate_server_faulted, ServerReport, SiteObs};
 use crate::fault::FaultSchedule;
-use crate::metrics::{Cause, CauseBreakdown, LatencyHistogram, SimReport};
+use crate::metrics::{
+    Cause, CauseBreakdown, LatencyHistogram, RequestSample, ServerSummary, SimReport,
+};
 use crate::plan::{ServerPlan, SimConfig};
 use crate::shard::shard_ranges;
-use cdn_cache::{Cache, LruCache};
+use crate::timeline::{ServerTimeline, Timeline};
+use cdn_cache::{Cache, CacheStats, LruCache};
 use cdn_placement::{Placement, PlacementProblem};
 use cdn_telemetry::{self as telemetry, TraceBuffer, Value};
 use cdn_workload::{Request, SiteCatalog, TraceSpec};
@@ -96,22 +99,19 @@ where
 
     // Sharded fan-out: contiguous server ranges run as parallel units.
     // Each shard walks its servers sequentially in ascending server order,
-    // building every plan lazily, folding associative state (integer
-    // histogram bins, u64 counters, samples, trace lanes) eagerly, and
-    // keeping only a small per-server [`ServerStats`] for the
-    // order-sensitive float folds — so nothing per-server of histogram
-    // size outlives its shard. The ordered collect plus the fixed
-    // shard-order concatenation keep every output bit-identical at any
-    // thread count; deferring the float folds to the per-server final
-    // merge makes them bit-identical at any *shard* count too (see the
+    // building every plan lazily and folding each server's report into the
+    // shard's accumulator as soon as it finishes — so nothing per-server of
+    // histogram size outlives its fold. The shards then merge in shard
+    // order. Every accumulator is an integer sum or an in-order list, so the
+    // report is bit-identical at any thread and shard count (see the
     // `shard` module for the full contract).
     let ranges = shard_ranges(problem.n_servers(), config.shards);
     let _prof = telemetry::profile::span("sim.system");
     let trace_on = telemetry::trace_installed();
-    let shards: Vec<ShardAccum> = ranges
+    let shards: Vec<RunAccum> = ranges
         .par_iter()
         .map(|range| {
-            let mut acc = ShardAccum::new(config, trace_on);
+            let mut acc = RunAccum::new(trace_on);
             for server in range.clone() {
                 let _prof = telemetry::profile::span("sim.server");
                 let plan = ServerPlan::from_placement(problem, placement, server);
@@ -136,24 +136,28 @@ where
                     cache,
                     schedule.as_ref(),
                 );
-                acc.fold(report);
+                acc.merge(RunAccum::of_server(report, trace_on));
             }
             acc
         })
         .collect();
 
-    let mut merged = merge_shards(shards, config);
-    let lanes = std::mem::take(&mut merged.lanes);
-    emit_observability(&merged, lanes, schedule.as_ref());
-    assemble_report(merged, config)
+    let mut run = RunAccum::new(trace_on);
+    for shard in shards {
+        run.merge(shard);
+    }
+    let lane = run.lane.take();
+    emit_observability(&run, lane, schedule.as_ref());
+    run.into_report(config)
 }
 
-/// Per-server scalars retained after the full [`ServerReport`] is folded
-/// into its shard accumulator. The f64 fields are folded in global server
-/// order at the final merge, reproducing the unsharded runner's exact
-/// floating-point addition sequence.
-pub(crate) struct ServerStats {
-    server: usize,
+/// A run's accumulated state: one per shard while its servers fold in,
+/// then the shards merged in shard order. Counters, histogram bins and µs
+/// latency sums are integers that merge by addition, and the per-server
+/// lists concatenate in server order, so how the fleet is split into shards
+/// cannot move a bit.
+#[derive(Default)]
+struct RunAccum {
     total_requests: u64,
     measured_requests: u64,
     local_requests: u64,
@@ -167,85 +171,51 @@ pub(crate) struct ServerStats {
     total_bytes: u64,
     origin_bytes: u64,
     cost_hops: u64,
-    hist_sum_ms: f64,
-    hist_n: u64,
-    fail_sum_ms: f64,
-    fail_n: u64,
+    histogram: LatencyHistogram,
+    failover_histogram: LatencyHistogram,
     cause: CauseBreakdown,
-    cache: Option<cdn_cache::CacheStats>,
-    timeline: Option<crate::timeline::ServerTimeline>,
-}
-
-impl ServerStats {
-    /// Identical to the per-server histogram's `mean()`.
-    fn mean_latency_ms(&self) -> f64 {
-        if self.hist_n == 0 {
-            0.0
-        } else {
-            self.hist_sum_ms / self.hist_n as f64
-        }
-    }
-}
-
-/// One shard's accumulated state: eagerly folded associative quantities
-/// plus the per-server scalars whose float folds wait for the final merge.
-struct ShardAccum {
-    stats: Vec<ServerStats>,
-    hist_counts: Vec<u64>,
-    hist_overflow: u64,
-    hist_max_ms: f64,
-    fail_counts: Vec<u64>,
-    fail_overflow: u64,
-    fail_max_ms: f64,
-    samples: Vec<crate::metrics::RequestSample>,
-    /// Per-shard trace lane: per-server buffers splice in as they finish,
-    /// in server order; lanes then merge into the trace in shard order,
-    /// which reproduces the flat per-server merge exactly.
+    /// Whole-stream cache counters summed over servers (telemetry runs
+    /// only).
+    cache: CacheStats,
+    per_server: Vec<ServerSummary>,
+    timelines: Vec<ServerTimeline>,
+    samples: Vec<RequestSample>,
+    /// Trace lane: each server's buffer splices in after the previous
+    /// server's, which is record-identical to merging every server's
+    /// buffer into the trace directly.
     lane: Option<TraceBuffer>,
 }
 
-impl ShardAccum {
-    fn new(config: &SimConfig, trace_on: bool) -> Self {
+impl RunAccum {
+    fn new(trace_on: bool) -> Self {
         Self {
-            stats: Vec::new(),
-            hist_counts: vec![0; config.n_bins],
-            hist_overflow: 0,
-            hist_max_ms: 0.0,
-            fail_counts: vec![0; config.n_bins],
-            fail_overflow: 0,
-            fail_max_ms: 0.0,
-            samples: Vec::new(),
             lane: trace_on.then(TraceBuffer::new),
+            ..Self::default()
         }
     }
 
-    /// Fold one server's report in and drop it — the report's histograms
-    /// and per-site observability do not outlive this call.
-    fn fold(&mut self, mut report: ServerReport) {
-        if let Some(lane) = &mut self.lane {
-            lane.merge_child(server_trace_buffer(&report));
-        }
-        for (a, &b) in self
-            .hist_counts
-            .iter_mut()
-            .zip(report.histogram.bin_counts())
-        {
-            *a += b;
-        }
-        self.hist_overflow += report.histogram.overflow_count();
-        self.hist_max_ms = self.hist_max_ms.max(report.histogram.max());
-        for (a, &b) in self
-            .fail_counts
-            .iter_mut()
-            .zip(report.failover_histogram.bin_counts())
-        {
-            *a += b;
-        }
-        self.fail_overflow += report.failover_histogram.overflow_count();
-        self.fail_max_ms = self.fail_max_ms.max(report.failover_histogram.max());
-        self.samples.append(&mut report.samples);
-        self.stats.push(ServerStats {
+    /// One server's contribution: its summary and trace buffer are
+    /// rendered here, and its per-site tallies dropped.
+    fn of_server(report: ServerReport, trace_on: bool) -> Self {
+        let summary = ServerSummary {
             server: report.server,
+            measured_requests: report.measured_requests,
+            mean_latency_ms: report.histogram.mean(),
+            local_ratio: ratio(report.local_requests, report.measured_requests),
+            cache_hit_ratio: ratio(report.cache_hits, report.measured_requests),
+            origin_fetches: report.origin_fetches,
+            failed_requests: report.failed_requests,
+            availability: if report.measured_requests == 0 {
+                1.0
+            } else {
+                1.0 - ratio(report.failed_requests, report.measured_requests)
+            },
+        };
+        Self {
+            lane: trace_on.then(|| server_trace_buffer(&report)),
+            cache: report.obs.map(|o| o.cache).unwrap_or_default(),
+            per_server: vec![summary],
+            timelines: report.timeline.into_iter().collect(),
             total_requests: report.total_requests,
             measured_requests: report.measured_requests,
             local_requests: report.local_requests,
@@ -259,106 +229,78 @@ impl ShardAccum {
             total_bytes: report.total_bytes,
             origin_bytes: report.origin_bytes,
             cost_hops: report.cost_hops,
-            hist_sum_ms: report.histogram.sum_ms(),
-            hist_n: report.histogram.count(),
-            fail_sum_ms: report.failover_histogram.sum_ms(),
-            fail_n: report.failover_histogram.count(),
+            histogram: report.histogram,
+            failover_histogram: report.failover_histogram,
             cause: report.cause,
-            cache: report.obs.as_ref().map(|o| o.cache),
-            timeline: report.timeline,
-        });
+            samples: report.samples,
+        }
+    }
+
+    /// Fold in the accumulator of the servers that follow this one's.
+    fn merge(&mut self, other: Self) {
+        if let (Some(lane), Some(other)) = (self.lane.as_mut(), other.lane) {
+            lane.merge_child(other);
+        }
+        self.total_requests += other.total_requests;
+        self.measured_requests += other.measured_requests;
+        self.local_requests += other.local_requests;
+        self.cache_hits += other.cache_hits;
+        self.replica_hits += other.replica_hits;
+        self.delayed_hits += other.delayed_hits;
+        self.origin_fetches += other.origin_fetches;
+        self.peer_fetches += other.peer_fetches;
+        self.failover_fetches += other.failover_fetches;
+        self.failed_requests += other.failed_requests;
+        self.total_bytes += other.total_bytes;
+        self.origin_bytes += other.origin_bytes;
+        self.cost_hops += other.cost_hops;
+        self.histogram.merge(&other.histogram);
+        self.failover_histogram.merge(&other.failover_histogram);
+        self.cause.merge(&other.cause);
+        self.cache.evictions += other.cache.evictions;
+        self.cache.insertions += other.cache.insertions;
+        self.cache.rejections += other.cache.rejections;
+        self.per_server.extend(other.per_server);
+        self.timelines.extend(other.timelines);
+        self.samples.extend(other.samples);
+    }
+
+    fn into_report(self, config: &SimConfig) -> SimReport {
+        let timeline = match config.window.unwrap_or(0) {
+            0 => None,
+            width => Some(Timeline::from_per_server(width, self.timelines)),
+        };
+        SimReport {
+            mean_latency_ms: self.histogram.mean(),
+            mean_cost_hops: ratio(self.cost_hops, self.measured_requests),
+            histogram: self.histogram,
+            total_requests: self.total_requests,
+            measured_requests: self.measured_requests,
+            local_requests: self.local_requests,
+            cache_hits: self.cache_hits,
+            replica_hits: self.replica_hits,
+            delayed_hits: self.delayed_hits,
+            origin_fetches: self.origin_fetches,
+            peer_fetches: self.peer_fetches,
+            failover_fetches: self.failover_fetches,
+            failover_histogram: self.failover_histogram,
+            failed_requests: self.failed_requests,
+            total_bytes: self.total_bytes,
+            origin_bytes: self.origin_bytes,
+            per_server: self.per_server,
+            cause: self.cause,
+            samples: self.samples,
+            timeline,
+        }
     }
 }
 
-/// Everything the observability emission and the final report need, merged
-/// across shards in shard order (= global server order).
-struct SystemAccum {
-    /// Per-server stats in global server order.
-    stats: Vec<ServerStats>,
-    histogram: LatencyHistogram,
-    failover_histogram: LatencyHistogram,
-    samples: Vec<crate::metrics::RequestSample>,
-    /// Folded per server in server order — shared by the registry counters
-    /// and the report so both see the identical float fold.
-    cause: CauseBreakdown,
-    /// Global windowed timeline, folded from the per-server series in
-    /// server order (so its one float fold is shard-count independent).
-    timeline: Option<crate::timeline::Timeline>,
-    lanes: Vec<TraceBuffer>,
-}
-
-fn merge_shards(shards: Vec<ShardAccum>, config: &SimConfig) -> SystemAccum {
-    let mut hist_counts = vec![0u64; config.n_bins];
-    let mut hist_overflow = 0u64;
-    let mut hist_max = 0.0f64;
-    let mut fail_counts = vec![0u64; config.n_bins];
-    let mut fail_overflow = 0u64;
-    let mut fail_max = 0.0f64;
-    let mut stats = Vec::new();
-    let mut samples = Vec::new();
-    let mut lanes = Vec::new();
-    for sh in shards {
-        for (a, b) in hist_counts.iter_mut().zip(sh.hist_counts) {
-            *a += b;
-        }
-        hist_overflow += sh.hist_overflow;
-        hist_max = hist_max.max(sh.hist_max_ms);
-        for (a, b) in fail_counts.iter_mut().zip(sh.fail_counts) {
-            *a += b;
-        }
-        fail_overflow += sh.fail_overflow;
-        fail_max = fail_max.max(sh.fail_max_ms);
-        stats.extend(sh.stats);
-        samples.extend(sh.samples);
-        if let Some(lane) = sh.lane {
-            lanes.push(lane);
-        }
-    }
-    // The order-sensitive float folds: per server, in global server order,
-    // exactly as the unsharded merge performed them.
-    let mut cause = CauseBreakdown::default();
-    let mut hist_sum = 0.0f64;
-    let mut fail_sum = 0.0f64;
-    let mut hist_n = 0u64;
-    let mut fail_n = 0u64;
-    for s in &stats {
-        cause.merge(&s.cause);
-        hist_sum += s.hist_sum_ms;
-        fail_sum += s.fail_sum_ms;
-        hist_n += s.hist_n;
-        fail_n += s.fail_n;
-    }
-    // The timeline fold is per server in the same global order: `stats` is
-    // shard-concatenated and shards are contiguous ascending ranges.
-    let timeline = match config.window.unwrap_or(0) {
-        0 => None,
-        width => Some(crate::timeline::Timeline::from_per_server(
-            width,
-            stats.iter_mut().filter_map(|s| s.timeline.take()).collect(),
-        )),
-    };
-    SystemAccum {
-        stats,
-        histogram: LatencyHistogram::from_parts(
-            config.bin_ms,
-            hist_counts,
-            hist_overflow,
-            hist_sum,
-            hist_n,
-            hist_max,
-        ),
-        failover_histogram: LatencyHistogram::from_parts(
-            config.bin_ms,
-            fail_counts,
-            fail_overflow,
-            fail_sum,
-            fail_n,
-            fail_max,
-        ),
-        samples,
-        cause,
-        timeline,
-        lanes,
+/// `part / whole`, 0 when `whole` is 0.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
@@ -409,79 +351,58 @@ fn server_trace_buffer(report: &ServerReport) -> TraceBuffer {
 }
 
 /// Flush counters and the (fixed-order) trace after the parallel fan-out.
-fn emit_observability(
-    merged: &SystemAccum,
-    lanes: Vec<TraceBuffer>,
-    schedule: Option<&FaultSchedule>,
-) {
+fn emit_observability(run: &RunAccum, lane: Option<TraceBuffer>, schedule: Option<&FaultSchedule>) {
     if !telemetry::enabled() {
         return;
     }
     let reg = telemetry::registry();
-    let stats = &merged.stats;
-    let sum = |f: fn(&ServerStats) -> u64| stats.iter().map(f).sum::<u64>();
-    reg.counter("sim.requests_total")
-        .add(sum(|s| s.total_requests));
+    reg.counter("sim.requests_total").add(run.total_requests);
     reg.counter("sim.requests_measured")
-        .add(sum(|s| s.measured_requests));
-    reg.counter("sim.local_requests")
-        .add(sum(|s| s.local_requests));
-    reg.counter("sim.cache_hits").add(sum(|s| s.cache_hits));
-    reg.counter("sim.replica_hits").add(sum(|s| s.replica_hits));
-    reg.counter("sim.origin_fetches")
-        .add(sum(|s| s.origin_fetches));
-    reg.counter("sim.peer_fetches").add(sum(|s| s.peer_fetches));
+        .add(run.measured_requests);
+    reg.counter("sim.local_requests").add(run.local_requests);
+    reg.counter("sim.cache_hits").add(run.cache_hits);
+    reg.counter("sim.replica_hits").add(run.replica_hits);
+    reg.counter("sim.origin_fetches").add(run.origin_fetches);
+    reg.counter("sim.peer_fetches").add(run.peer_fetches);
     reg.counter("sim.failover_fetches")
-        .add(sum(|s| s.failover_fetches));
-    reg.counter("sim.failed_requests")
-        .add(sum(|s| s.failed_requests));
+        .add(run.failover_fetches);
+    reg.counter("sim.failed_requests").add(run.failed_requests);
     reg.counter("sim.histogram_fills")
-        .add(sum(|s| s.hist_n + s.fail_n));
-    let cache_sum = |f: fn(&cdn_cache::CacheStats) -> u64| {
-        stats
-            .iter()
-            .filter_map(|s| s.cache.as_ref().map(f))
-            .sum::<u64>()
-    };
-    reg.counter("sim.cache_evictions")
-        .add(cache_sum(|c| c.evictions));
+        .add(run.histogram.count() + run.failover_histogram.count());
+    reg.counter("sim.cache_evictions").add(run.cache.evictions);
     reg.counter("sim.cache_insertions")
-        .add(cache_sum(|c| c.insertions));
+        .add(run.cache.insertions);
     reg.counter("sim.cache_rejections")
-        .add(cache_sum(|c| c.rejections));
-    // Per-server mean latency distribution — filled sequentially here, so
-    // the fixed-shape bins accumulate in a deterministic order too.
+        .add(run.cache.rejections);
+    // Per-server mean latency distribution (integer bin counts, so the
+    // fill order does not matter).
     let latency_hist = reg.histogram("sim.server_mean_latency_ms", 5.0, 400);
-    for s in stats {
-        latency_hist.record(s.mean_latency_ms());
+    for s in &run.per_server {
+        latency_hist.record(s.mean_latency_ms);
     }
-    // Cause attribution: request counts plus latency totals (in integer
-    // microseconds, rounded once per run, so accumulation across several
-    // sim runs stays exact and deterministic). Per-cause counts sum to
-    // `sim.requests_measured`; `cdn report` renders the table from these.
-    // `merged.cause` was folded per server in server order, so the float
-    // totals match the unsharded emission bit for bit.
+    // Cause attribution: request counts plus latency totals in integer
+    // microseconds, so accumulation across several sim runs stays exact.
+    // Per-cause counts sum to `sim.requests_measured`; `cdn report`
+    // renders the table from these.
     for c in Cause::ALL {
-        let lat = merged.cause.get(c);
+        let lat = run.cause.get(c);
         reg.counter(&format!("sim.cause.{}", c.label()))
             .add(lat.requests);
         reg.counter(&format!("sim.cause.{}_latency_us", c.label()))
-            .add((lat.latency_ms * 1000.0).round() as u64);
+            .add(lat.latency_us);
     }
     reg.counter("sim.cause.failover_surcharge_us")
-        .add((merged.cause.failover_surcharge_ms * 1000.0).round() as u64);
+        .add(run.cause.failover_surcharge_us);
     // Whole-run per-request latency distribution (1 ms bins, 4 s range +
-    // overflow). The registry histogram's bins are pure integer counts, so
-    // recording the globally merged bins yields the same snapshot as the
-    // old per-server fold.
-    let request_hist = reg.histogram("sim.latency_ms", 1.0, 4096);
-    let bin_ms = merged.histogram.bin_ms();
-    for (i, &n) in merged.histogram.bin_counts().iter().enumerate() {
+    // overflow), recorded bin by bin from the merged histogram.
+    let hist = &run.histogram;
+    let request_hist = reg.histogram("sim.latency_ms", hist.bin_ms(), hist.bin_counts().len());
+    for (i, &n) in hist.bin_counts().iter().enumerate() {
         if n > 0 {
-            request_hist.record_n((i as f64 + 0.5) * bin_ms, n);
+            request_hist.record_n((i as f64 + 0.5) * hist.bin_ms(), n);
         }
     }
-    let overflow = merged.histogram.overflow_count();
+    let overflow = hist.overflow_count();
     if overflow > 0 {
         request_hist.record_n(f64::MAX, overflow);
     }
@@ -515,85 +436,19 @@ fn emit_observability(
                 );
             }
         }
-        // Lanes arrive in shard order; merging a lane that spliced in its
-        // servers' buffers in server order is record-identical to merging
-        // each server's buffer here directly.
-        for lane in lanes {
+        // The lane spliced in every server's buffer in server order, which
+        // is record-identical to merging each one here directly.
+        if let Some(lane) = lane {
             t.merge(lane);
         }
         t.exit(span);
     });
 }
 
-fn assemble_report(merged: SystemAccum, _config: &SimConfig) -> SimReport {
-    let SystemAccum {
-        stats,
-        histogram,
-        failover_histogram,
-        samples,
-        cause,
-        timeline,
-        ..
-    } = merged;
-    let per_server: Vec<crate::metrics::ServerSummary> = stats
-        .iter()
-        .map(|s| crate::metrics::ServerSummary {
-            server: s.server,
-            measured_requests: s.measured_requests,
-            mean_latency_ms: s.mean_latency_ms(),
-            local_ratio: if s.measured_requests == 0 {
-                0.0
-            } else {
-                s.local_requests as f64 / s.measured_requests as f64
-            },
-            cache_hit_ratio: if s.measured_requests == 0 {
-                0.0
-            } else {
-                s.cache_hits as f64 / s.measured_requests as f64
-            },
-            origin_fetches: s.origin_fetches,
-            failed_requests: s.failed_requests,
-            availability: if s.measured_requests == 0 {
-                1.0
-            } else {
-                1.0 - s.failed_requests as f64 / s.measured_requests as f64
-            },
-        })
-        .collect();
-    let sum = |f: fn(&ServerStats) -> u64| stats.iter().map(f).sum::<u64>();
-    let measured_requests = sum(|s| s.measured_requests);
-    let cost_hops = sum(|s| s.cost_hops);
-    SimReport {
-        mean_latency_ms: histogram.mean(),
-        mean_cost_hops: if measured_requests == 0 {
-            0.0
-        } else {
-            cost_hops as f64 / measured_requests as f64
-        },
-        histogram,
-        total_requests: sum(|s| s.total_requests),
-        measured_requests,
-        local_requests: sum(|s| s.local_requests),
-        cache_hits: sum(|s| s.cache_hits),
-        replica_hits: sum(|s| s.replica_hits),
-        delayed_hits: sum(|s| s.delayed_hits),
-        origin_fetches: sum(|s| s.origin_fetches),
-        peer_fetches: sum(|s| s.peer_fetches),
-        failover_fetches: sum(|s| s.failover_fetches),
-        failover_histogram,
-        failed_requests: sum(|s| s.failed_requests),
-        total_bytes: sum(|s| s.total_bytes),
-        origin_bytes: sum(|s| s.origin_bytes),
-        per_server,
-        cause,
-        samples,
-        timeline,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::HOP_DELAY_US;
     use cdn_workload::{DemandMatrix, LambdaMode, WorkloadConfig};
 
     /// A small but fully wired scenario: real catalog/demand/trace over a
@@ -647,7 +502,7 @@ mod tests {
         assert!(report.cache_hits > 0);
         assert!(report.local_ratio() > 0.1, "local {}", report.local_ratio());
         // Mean latency must be below the worst case (primary fetch always).
-        let worst = cfg.hop_delay_ms * (1.0 + 10.0);
+        let worst = crate::metrics::us_to_ms(HOP_DELAY_US * (1 + 10));
         assert!(report.mean_latency_ms < worst);
     }
 
@@ -1064,20 +919,14 @@ mod tests {
         assert_eq!(report.cause.total_requests(), report.measured_requests);
         // Attributed latency reconciles with the histogram (failed
         // requests contribute zero to both).
-        let hist_total = report.mean_latency_ms * report.histogram.count() as f64;
-        assert!(
-            (report.cause.total_latency_ms() - hist_total).abs() < 1e-6 * hist_total.max(1.0),
-            "cause latency {} != histogram total {hist_total}",
-            report.cause.total_latency_ms()
-        );
+        assert_eq!(report.cause.total_latency_us(), report.histogram.sum_us());
         // The failover surcharge is a strict part of failover latency.
-        assert!(report.cause.failover_surcharge_ms > 0.0);
-        assert!(report.cause.failover_surcharge_ms < report.cause.failover.latency_ms);
+        assert!(report.cause.failover_surcharge_us > 0);
+        assert!(report.cause.failover_surcharge_us < report.cause.failover.latency_us);
         // Local hits pay exactly one hop each.
-        assert!(
-            (report.cause.replica_hit.latency_ms - cfg.hop_delay_ms * report.replica_hits as f64)
-                .abs()
-                < 1e-6
+        assert_eq!(
+            report.cause.replica_hit.latency_us,
+            HOP_DELAY_US * report.replica_hits
         );
     }
 

@@ -4,20 +4,18 @@
 //! longer retains one full [`crate::engine::ServerReport`] per server —
 //! two 4096-bin histograms each would pin ~130 MB at N = 2000. Instead the
 //! fleet is split into contiguous *shards* of servers; each shard runs its
-//! servers sequentially (in server order), folding everything associative
-//! (integer bin counts, u64 counters, samples, trace lanes) into one
-//! accumulator per shard and keeping only a small per-server
-//! [`crate::runner::ServerStats`] for the order-sensitive float folds.
+//! servers sequentially (in server order) and folds each report into one
+//! accumulator per shard as soon as the server finishes, keeping only the
+//! small per-server summary and timeline that the report itself returns.
 //!
 //! Determinism contract:
 //! * The shard count comes from [`crate::SimConfig::shards`] (defaulting to
 //!   `min(n_servers, MAX_DEFAULT_SHARDS)`) — never from the thread count.
 //! * Shards are contiguous, balanced server ranges, so concatenating shard
 //!   outputs in shard order recovers exact global server order.
-//! * All f64 folds (histogram sums, cause latency) happen per server in
-//!   global server order at the final merge, reproducing the exact
-//!   floating-point addition sequence of the unsharded runner. Results are
-//!   therefore bit-identical at any thread count *and* any shard count.
+//! * Every accumulator is an integer (counters, histogram bins, µs latency
+//!   sums) or a max, so folds and merges commute. Results are therefore
+//!   bit-identical at any thread count *and* any shard count.
 
 /// Default upper bound on the shard count: enough slices to keep any
 /// realistic thread pool busy with good balance, while keeping per-shard

@@ -10,12 +10,13 @@
 //!
 //! Determinism follows the §9.1 contract: per-server window series are
 //! accumulated inside the (embarrassingly parallel) per-server loops and
-//! folded into the global timeline at the final merge in ascending server
-//! order — integer counts and sketch buckets are order-insensitive, and
-//! the one order-sensitive f64 fold (`latency_sum_ms`) happens in that
-//! fixed global order, so timelines are byte-identical at any thread and
-//! shard count.
+//! folded into the global timeline at the final merge. Every fold is an
+//! integer add (counts, µs latency sums, sketch buckets) or a max, so the
+//! fold order cannot move a bit; the per-server series are kept in
+//! ascending server order, so timelines are byte-identical at any thread
+//! and shard count.
 
+use crate::metrics::us_to_ms;
 use cdn_cache::Cache;
 use cdn_telemetry::json::escape_into;
 use cdn_telemetry::{QuantileSketch, WindowGrid};
@@ -40,9 +41,8 @@ pub struct WindowStats {
     pub cost_hops: u64,
     pub total_bytes: u64,
     pub origin_bytes: u64,
-    /// Latency sum over served (non-failed) requests — the only
-    /// order-sensitive float here; folded per server in global order.
-    pub latency_sum_ms: f64,
+    /// Latency sum over served (non-failed) requests, µs.
+    pub latency_sum_us: u64,
     /// Per-window latency quantiles with a guaranteed relative error of
     /// [`cdn_telemetry::RELATIVE_ERROR`].
     pub sketch: QuantileSketch,
@@ -66,7 +66,7 @@ impl WindowStats {
         if self.served() == 0 {
             0.0
         } else {
-            self.latency_sum_ms / self.served() as f64
+            us_to_ms(self.latency_sum_us) / self.served() as f64
         }
     }
 
@@ -80,8 +80,7 @@ impl WindowStats {
         self.sketch.max().unwrap_or(0.0)
     }
 
-    /// Fold `other` into `self`. Integer adds plus one f64 add — call in a
-    /// fixed order (ascending server id) to keep the float fold exact.
+    /// Fold `other` into `self`: integer adds and maxima, so folds commute.
     pub fn merge(&mut self, other: &Self) {
         self.requests += other.requests;
         self.local_requests += other.local_requests;
@@ -95,7 +94,7 @@ impl WindowStats {
         self.cost_hops += other.cost_hops;
         self.total_bytes += other.total_bytes;
         self.origin_bytes += other.origin_bytes;
-        self.latency_sum_ms += other.latency_sum_ms;
+        self.latency_sum_us += other.latency_sum_us;
         self.sketch.merge(&other.sketch);
         self.cache_used_bytes += other.cache_used_bytes;
         self.evictions += other.evictions;
@@ -134,9 +133,7 @@ pub struct Timeline {
 impl Timeline {
     /// Fold per-server series (ascending server order — the caller's
     /// responsibility, upheld by the runner's shard-order merge) into the
-    /// global timeline. The only order-sensitive operation is the
-    /// `latency_sum_ms` f64 add inside [`WindowStats::merge`], performed
-    /// here per window in that fixed server order.
+    /// global timeline.
     pub fn from_per_server(width: u64, per_server: Vec<ServerTimeline>) -> Self {
         let mut merged: BTreeMap<u64, WindowStats> = BTreeMap::new();
         for st in &per_server {
@@ -376,26 +373,26 @@ pub fn render_timeline_csv(runs: &[(String, Timeline)]) -> String {
 mod tests {
     use super::*;
 
-    fn window(requests: u64, failed: u64, latency_each: f64) -> WindowStats {
+    fn window(requests: u64, failed: u64, latency_each_us: u64) -> WindowStats {
         let mut w = WindowStats {
             requests,
             failed_requests: failed,
             ..Default::default()
         };
         for _ in 0..(requests - failed) {
-            w.latency_sum_ms += latency_each;
-            w.sketch.record(latency_each);
+            w.latency_sum_us += latency_each_us;
+            w.sketch.record(us_to_ms(latency_each_us));
         }
         w
     }
 
     #[test]
     fn merge_sums_counters_and_picks_deterministic_top_site() {
-        let mut a = window(10, 2, 20.0);
+        let mut a = window(10, 2, 20_000);
         a.top_site = Some((3, 7));
         a.cache_used_bytes = 100;
         a.evictions = 4;
-        let mut b = window(5, 0, 40.0);
+        let mut b = window(5, 0, 40_000);
         b.top_site = Some((1, 7));
         b.cache_used_bytes = 50;
         b.evictions = 1;
@@ -407,18 +404,19 @@ mod tests {
         assert_eq!(a.evictions, 5);
         // Equal counts: the lower site id wins, regardless of merge side.
         assert_eq!(a.top_site, Some((1, 7)));
-        assert!((a.mean_ms() - (8.0 * 20.0 + 5.0 * 40.0) / 13.0).abs() < 1e-12);
+        assert_eq!(a.latency_sum_us, 8 * 20_000 + 5 * 40_000);
+        assert_eq!(a.mean_ms(), (8.0 * 20.0 + 5.0 * 40.0) / 13.0);
     }
 
     #[test]
     fn from_per_server_folds_in_server_order() {
         let s0 = ServerTimeline {
             server: 0,
-            windows: vec![(0, window(4, 0, 20.0)), (2, window(2, 0, 40.0))],
+            windows: vec![(0, window(4, 0, 20_000)), (2, window(2, 0, 40_000))],
         };
         let s1 = ServerTimeline {
             server: 1,
-            windows: vec![(1, window(3, 1, 60.0)), (2, window(1, 0, 80.0))],
+            windows: vec![(1, window(3, 1, 60_000)), (2, window(1, 0, 80_000))],
         };
         let tl = Timeline::from_per_server(8, vec![s0, s1]);
         assert_eq!(tl.width, 8);
@@ -442,7 +440,7 @@ mod tests {
             16,
             vec![ServerTimeline {
                 server: 0,
-                windows: vec![(0, window(4, 1, 20.0)), (3, window(2, 0, 40.0))],
+                windows: vec![(0, window(4, 1, 20_000)), (3, window(2, 0, 40_000))],
             }],
         );
         let rendered = render_timeline_json(&[("hybrid".to_string(), tl)]);
@@ -467,7 +465,7 @@ mod tests {
             16,
             vec![ServerTimeline {
                 server: 0,
-                windows: vec![(0, window(4, 1, 20.0)), (3, window(2, 0, 40.0))],
+                windows: vec![(0, window(4, 1, 20_000)), (3, window(2, 0, 40_000))],
             }],
         );
         let csv = render_timeline_csv(&[("r1:hybrid".to_string(), tl)]);

@@ -439,6 +439,25 @@ mod tests {
             t.drain_jsonl()
         };
         assert_eq!(flat, laned);
+        // Lanes spliced into one outer lane, which merges once — the
+        // simulation runner's shard lanes folding into its run lane.
+        let nested = {
+            let mut t = Trace::new();
+            let root = t.enter("root");
+            let mut children = make_children().into_iter();
+            let mut lane_a = TraceBuffer::new();
+            lane_a.merge_child(children.next().unwrap());
+            lane_a.merge_child(children.next().unwrap());
+            let mut lane_b = TraceBuffer::new();
+            lane_b.merge_child(children.next().unwrap());
+            let mut outer = TraceBuffer::new();
+            outer.merge_child(lane_a);
+            outer.merge_child(lane_b);
+            t.merge(outer);
+            t.exit(root);
+            t.drain_jsonl()
+        };
+        assert_eq!(flat, nested);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! Each property here cross-checks two or three code paths that were
 //! written separately (analytical model vs. trace-driven simulation,
-//! greedy heuristic vs. brute-force optimum, faulted vs. fault-free
-//! engine, eviction policies vs. their defining invariants). A divergence
-//! is a bug in at least one of them — these oracles need no hand-computed
-//! expected values, which is what lets them run over *randomized*
-//! instances at full case count.
+//! greedy heuristic vs. brute-force optimum, a generated never-failing
+//! fault schedule vs. the empty one, eviction policies vs. their defining
+//! invariants). A divergence is a bug in at least one of them — these
+//! oracles need no hand-computed expected values, which is what lets them
+//! run over *randomized* instances at full case count.
 //!
 //! Tolerances are documented in DESIGN.md ("Differential testing &
 //! shrinking"); they were set empirically at ≥256 cases and hold with
@@ -21,8 +21,8 @@ use cdn_placement::{
     update_cost, HybridConfig, PlacementProblem,
 };
 use cdn_sim::{
-    simulate_server, simulate_server_faulted, FaultParams, FaultSchedule, Holder, ServerPlan,
-    ServerReport, SimConfig,
+    simulate_server_faulted, FaultParams, FaultSchedule, Holder, ServerPlan, ServerReport,
+    SimConfig,
 };
 use cdn_workload::{Flavor, Request, ZipfLike};
 use proptest::prelude::*;
@@ -249,8 +249,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 3: a generated MTTF = ∞ fault schedule is bit-identical to the
-// fault-free code path.
+// Oracle 3: a generated MTTF = ∞ fault schedule (one empty row per server)
+// is bit-identical to no schedule at all (the empty schedule).
 // ---------------------------------------------------------------------------
 
 const FAULT_N_SERVERS: usize = 3;
@@ -282,13 +282,9 @@ fn random_server_plan(m: usize, rng: &mut StdRng) -> ServerPlan {
         replicated.push(local);
         holders.push(chain);
     }
-    let nearest_hops = holders.iter().map(|c: &Vec<Holder>| c[0].hops).collect();
-    let nearest_is_primary = holders.iter().map(|c| c[0].server.is_none()).collect();
     ServerPlan {
         server: 0,
         replicated,
-        nearest_hops,
-        nearest_is_primary,
         holders,
         cache_bytes: rng.gen_range(0u64..=4096),
     }
@@ -353,13 +349,14 @@ proptest! {
         prop_assert!(params.is_zero_fault());
         let schedule = FaultSchedule::generate(&params, FAULT_N_SERVERS, REQUESTS as u64);
 
-        let plain = simulate_server(
+        let plain = simulate_server_faulted(
             &plan,
             &config,
             requests.iter().copied(),
             WARMUP,
             object_bytes,
             Box::new(LruCache::new(plan.cache_bytes)),
+            None,
         );
         let faulted = simulate_server_faulted(
             &plan,

@@ -1,7 +1,11 @@
 //! End-to-end integration: generate a scenario, plan all strategies,
 //! simulate, and check the paper's headline ordering.
 
+use cdn_core::sim::HOP_DELAY_US;
 use cdn_core::{compare_strategies, Scenario, ScenarioConfig, Strategy};
+
+/// The paper's 20 ms per hop, the latency floor of any served request.
+const HOP_DELAY_MS: f64 = HOP_DELAY_US as f64 / 1000.0;
 
 fn scenario() -> Scenario {
     Scenario::generate(&ScenarioConfig::small())
@@ -60,7 +64,7 @@ fn simulation_accounting_is_consistent() {
         }
         // All latencies are at least one hop (20 ms) and the mean sits
         // within the histogram's range.
-        assert!(report.mean_latency_ms >= s.config.sim.hop_delay_ms);
+        assert!(report.mean_latency_ms >= HOP_DELAY_MS);
         assert!(report.mean_latency_ms <= report.histogram.max());
     }
 }
@@ -70,7 +74,7 @@ fn latency_cdf_shapes_match_paper_description() {
     // "a large fraction of the requests are satisfied locally ... the CDF
     // curve of the hybrid scheme initially follows the caching curve."
     let s = scenario();
-    let hop = s.config.sim.hop_delay_ms;
+    let hop = HOP_DELAY_MS;
     let caching = s.simulate(&s.plan(Strategy::Caching));
     let replication = s.simulate(&s.plan(Strategy::Replication));
     let hybrid = s.simulate(&s.plan(Strategy::Hybrid));

@@ -9,12 +9,25 @@
 //! deterministic outputs (timed data goes only to its own file), and the
 //! sampled set itself must be thread-count invariant.
 //!
-//! Everything runs inside one `#[test]` because the telemetry layer is
-//! process-global (enabled flag, registry, installed trace/profiler) —
-//! parallel test functions would race on it.
+//! The telemetry layer is process-global (enabled flag, registry,
+//! installed trace/profiler), and every simulation emits into it while a
+//! trace is installed — so each test here holds [`TELEMETRY`] for its whole
+//! run, and the telemetry checks share a single `#[test]`.
 
 use cdn_core::{Scenario, ScenarioConfig, Strategy};
 use cdn_telemetry as telemetry;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this file: a simulation running beside
+/// [`run_observed`] would add its spans and counters to the trace and
+/// registry that run installed.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+/// Hold [`TELEMETRY`]; a test that panicked while holding it does not fail
+/// the others.
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 struct Observed {
     trace: String,
@@ -71,6 +84,7 @@ fn run_observed(
 
 #[test]
 fn trace_and_metrics_bytes_are_thread_count_invariant() {
+    let _telemetry = telemetry_lock();
     let base_1 = run_observed(1, false, None, None);
     let base_4 = run_observed(4, false, None, None);
     let (trace_1, metrics_1) = (&base_1.trace, &base_1.metrics);
@@ -178,9 +192,9 @@ fn trace_and_metrics_bytes_are_thread_count_invariant() {
 }
 
 /// Full pipeline pass on a dedicated pool with a timeline configuration.
-/// Unlike [`run_observed`] this touches no process-global telemetry state
-/// (the timeline flows through the report alone), so the timeline tests
-/// below can run as independent `#[test]`s.
+/// It installs no trace and resets no metrics, but its simulation still
+/// emits into whatever trace and registry are live, so callers hold
+/// [`TELEMETRY`].
 fn run_timeline(
     threads: usize,
     shards: Option<usize>,
@@ -207,6 +221,7 @@ fn run_timeline(
 /// so neither knob can move a byte.
 #[test]
 fn timeline_bytes_are_shard_and_thread_count_invariant() {
+    let _telemetry = telemetry_lock();
     let reference = run_timeline(1, Some(1), Some(128));
     let tl = reference.timeline.as_ref().expect("timeline enabled");
     assert!(tl.windows.len() > 1, "scenario too small to window");
@@ -239,6 +254,7 @@ fn timeline_bytes_are_shard_and_thread_count_invariant() {
 /// to a run with no window configured at all.
 #[test]
 fn zero_window_is_bit_identical_to_no_window() {
+    let _telemetry = telemetry_lock();
     let off = run_timeline(2, None, None);
     let zero = run_timeline(2, None, Some(0));
     assert!(off.timeline.is_none());

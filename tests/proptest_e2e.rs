@@ -1,6 +1,7 @@
 //! End-to-end property tests: random small scenarios through the whole
 //! pipeline, checking the invariants the paper's conclusions rest on.
 
+use cdn_core::sim::HOP_DELAY_US;
 use cdn_core::{Scenario, ScenarioConfig, Strategy};
 use proptest::prelude::*;
 // `cdn_core::Strategy` shadows the prelude's trait of the same name; bring
@@ -70,7 +71,7 @@ proptest! {
                 report.measured_requests
             );
             prop_assert_eq!(report.histogram.count(), report.measured_requests);
-            prop_assert!(report.mean_latency_ms >= s.config.sim.hop_delay_ms - 1e-9);
+            prop_assert!(report.mean_latency_ms >= HOP_DELAY_US as f64 / 1000.0 - 1e-9);
             prop_assert!(report.mean_cost_hops >= 0.0);
         }
     }
