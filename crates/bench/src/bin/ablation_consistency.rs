@@ -14,7 +14,7 @@
 //!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
 //! ```
 
-use cdn_bench::harness::{banner, generate_scenario, write_csv, BenchArgs};
+use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
 use cdn_core::Strategy;
 use cdn_sim::ConsistencyMode;
 use cdn_workload::LambdaMode;
@@ -65,6 +65,7 @@ fn main() {
                     factory,
                 )
             };
+            record(&format!("{label}:{}", strategy.name()), &report);
             cells.push(report.mean_latency_ms);
         }
         println!(

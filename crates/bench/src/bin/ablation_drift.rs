@@ -13,7 +13,7 @@
 //!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
 //! ```
 
-use cdn_bench::harness::{banner, generate_scenario, write_csv, BenchArgs};
+use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
 use cdn_core::Strategy;
 use cdn_sim::simulate_system_streams;
 use cdn_workload::{DriftConfig, Drifted, LambdaMode};
@@ -73,6 +73,7 @@ fn main() {
                     )
                 },
             );
+            record(&format!("{label}:{}", strategy.name()), &report);
             cells.push(report.mean_latency_ms);
         }
         println!(

@@ -14,7 +14,7 @@
 //!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
 //! ```
 
-use cdn_bench::harness::{banner, generate_scenario, write_csv, BenchArgs};
+use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
 use cdn_core::Strategy;
 use cdn_sim::{FaultParams, SimReport};
 use cdn_workload::LambdaMode;
@@ -103,6 +103,7 @@ fn main() {
                     factory,
                 )
             };
+            record(&format!("{}:{}", intensity.label, strategy.name()), &report);
             println!(
                 "  {:<10} {:<12} {:>8.3} {:>9} {:>9.1}% {:>10.2} {:>17.1}",
                 intensity.label,

@@ -10,7 +10,7 @@
 //!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
 //! ```
 
-use cdn_bench::harness::{banner, generate_scenario, write_csv, BenchArgs};
+use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
 use cdn_core::cache;
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
@@ -43,6 +43,7 @@ fn main() {
             })
         };
         let report = scenario.simulate_with_cache(&plan.placement, &factory);
+        record(policy, &report);
         println!(
             "  {:<12} {:>9.2} {:>9.1} {:>8.1} {:>11.1}",
             policy,

@@ -11,7 +11,7 @@
 //!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
 //! ```
 
-use cdn_bench::harness::{banner, scenario_on_graph, write_csv, BenchArgs, Scale};
+use cdn_bench::harness::{banner, record, scenario_on_graph, write_csv, BenchArgs, Scale};
 use cdn_placement::{greedy_global, hybrid::hybrid_greedy_paper, HybridConfig, Placement};
 use cdn_sim::simulate_system;
 use cdn_topology::gen::flat;
@@ -103,6 +103,13 @@ fn main() {
             &cfg.sim,
             None,
         );
+        for (strategy, report) in [
+            ("replication", &repl),
+            ("caching", &caching),
+            ("hybrid", &hybrid),
+        ] {
+            record(&format!("{label}:{strategy}"), report);
+        }
         let gain = 100.0 * (repl.mean_latency_ms - hybrid.mean_latency_ms)
             / repl.mean_latency_ms.max(1e-9);
         println!(

@@ -15,7 +15,7 @@
 //!                        [--trace-out <path>] [--metrics-out <path>]
 //!                        [--profile-out <path>] [--sample-every <n>] [--quiet]`
 
-use cdn_bench::harness::{banner, progress, write_json, BenchArgs, PhaseTimings, Scale};
+use cdn_bench::harness::{banner, progress, record, write_json, BenchArgs, PhaseTimings, Scale};
 use cdn_core::{PlanResult, Scenario, ScenarioConfig, Strategy};
 use cdn_sim::SimReport;
 use cdn_telemetry as telemetry;
@@ -115,6 +115,8 @@ fn main() {
     println!("  run 2/2: {n_threads} thread(s)");
     progress(&format!("run 2/2: {n_threads} thread(s)"));
     let multi = run_at(n_threads, &config, strategy);
+    record(&format!("t1:{}", strategy.name()), &base.2);
+    record(&format!("t{n_threads}:{}", strategy.name()), &multi.2);
 
     let identical = reports_identical(&base, &multi);
     let work_identical = base.3 == multi.3;

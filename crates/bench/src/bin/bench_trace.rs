@@ -18,7 +18,9 @@
 //! Usage: `bench_trace [--scale <tier>] [--quick] [--trace-in <path>]
 //!                     [--threads <n>] [--quiet] ...`
 
-use cdn_bench::harness::{banner, progress, write_csv, write_json, BenchArgs, PhaseTimings};
+use cdn_bench::harness::{
+    banner, progress, record, write_csv, write_json, BenchArgs, PhaseTimings,
+};
 use cdn_core::{export_events, replay_events, Scenario, Strategy};
 use cdn_sim::SimReport;
 use cdn_workload::TraceEvent;
@@ -90,6 +92,7 @@ fn main() {
     let instant = timings.time("replay_instant", || {
         replay_at(&mut scenario, &plan, &events, None)
     });
+    record("replay_instant", &instant);
     let mut rows = Vec::new();
     let mut sweep = Vec::new();
     for latency in FETCH_LATENCIES {
@@ -97,6 +100,7 @@ fn main() {
         let report = timings.time(&format!("replay_l{latency}"), || {
             replay_at(&mut scenario, &plan, &events, Some(latency))
         });
+        record(&format!("replay_l{latency}"), &report);
         rows.push(format!(
             "{latency},{},{},{},{},{:.3}",
             report.delayed_hits,

@@ -12,7 +12,7 @@
 //!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
 //! ```
 
-use cdn_bench::harness::{banner, generate_scenario, write_csv, BenchArgs};
+use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
@@ -40,6 +40,10 @@ fn main() {
         let plan = scenario.plan(Strategy::Hybrid);
         let predicted = plan.predicted_mean_hops(&scenario.problem);
         let report = scenario.simulate(&plan);
+        record(
+            &format!("cap{:.0}:unc{:.0}", capacity * 100.0, lambda * 100.0),
+            &report,
+        );
         let actual = report.mean_cost_hops;
         let err = if actual > 0.0 {
             100.0 * (predicted - actual) / actual

@@ -9,7 +9,7 @@ use cdn_workload::LambdaMode;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Experiment scale. `Paper` is the reconstructed evaluation setup
@@ -306,17 +306,10 @@ impl BenchArgs {
             write_file_or_exit(path, &jsonl, "event trace");
             println!("  wrote {}", path.display());
         }
-        let samples = {
-            let mut sink = lock_samples();
-            std::mem::take(&mut *sink)
-        };
+        let Recorded { samples, timelines } = std::mem::take(&mut *recorded());
         if !samples.is_empty() {
             write_json(&format!("{bin}_samples.jsonl"), &samples);
         }
-        let timelines = {
-            let mut sink = lock_timelines();
-            std::mem::take(&mut *sink)
-        };
         if !timelines.is_empty() {
             write_json(
                 &format!("{bin}_timeline.json"),
@@ -352,47 +345,34 @@ pub fn progress(msg: &str) {
     }
 }
 
-fn samples_sink() -> &'static Mutex<String> {
-    static SINK: OnceLock<Mutex<String>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(String::new()))
+/// What [`record`] collected from every run so far.
+#[derive(Default)]
+struct Recorded {
+    /// Sampled request paths, as JSONL.
+    samples: String,
+    /// Windowed timelines, each tagged with its run.
+    timelines: Vec<(String, cdn_sim::Timeline)>,
 }
 
-fn lock_samples() -> std::sync::MutexGuard<'static, String> {
-    samples_sink()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+fn recorded() -> MutexGuard<'static, Recorded> {
+    static SINK: Mutex<Recorded> = Mutex::new(Recorded {
+        samples: String::new(),
+        timelines: Vec::new(),
+    });
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Append `report`'s sampled request paths (if any) to the process-wide
-/// sample sink, tagged with `run`; [`BenchArgs::finish`] writes the sink
-/// to `results/<bin>_samples.jsonl`.
-pub fn record_samples(run: &str, report: &SimReport) {
-    if report.samples.is_empty() {
-        return;
+/// Keep `report`'s sampled request paths and windowed timeline (when
+/// `--sample-every` / `--window` enabled them), tagged with `run`, which
+/// must tell this run apart from the binary's others;
+/// [`BenchArgs::finish`] writes them to `results/<bin>_samples.jsonl` and
+/// `results/<bin>_timeline.json`/`.csv`.
+pub fn record(run: &str, report: &SimReport) {
+    let mut sink = recorded();
+    cdn_sim::render_samples_jsonl(run, report, &mut sink.samples);
+    if let Some(tl) = &report.timeline {
+        sink.timelines.push((run.to_string(), tl.clone()));
     }
-    let mut sink = lock_samples();
-    cdn_sim::render_samples_jsonl(run, report, &mut sink);
-}
-
-fn timelines_sink() -> &'static Mutex<Vec<(String, cdn_sim::Timeline)>> {
-    static SINK: OnceLock<Mutex<Vec<(String, cdn_sim::Timeline)>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn lock_timelines() -> std::sync::MutexGuard<'static, Vec<(String, cdn_sim::Timeline)>> {
-    timelines_sink()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Append `report`'s windowed timeline (if enabled) to the process-wide
-/// timeline sink, tagged with `run`; [`BenchArgs::finish`] writes the sink
-/// to `results/<bin>_timeline.json` and `.csv`.
-pub fn record_timeline(run: &str, report: &SimReport) {
-    let Some(tl) = &report.timeline else {
-        return;
-    };
-    lock_timelines().push((run.to_string(), tl.clone()));
 }
 
 /// Write `body` to `path`, exiting with a contextful message on failure
@@ -552,8 +532,7 @@ pub fn run_strategies(scenario: &Scenario, strategies: &[Strategy]) -> Vec<Strat
                 scenario.simulate(&plan)
             };
             let sim_seconds = t1.elapsed().as_secs_f64();
-            record_samples(&format!("r{run}:{}", strategy.name()), &report);
-            record_timeline(&format!("r{run}:{}", strategy.name()), &report);
+            record(&format!("r{run}:{}", strategy.name()), &report);
             println!(
                 "  {:<16} plan {:>6.1}s  sim {:>6.1}s  mean {:>8.2} ms  local {:>5.1}%  replicas {}",
                 strategy.name(),

@@ -113,10 +113,10 @@ struct Observability {
     /// not profiling is on.
     profile_out: Option<String>,
     samples_out: Option<String>,
-    /// Rendered sampled-request JSONL, accumulated via [`Self::record_samples`].
+    /// Rendered sampled-request JSONL, accumulated via [`Self::record`].
     samples: String,
     timeline_out: Option<String>,
-    /// Windowed timelines buffered via [`Self::record_timeline`], rendered
+    /// Windowed timelines buffered via [`Self::record`], rendered
     /// to JSON at flush time.
     timelines: Vec<(String, cdn_core::sim::Timeline)>,
 }
@@ -145,19 +145,14 @@ impl Observability {
         obs
     }
 
-    /// Buffer one simulation's sampled request paths under `run`.
-    fn record_samples(&mut self, run: &str, report: &cdn_core::sim::SimReport) {
-        if self.samples_out.is_some() && !report.samples.is_empty() {
+    /// Buffer one simulation's sampled request paths and windowed timeline
+    /// under `run`, for whichever of the two outputs was asked for.
+    fn record(&mut self, run: &str, report: &cdn_core::sim::SimReport) {
+        if self.samples_out.is_some() {
             cdn_core::sim::render_samples_jsonl(run, report, &mut self.samples);
         }
-    }
-
-    /// Buffer one simulation's windowed timeline under `run`.
-    fn record_timeline(&mut self, run: &str, report: &cdn_core::sim::SimReport) {
-        if self.timeline_out.is_some() {
-            if let Some(tl) = &report.timeline {
-                self.timelines.push((run.to_string(), tl.clone()));
-            }
+        if let (Some(_), Some(tl)) = (&self.timeline_out, &report.timeline) {
+            self.timelines.push((run.to_string(), tl.clone()));
         }
     }
 
@@ -408,8 +403,7 @@ pub fn compare(a: &Args) -> Result<(), String> {
     };
     let mut obs = obs;
     for row in &cmp.rows {
-        obs.record_samples(&row.strategy.name(), &row.report);
-        obs.record_timeline(&row.strategy.name(), &row.report);
+        obs.record(&row.strategy.name(), &row.report);
     }
     println!("\n{}", cmp.summary_table());
     if cfg.sim.faults.is_some() {

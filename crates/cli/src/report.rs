@@ -533,7 +533,8 @@ fn timeline_section(doc: &Json, path: &str, top: usize) -> Result<String, String
             let peak = vals.iter().fold(0.0f64, |m, &v| m.max(v));
             let _ = writeln!(out, "    {label:<10} {}  peak {peak:.1}", sparkline(vals));
         }
-        // The busiest window's hottest site — per-window site attribution.
+        // The largest single-server site count of any window: `top_site`
+        // is attributed per server, so it is not a fleet-wide site total.
         let top_sites = u64s("top_site");
         let top_counts = u64s("top_site_requests");
         if let Some(hot) = (0..windows.len().min(top_counts.len()))
@@ -541,7 +542,7 @@ fn timeline_section(doc: &Json, path: &str, top: usize) -> Result<String, String
         {
             let _ = writeln!(
                 out,
-                "    hottest site: site {} with {} request(s) in window {}",
+                "    hottest site: site {} with {} request(s) on one server in window {}",
                 top_sites.get(hot).copied().unwrap_or(0),
                 top_counts[hot],
                 windows[hot]
@@ -850,7 +851,7 @@ mod tests {
         // Sparklines scale to the lane maximum.
         assert!(s.contains('█'), "{s}");
         assert!(
-            s.contains("hottest site: site 2 with 61 request(s) in window 4"),
+            s.contains("hottest site: site 2 with 61 request(s) on one server in window 4"),
             "{s}"
         );
         // Hotspot table ranks server-windows by requests: server 1 window 4

@@ -26,7 +26,6 @@ pub mod che;
 pub mod closed_form;
 pub mod model;
 pub mod table;
-pub mod transient;
 pub mod validation;
 
 pub use che::CheModel;

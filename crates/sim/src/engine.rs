@@ -1,7 +1,7 @@
 //! The per-server request loop.
 
 use crate::fault::FaultSchedule;
-use crate::metrics::{us_to_ms, Cause, CauseBreakdown, LatencyHistogram, RequestSample};
+use crate::metrics::{us_to_ms, Cause, LatencyHistogram, Outcome, RequestSample, Tally};
 use crate::plan::{ConsistencyMode, ServerPlan, SimConfig, HOP_DELAY_US};
 use crate::timeline::{ServerTimeline, TimelineAcc};
 use cdn_cache::{Cache, CacheStats, ObjectKey};
@@ -29,6 +29,17 @@ pub struct SiteObs {
     pub failed: u64,
 }
 
+impl SiteObs {
+    fn record(&mut self, cause: Cause) {
+        match cause {
+            Cause::ReplicaHit | Cause::CacheHit | Cause::DelayedHit => self.local_hits += 1,
+            Cause::RemoteReplica | Cause::OriginFetch => self.remote_fetches += 1,
+            Cause::Failover => self.failovers += 1,
+            Cause::Failed => self.failed += 1,
+        }
+    }
+}
+
 /// Deterministic per-server observability: per-site tallies plus a
 /// whole-stream (warm-up included) snapshot of the cache's own counters —
 /// the eviction/insertion/rejection totals the trace reports.
@@ -38,14 +49,16 @@ pub struct EngineObs {
     pub cache: CacheStats,
 }
 
-/// Per-server simulation outcome.
-#[derive(Debug, Default)]
+/// Per-server simulation outcome. The request buckets, `measured_requests`
+/// and the byte counts are read off `tally` once, when the server finishes.
+#[derive(Debug)]
 pub struct ServerReport {
     pub server: usize,
     pub histogram: LatencyHistogram,
-    /// Hops travelled beyond the first hop, summed over measured requests.
-    pub cost_hops: u64,
     pub total_requests: u64,
+    /// Every measured request, counted once: per-cause requests and
+    /// latency, hops travelled beyond the first hop, and bytes.
+    pub tally: Tally,
     pub measured_requests: u64,
     pub local_requests: u64,
     pub cache_hits: u64,
@@ -74,9 +87,6 @@ pub struct ServerReport {
     pub origin_bytes: u64,
     /// Telemetry tallies; `None` when telemetry is disabled.
     pub obs: Option<EngineObs>,
-    /// Per-cause latency attribution over this server's measured requests
-    /// (always collected — a handful of adds per request).
-    pub cause: CauseBreakdown,
     /// 1-in-N sampled request paths (empty unless
     /// [`SimConfig::sample_every`] is set), in stream order.
     pub samples: Vec<RequestSample>,
@@ -86,17 +96,41 @@ pub struct ServerReport {
     pub timeline: Option<ServerTimeline>,
 }
 
-/// Attribution label for a routed request — mirrors exactly the disjoint
-/// bucket accounting below, so per-cause counts sum to report totals.
-#[inline]
-fn cause_of(routed: &Routed) -> Cause {
-    match routed.resolution {
-        Resolution::Failed => Cause::Failed,
-        Resolution::Replica => Cause::ReplicaHit,
-        Resolution::CacheHit => Cause::CacheHit,
-        _ if routed.dead_skipped > 0 => Cause::Failover,
-        _ if routed.from_origin => Cause::OriginFetch,
-        _ => Cause::RemoteReplica,
+/// Price one measured request and name its cause. A failed request
+/// delivers nothing, so it is attributed zero latency. A coalesced request
+/// (`delayed_fetch` holds the pending fetch's hops) rides that fetch: it
+/// pays the fetch's transfer delay and no retry penalty of its own.
+/// Anything else pays its hops plus one retry penalty per dead holder
+/// skipped.
+fn price(
+    routed: &Routed,
+    delayed_fetch: Option<u32>,
+    bytes: u64,
+    retry_penalty_us: u64,
+) -> Outcome {
+    let hop_latency_us = |hops: u32| HOP_DELAY_US * (1 + u64::from(hops));
+    let (cause, latency_us, penalty_us) = match (routed.resolution, delayed_fetch) {
+        (Resolution::Failed, _) => (Cause::Failed, 0, 0),
+        (_, Some(fetch_hops)) => (Cause::DelayedHit, hop_latency_us(fetch_hops), 0),
+        (resolution, None) => {
+            let cause = match resolution {
+                Resolution::Replica => Cause::ReplicaHit,
+                Resolution::CacheHit => Cause::CacheHit,
+                _ if routed.dead_skipped > 0 => Cause::Failover,
+                _ if routed.from_origin => Cause::OriginFetch,
+                _ => Cause::RemoteReplica,
+            };
+            let penalty_us = retry_penalty_us * u64::from(routed.dead_skipped);
+            (cause, hop_latency_us(routed.hops) + penalty_us, penalty_us)
+        }
+    };
+    Outcome {
+        cause,
+        latency_us,
+        penalty_us,
+        hops: routed.hops,
+        bytes,
+        from_origin: routed.from_origin,
     }
 }
 
@@ -269,12 +303,13 @@ where
     let no_faults = FaultSchedule::default();
     let schedule = schedule.unwrap_or(&no_faults);
     let retry_penalty_us = config.faults.map_or(0, |f| f.retry_penalty_us());
-    // The histograms live directly in the report: the two bin vectors are
-    // the only heap state this loop needs, allocated once per server.
-    let mut report = ServerReport {
-        server: plan.server,
-        ..ServerReport::default()
-    };
+    // The two histogram bin vectors are the only heap state this loop
+    // needs, allocated once per server.
+    let mut histogram = LatencyHistogram::default();
+    let mut failover_histogram = LatencyHistogram::default();
+    let mut tally = Tally::default();
+    let mut total_requests = 0u64;
+    let mut samples = Vec::new();
     let sample_every = config.sample_every.unwrap_or(0);
     // `None` and `Some(0)` both disable the timeline (`--window 0` is the
     // CLI's off switch); the disabled path is bit-identical to a build
@@ -299,7 +334,7 @@ where
         .map(|l| (l, HashMap::new()));
 
     for req in requests {
-        let tick = report.total_requests;
+        let tick = total_requests;
         if let Some(tl) = timeline.as_mut() {
             // Roll windows *before* resolution mutates the cache, so a
             // closing window's occupancy/eviction snapshots exclude this
@@ -347,45 +382,27 @@ where
             }
             _ => None,
         };
-        report.total_requests += 1;
-        if report.total_requests <= warmup {
+        total_requests += 1;
+        if total_requests <= warmup {
             continue;
         }
-        report.measured_requests += 1;
-        if let Some(obs) = site_obs.as_mut() {
-            let o = &mut obs[req.site as usize];
-            match routed.resolution {
-                Resolution::Failed => o.failed += 1,
-                _ if delayed_fetch.is_some() => o.local_hits += 1,
-                Resolution::Replica | Resolution::CacheHit => o.local_hits += 1,
-                _ if routed.dead_skipped > 0 => o.failovers += 1,
-                _ => o.remote_fetches += 1,
-            }
+        let outcome = price(&routed, delayed_fetch, bytes, retry_penalty_us);
+        let cause = outcome.cause;
+        tally.record(&outcome);
+        if let Some(tl) = timeline.as_mut() {
+            tl.record(req.site, &outcome);
         }
-        let failed = routed.resolution == Resolution::Failed;
-        // A failed request delivers nothing, so it is attributed zero
-        // latency. A coalesced request rides the pending fetch: it pays
-        // that fetch's transfer delay and no retry penalty of its own.
-        let (latency_us, penalty_us) = if failed {
-            (0, 0)
-        } else if let Some(fetch_hops) = delayed_fetch {
-            (HOP_DELAY_US * (1 + u64::from(fetch_hops)), 0)
-        } else {
-            let penalty_us = retry_penalty_us * u64::from(routed.dead_skipped);
-            let hops_us = HOP_DELAY_US * (1 + u64::from(routed.hops));
-            (hops_us + penalty_us, penalty_us)
-        };
-        let cause = if delayed_fetch.is_some() {
-            Cause::DelayedHit
-        } else {
-            cause_of(&routed)
-        };
-        report.cause.record(cause, latency_us);
+        if let Some(obs) = site_obs.as_mut() {
+            obs[req.site as usize].record(cause);
+        }
+        if cause != Cause::Failed {
+            histogram.record(outcome.latency_us);
+        }
         if cause == Cause::Failover {
-            report.cause.failover_surcharge_us += penalty_us;
+            failover_histogram.record(outcome.latency_us);
         }
         if sample_every > 0 && tick % sample_every == 0 {
-            report.samples.push(RequestSample {
+            samples.push(RequestSample {
                 server: plan.server,
                 index: tick,
                 site: req.site,
@@ -402,110 +419,36 @@ where
                         cause,
                         Cause::ReplicaHit | Cause::CacheHit | Cause::DelayedHit | Cause::Failed
                     ),
-                latency_ms: us_to_ms(latency_us),
-                penalty_ms: us_to_ms(penalty_us),
+                latency_ms: us_to_ms(outcome.latency_us),
+                penalty_ms: us_to_ms(outcome.penalty_us),
             });
         }
-        if let Some(tl) = timeline.as_mut() {
-            // Mirror the run-level accounting below, bucket by window, on
-            // the identical code path — windowed counters summed over all
-            // windows therefore equal the run-level counters exactly.
-            tl.tally_site(req.site);
-            let win = tl.current();
-            win.requests += 1;
-            if failed {
-                win.failed_requests += 1;
-            } else if delayed_fetch.is_some() {
-                // Coalesced: bytes reach the client, but no hops or origin
-                // traffic of this request's own.
-                win.latency_sum_us += latency_us;
-                win.sketch.record(us_to_ms(latency_us));
-                win.total_bytes += bytes;
-                win.delayed_hits += 1;
-            } else {
-                win.latency_sum_us += latency_us;
-                win.sketch.record(us_to_ms(latency_us));
-                win.cost_hops += routed.hops as u64;
-                win.total_bytes += bytes;
-                match routed.resolution {
-                    Resolution::Replica => {
-                        win.replica_hits += 1;
-                        win.local_requests += 1;
-                    }
-                    Resolution::CacheHit => {
-                        win.cache_hits += 1;
-                        win.local_requests += 1;
-                    }
-                    _ => {
-                        if routed.dead_skipped > 0 {
-                            win.failover_fetches += 1;
-                        } else if routed.from_origin {
-                            win.origin_fetches += 1;
-                        } else {
-                            win.peer_fetches += 1;
-                        }
-                        if routed.from_origin {
-                            win.origin_bytes += bytes;
-                        }
-                    }
-                }
-            }
-        }
-        if failed {
-            // Nothing was delivered: no bytes, no hops, no latency sample.
-            report.failed_requests += 1;
-            continue;
-        }
-        if delayed_fetch.is_some() {
-            // Coalesced onto the pending fetch: the bytes are delivered to
-            // the client, but the request adds no network traffic (hops)
-            // and no origin bytes of its own — that is the whole point of
-            // delayed hits.
-            report.total_bytes += bytes;
-            report.histogram.record(latency_us);
-            report.delayed_hits += 1;
-            continue;
-        }
-        report.cost_hops += routed.hops as u64;
-        report.total_bytes += bytes;
-        report.histogram.record(latency_us);
-        if routed.dead_skipped > 0 {
-            report.failover_histogram.record(latency_us);
-        }
-        match routed.resolution {
-            Resolution::Replica => {
-                report.replica_hits += 1;
-                report.local_requests += 1;
-            }
-            Resolution::CacheHit => {
-                report.cache_hits += 1;
-                report.local_requests += 1;
-            }
-            Resolution::CacheRefresh | Resolution::CacheMiss | Resolution::Bypass => {
-                // The request travelled to a holder: a failover fetch if it
-                // had to skip dead copies, otherwise origin or peer by who
-                // answered. Byte accounting tracks the actual source either
-                // way.
-                if routed.dead_skipped > 0 {
-                    report.failover_fetches += 1;
-                } else if routed.from_origin {
-                    report.origin_fetches += 1;
-                } else {
-                    report.peer_fetches += 1;
-                }
-                if routed.from_origin {
-                    report.origin_bytes += bytes;
-                }
-            }
-            Resolution::Failed => unreachable!("failed requests handled above"),
-        }
     }
-    report.timeline = timeline.map(|tl| tl.finish(plan.server, cache.as_ref()));
-    report.obs = site_obs.map(|per_site| EngineObs {
-        per_site,
-        cache: *cache.stats(),
-    });
-    report
+    let c = &tally.cause;
+    ServerReport {
+        server: plan.server,
+        histogram,
+        total_requests,
+        measured_requests: tally.requests(),
+        local_requests: tally.local_requests(),
+        cache_hits: c.cache_hit.requests,
+        replica_hits: c.replica_hit.requests,
+        delayed_hits: c.delayed_hit.requests,
+        origin_fetches: c.origin_fetch.requests,
+        peer_fetches: c.remote_replica.requests,
+        failover_fetches: c.failover.requests,
+        failed_requests: c.failed.requests,
+        failover_histogram,
+        total_bytes: tally.total_bytes,
+        origin_bytes: tally.origin_bytes,
+        tally,
+        obs: site_obs.map(|per_site| EngineObs {
+            per_site,
+            cache: *cache.stats(),
+        }),
+        samples,
+        timeline: timeline.map(|tl| tl.finish(plan.server, cache.as_ref())),
+    }
 }
 
 #[cfg(test)]
@@ -642,7 +585,7 @@ mod tests {
         assert_eq!(report.replica_hits, 1);
         assert_eq!(report.cache_hits, 1);
         assert_eq!(report.local_requests, 2);
-        assert_eq!(report.cost_hops, 6);
+        assert_eq!(report.tally.cost_hops, 6);
         assert!((report.histogram.mean() - (20.0 + 80.0 + 20.0 + 80.0) / 4.0).abs() < 1e-9);
     }
 
@@ -664,7 +607,7 @@ mod tests {
         assert_eq!(report.measured_requests, 1);
         // The warm-up miss populated the cache; the measured request hits.
         assert_eq!(report.cache_hits, 1);
-        assert_eq!(report.cost_hops, 0);
+        assert_eq!(report.tally.cost_hops, 0);
     }
 
     #[test]
@@ -697,15 +640,13 @@ mod tests {
         assert_eq!(tl.server, 0);
         let ids: Vec<u64> = tl.windows.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        // Windowed counters sum to the run-level ones exactly.
-        let sum = |f: fn(&crate::timeline::WindowStats) -> u64| {
-            tl.windows.iter().map(|(_, w)| f(w)).sum::<u64>()
-        };
-        assert_eq!(sum(|w| w.requests), report.measured_requests);
-        assert_eq!(sum(|w| w.cache_hits), report.cache_hits);
-        assert_eq!(sum(|w| w.replica_hits), report.replica_hits);
-        assert_eq!(sum(|w| w.cost_hops), report.cost_hops);
-        assert_eq!(sum(|w| w.total_bytes), report.total_bytes);
+        // Windowed tallies sum to the server's exactly.
+        let mut sum = Tally::default();
+        for (_, w) in &tl.windows {
+            sum.merge(&w.tally);
+        }
+        assert_eq!(sum, report.tally);
+        assert_eq!(sum.requests(), report.measured_requests);
         // Hot-site attribution: ties break toward the lower site id.
         assert_eq!(tl.windows[0].1.top_site, Some((0, 1)));
         assert_eq!(tl.windows[1].1.top_site, Some((1, 2)));
@@ -755,8 +696,8 @@ mod tests {
         let tl = report.timeline.as_ref().unwrap();
         let ids: Vec<u64> = tl.windows.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![1, 2]);
-        assert_eq!(tl.windows[0].1.requests, 1); // tick 3
-        assert_eq!(tl.windows[1].1.requests, 2); // ticks 4, 5
+        assert_eq!(tl.windows[0].1.tally.requests(), 1); // tick 3
+        assert_eq!(tl.windows[1].1.tally.requests(), 2); // ticks 4, 5
         assert_eq!(report.measured_requests, 3);
     }
 
@@ -1033,7 +974,7 @@ mod tests {
         assert!((report.failover_histogram.mean() - 220.0).abs() < 1e-9);
         // Failed request delivered nothing.
         assert_eq!(report.total_bytes, 30);
-        assert_eq!(report.cost_hops, 5 + 2);
+        assert_eq!(report.tally.cost_hops, 5 + 2);
     }
 
     #[test]
@@ -1066,11 +1007,14 @@ mod tests {
         assert_eq!(report.local_requests, 1, "delayed hits are not local");
         // The delayed hit pays the pending fetch's transfer delay but adds
         // no hops of its own.
-        assert_eq!(report.cost_hops, 3);
+        assert_eq!(report.tally.cost_hops, 3);
         assert_eq!(report.total_bytes, 30, "all three requests deliver");
-        assert_eq!(report.cause.delayed_hit.latency_us, 80_000);
+        assert_eq!(report.tally.cause.delayed_hit.latency_us, 80_000);
         // Causes stay disjoint and sum to measured.
-        assert_eq!(report.cause.total_requests(), report.measured_requests);
+        assert_eq!(
+            report.tally.cause.total_requests(),
+            report.measured_requests
+        );
         assert_eq!(
             report.delayed_hits + report.local_requests + report.origin_fetches,
             report.measured_requests
@@ -1106,7 +1050,10 @@ mod tests {
         assert_eq!(report.origin_fetches, 2);
         assert_eq!(report.delayed_hits, 2);
         assert_eq!(report.cache_hits, 0);
-        assert_eq!(report.cost_hops, 4, "only the two real fetches travel");
+        assert_eq!(
+            report.tally.cost_hops, 4,
+            "only the two real fetches travel"
+        );
         assert_eq!(report.origin_bytes, 20, "coalesced bytes skip the origin");
     }
 
@@ -1135,9 +1082,8 @@ mod tests {
         assert_eq!(off.delayed_hits, 0);
         assert_eq!(zero.delayed_hits, 0);
         assert_eq!(off.cache_hits, zero.cache_hits);
-        assert_eq!(off.cost_hops, zero.cost_hops);
         assert_eq!(off.histogram.bin_counts(), zero.histogram.bin_counts());
-        assert_eq!(off.cause, zero.cause);
+        assert_eq!(off.tally, zero.tally);
     }
 
     #[test]
@@ -1164,10 +1110,11 @@ mod tests {
             None,
         );
         let tl = report.timeline.as_ref().unwrap();
-        let sum: u64 = tl.windows.iter().map(|(_, w)| w.delayed_hits).sum();
+        let delayed = |w: &crate::timeline::WindowStats| w.tally.cause.delayed_hit.requests;
+        let sum: u64 = tl.windows.iter().map(|(_, w)| delayed(w)).sum();
         assert_eq!(sum, report.delayed_hits);
-        assert_eq!(tl.windows[0].1.delayed_hits, 1);
-        assert_eq!(tl.windows[1].1.delayed_hits, 0);
+        assert_eq!(delayed(&tl.windows[0].1), 1);
+        assert_eq!(delayed(&tl.windows[1].1), 0);
     }
 
     #[test]
@@ -1185,6 +1132,6 @@ mod tests {
             None,
         );
         assert_eq!(report.cache_hits, 0);
-        assert_eq!(report.cost_hops, 4);
+        assert_eq!(report.tally.cost_hops, 4);
     }
 }

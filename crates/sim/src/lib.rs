@@ -22,18 +22,23 @@
 //! routing path: a fault-free run resolves against the empty
 //! [`FaultSchedule`], in which the nearest copy is always live.
 //!
-//! * [`metrics`] — latency histogram / CDF / mean, cost counters.
+//! * [`metrics`] — latency histogram / CDF / mean, and the [`Tally`]: the
+//!   one record of which counters a measured request moves, kept per
+//!   server, per timeline window, per shard and per run.
 //! * [`plan`] — the per-server view of a placement (what is replicated,
 //!   where every copy is, how much space the cache gets).
-//! * [`engine`] — the per-server request loop.
+//! * [`engine`] — the per-server request loop: it routes and prices each
+//!   request, and records the resulting [`Outcome`] into the server's
+//!   tally and the open window's.
 //! * [`fault`] — deterministic crash/recovery and origin-outage schedules.
 //! * [`shard`] — contiguous server shards and the determinism contract
 //!   that keeps sharded runs bit-identical at any thread or shard count.
-//! * [`runner`] — whole-system simulation, parallel across server shards.
-//! * [`timeline`] — virtual-time windowed telemetry: per-window counters,
-//!   latency quantile sketches, and per-server hotspot attribution, merged
-//!   across shards in global server order so timelines are byte-identical
-//!   at any thread or shard count.
+//! * [`runner`] — whole-system simulation, parallel across server shards;
+//!   shards and the run merge the servers' tallies.
+//! * [`timeline`] — virtual-time windowed telemetry: a tally, a latency
+//!   quantile sketch and hotspot attribution per window, merged across
+//!   shards in global server order so timelines are byte-identical at any
+//!   thread or shard count.
 
 pub mod engine;
 pub mod fault;
@@ -46,8 +51,8 @@ pub mod timeline;
 pub use engine::{resolve, simulate_server_faulted, Routed, ServerReport};
 pub use fault::{FaultParams, FaultSchedule, MAX_RETRY_PENALTY_MS};
 pub use metrics::{
-    render_samples_jsonl, Cause, CauseBreakdown, CauseLatency, LatencyHistogram, RequestSample,
-    SimReport,
+    render_samples_jsonl, Cause, CauseBreakdown, CauseLatency, LatencyHistogram, Outcome,
+    RequestSample, SimReport, Tally,
 };
 pub use plan::{ConsistencyMode, Holder, ServerPlan, SimConfig, HOP_DELAY_US};
 pub use runner::{simulate_system, simulate_system_streams};

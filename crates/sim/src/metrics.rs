@@ -170,8 +170,8 @@ impl LatencyHistogram {
 }
 
 /// Why a measured request cost what it did. Exactly one cause per
-/// request, mirroring the disjoint [`SimReport`] buckets: the per-cause
-/// request counts always sum to `measured_requests`.
+/// request: the disjoint [`SimReport`] buckets are the per-cause request
+/// counts of a [`Tally`], so they always sum to `measured_requests`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cause {
     /// Served by a replica at the first-hop server (hop latency only).
@@ -295,6 +295,113 @@ impl CauseBreakdown {
     /// Latency across every cause, µs — equals the histogram's sum.
     pub fn total_latency_us(&self) -> u64 {
         Cause::ALL.iter().map(|&c| self.get(c).latency_us).sum()
+    }
+}
+
+/// One measured request as the engine priced it: the input to
+/// [`Tally::record`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outcome {
+    pub cause: Cause,
+    /// Latency paid, µs (0 for a failed request).
+    pub latency_us: u64,
+    /// Retry-penalty share of `latency_us`, µs.
+    pub penalty_us: u64,
+    /// Hops to the holder the request's route reached.
+    pub hops: u32,
+    /// Size of the requested object.
+    pub bytes: u64,
+    /// The route reached the primary (origin) site.
+    pub from_origin: bool,
+}
+
+/// The counters of a set of measured requests. A server, a timeline window,
+/// a shard and a whole run each keep one; [`Tally::record`] is the only
+/// code that decides which counters a request moves, and tallies combine by
+/// [`Tally::merge`], so every level counts the same request the same way.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Requests and latency by cause; the request counts are the disjoint
+    /// report buckets.
+    pub cause: CauseBreakdown,
+    /// Hops travelled beyond the first hop — the paper's Figure 6 cost.
+    pub cost_hops: u64,
+    /// Bytes delivered, and the share the origin sites served.
+    pub total_bytes: u64,
+    pub origin_bytes: u64,
+}
+
+impl Tally {
+    /// Count one measured request under its cause, with its latency, and:
+    /// * a failed request delivered nothing: no latency, bytes or hops;
+    /// * a delayed hit rides the pending fetch: its bytes reach the client,
+    ///   but it adds no hops and no origin bytes of its own;
+    /// * any other request adds its bytes and hops, and its bytes are
+    ///   origin bytes when the origin served it — also when it failed over
+    ///   there, which counts as a failover, not as an origin fetch;
+    /// * a failover's retry penalty adds to the failover surcharge.
+    pub fn record(&mut self, o: &Outcome) {
+        match o.cause {
+            Cause::Failed => self.cause.record(Cause::Failed, 0),
+            Cause::DelayedHit => {
+                self.cause.record(Cause::DelayedHit, o.latency_us);
+                self.total_bytes += o.bytes;
+            }
+            cause => {
+                self.cause.record(cause, o.latency_us);
+                self.total_bytes += o.bytes;
+                self.cost_hops += u64::from(o.hops);
+                if o.from_origin {
+                    self.origin_bytes += o.bytes;
+                }
+                if cause == Cause::Failover {
+                    self.cause.failover_surcharge_us += o.penalty_us;
+                }
+            }
+        }
+    }
+
+    /// Fold another tally in (integer sums, so merges commute).
+    pub fn merge(&mut self, other: &Self) {
+        self.cause.merge(&other.cause);
+        self.cost_hops += other.cost_hops;
+        self.total_bytes += other.total_bytes;
+        self.origin_bytes += other.origin_bytes;
+    }
+
+    /// Every request counted.
+    pub fn requests(&self) -> u64 {
+        self.cause.total_requests()
+    }
+
+    /// Requests that were served, i.e. did not fail — the latency
+    /// population.
+    pub fn served(&self) -> u64 {
+        self.requests() - self.cause.failed.requests
+    }
+
+    /// Requests answered entirely at the first-hop server.
+    pub fn local_requests(&self) -> u64 {
+        self.cause.replica_hit.requests + self.cause.cache_hit.requests
+    }
+
+    /// The named counters, in the order the timeline exports list them.
+    pub fn counters(&self) -> [(&'static str, u64); 12] {
+        let c = &self.cause;
+        [
+            ("requests", self.requests()),
+            ("local_requests", self.local_requests()),
+            ("cache_hits", c.cache_hit.requests),
+            ("replica_hits", c.replica_hit.requests),
+            ("delayed_hits", c.delayed_hit.requests),
+            ("origin_fetches", c.origin_fetch.requests),
+            ("peer_fetches", c.remote_replica.requests),
+            ("failover_fetches", c.failover.requests),
+            ("failed_requests", c.failed.requests),
+            ("cost_hops", self.cost_hops),
+            ("total_bytes", self.total_bytes),
+            ("origin_bytes", self.origin_bytes),
+        ]
     }
 }
 
@@ -702,6 +809,68 @@ mod tests {
                 "failed"
             ]
         );
+    }
+
+    #[test]
+    fn tally_records_each_cause_by_the_bucket_rules() {
+        let outcome = |cause, latency_us, penalty_us, hops, from_origin| Outcome {
+            cause,
+            latency_us,
+            penalty_us,
+            hops,
+            bytes: 100,
+            from_origin,
+        };
+        // One outcome per cause, in `Cause::ALL` order.
+        let outcomes = [
+            outcome(Cause::ReplicaHit, 20_000, 0, 0, false),
+            outcome(Cause::CacheHit, 20_000, 0, 0, false),
+            // A miss that rode a pending fetch from the origin, 4 hops away.
+            outcome(Cause::DelayedHit, 100_000, 0, 4, true),
+            outcome(Cause::RemoteReplica, 60_000, 0, 2, false),
+            outcome(Cause::OriginFetch, 100_000, 0, 4, true),
+            // Skipped one dead holder, then reached the origin.
+            outcome(Cause::Failover, 250_000, 150_000, 4, true),
+            // Fields the rules must ignore for a dropped request.
+            outcome(Cause::Failed, 20_000, 150_000, 4, true),
+        ];
+        let tallies = outcomes.map(|o| {
+            let mut t = Tally::default();
+            t.record(&o);
+            t
+        });
+        for (t, cause) in tallies.iter().zip(Cause::ALL) {
+            assert_eq!((t.requests(), t.cause.get(cause).requests), (1, 1));
+        }
+        let [.., delayed, _, _, failover, failed] = tallies;
+        // A failover served by the origin adds origin bytes but is not an
+        // origin fetch.
+        assert_eq!(failover.origin_bytes, 100);
+        assert_eq!(failover.cause.origin_fetch.requests, 0);
+        assert_eq!(failover.cause.failover_surcharge_us, 150_000);
+        // A delayed hit adds bytes and latency but no hops and no origin
+        // bytes.
+        assert_eq!(delayed.total_bytes, 100);
+        assert_eq!(delayed.cause.total_latency_us(), 100_000);
+        assert_eq!((delayed.cost_hops, delayed.origin_bytes), (0, 0));
+        // A failed request adds one count and nothing else.
+        let mut one_failure = Tally::default();
+        one_failure.cause.failed.requests = 1;
+        assert_eq!(failed, one_failure);
+        // Merging two tallies equals one tally that recorded both streams.
+        let (mut a, mut b, mut both) = (Tally::default(), Tally::default(), Tally::default());
+        for (i, o) in outcomes.iter().enumerate() {
+            both.record(o);
+            if i % 2 == 0 {
+                a.record(o);
+            } else {
+                b.record(o);
+            }
+        }
+        a.merge(&b);
+        assert_eq!(a, both);
+        assert_eq!(both.requests(), 7);
+        assert_eq!((both.served(), both.local_requests()), (6, 2));
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //! shards that run in parallel (servers are fully independent — separate
 //! caches, separate streams); each shard folds its servers' results as it
 //! goes, and the shard accumulators merge in fixed shard order into a
-//! single [`SimReport`]. See the [`crate::shard`] module for the
-//! determinism contract.
+//! single [`SimReport`]. A shard's and the run's request counters are each
+//! one [`Tally`], merged from the servers' tallies; the report's request
+//! buckets are read off the run's tally once. See the [`crate::shard`]
+//! module for the determinism contract.
 
 use crate::engine::{simulate_server_faulted, ServerReport, SiteObs};
 use crate::fault::FaultSchedule;
-use crate::metrics::{
-    Cause, CauseBreakdown, LatencyHistogram, RequestSample, ServerSummary, SimReport,
-};
+use crate::metrics::{Cause, LatencyHistogram, RequestSample, ServerSummary, SimReport, Tally};
 use crate::plan::{ServerPlan, SimConfig};
 use crate::shard::shard_ranges;
 use crate::timeline::{ServerTimeline, Timeline};
@@ -147,33 +147,23 @@ where
         run.merge(shard);
     }
     let lane = run.lane.take();
-    emit_observability(&run, lane, schedule.as_ref());
-    run.into_report(config)
+    let cache = run.cache;
+    let report = run.into_report(config);
+    emit_observability(&report, &cache, lane, schedule.as_ref());
+    report
 }
 
 /// A run's accumulated state: one per shard while its servers fold in,
-/// then the shards merged in shard order. Counters, histogram bins and µs
-/// latency sums are integers that merge by addition, and the per-server
+/// then the shards merged in shard order. The tally, histogram bins and
+/// cache counters are integers that merge by addition, and the per-server
 /// lists concatenate in server order, so how the fleet is split into shards
 /// cannot move a bit.
 #[derive(Default)]
 struct RunAccum {
     total_requests: u64,
-    measured_requests: u64,
-    local_requests: u64,
-    cache_hits: u64,
-    replica_hits: u64,
-    delayed_hits: u64,
-    origin_fetches: u64,
-    peer_fetches: u64,
-    failover_fetches: u64,
-    failed_requests: u64,
-    total_bytes: u64,
-    origin_bytes: u64,
-    cost_hops: u64,
+    tally: Tally,
     histogram: LatencyHistogram,
     failover_histogram: LatencyHistogram,
-    cause: CauseBreakdown,
     /// Whole-stream cache counters summed over servers (telemetry runs
     /// only).
     cache: CacheStats,
@@ -217,21 +207,9 @@ impl RunAccum {
             per_server: vec![summary],
             timelines: report.timeline.into_iter().collect(),
             total_requests: report.total_requests,
-            measured_requests: report.measured_requests,
-            local_requests: report.local_requests,
-            cache_hits: report.cache_hits,
-            replica_hits: report.replica_hits,
-            delayed_hits: report.delayed_hits,
-            origin_fetches: report.origin_fetches,
-            peer_fetches: report.peer_fetches,
-            failover_fetches: report.failover_fetches,
-            failed_requests: report.failed_requests,
-            total_bytes: report.total_bytes,
-            origin_bytes: report.origin_bytes,
-            cost_hops: report.cost_hops,
+            tally: report.tally,
             histogram: report.histogram,
             failover_histogram: report.failover_histogram,
-            cause: report.cause,
             samples: report.samples,
         }
     }
@@ -242,21 +220,9 @@ impl RunAccum {
             lane.merge_child(other);
         }
         self.total_requests += other.total_requests;
-        self.measured_requests += other.measured_requests;
-        self.local_requests += other.local_requests;
-        self.cache_hits += other.cache_hits;
-        self.replica_hits += other.replica_hits;
-        self.delayed_hits += other.delayed_hits;
-        self.origin_fetches += other.origin_fetches;
-        self.peer_fetches += other.peer_fetches;
-        self.failover_fetches += other.failover_fetches;
-        self.failed_requests += other.failed_requests;
-        self.total_bytes += other.total_bytes;
-        self.origin_bytes += other.origin_bytes;
-        self.cost_hops += other.cost_hops;
+        self.tally.merge(&other.tally);
         self.histogram.merge(&other.histogram);
         self.failover_histogram.merge(&other.failover_histogram);
-        self.cause.merge(&other.cause);
         self.cache.evictions += other.cache.evictions;
         self.cache.insertions += other.cache.insertions;
         self.cache.rejections += other.cache.rejections;
@@ -265,30 +231,32 @@ impl RunAccum {
         self.samples.extend(other.samples);
     }
 
+    /// The report, its request buckets read off the run's tally.
     fn into_report(self, config: &SimConfig) -> SimReport {
         let timeline = match config.window.unwrap_or(0) {
             0 => None,
             width => Some(Timeline::from_per_server(width, self.timelines)),
         };
+        let t = &self.tally;
         SimReport {
             mean_latency_ms: self.histogram.mean(),
-            mean_cost_hops: ratio(self.cost_hops, self.measured_requests),
+            mean_cost_hops: ratio(t.cost_hops, t.requests()),
             histogram: self.histogram,
             total_requests: self.total_requests,
-            measured_requests: self.measured_requests,
-            local_requests: self.local_requests,
-            cache_hits: self.cache_hits,
-            replica_hits: self.replica_hits,
-            delayed_hits: self.delayed_hits,
-            origin_fetches: self.origin_fetches,
-            peer_fetches: self.peer_fetches,
-            failover_fetches: self.failover_fetches,
+            measured_requests: t.requests(),
+            local_requests: t.local_requests(),
+            cache_hits: t.cause.cache_hit.requests,
+            replica_hits: t.cause.replica_hit.requests,
+            delayed_hits: t.cause.delayed_hit.requests,
+            origin_fetches: t.cause.origin_fetch.requests,
+            peer_fetches: t.cause.remote_replica.requests,
+            failover_fetches: t.cause.failover.requests,
             failover_histogram: self.failover_histogram,
-            failed_requests: self.failed_requests,
-            total_bytes: self.total_bytes,
-            origin_bytes: self.origin_bytes,
+            failed_requests: t.cause.failed.requests,
+            total_bytes: t.total_bytes,
+            origin_bytes: t.origin_bytes,
             per_server: self.per_server,
-            cause: self.cause,
+            cause: t.cause,
             samples: self.samples,
             timeline,
         }
@@ -351,33 +319,37 @@ fn server_trace_buffer(report: &ServerReport) -> TraceBuffer {
 }
 
 /// Flush counters and the (fixed-order) trace after the parallel fan-out.
-fn emit_observability(run: &RunAccum, lane: Option<TraceBuffer>, schedule: Option<&FaultSchedule>) {
+fn emit_observability(
+    report: &SimReport,
+    cache: &CacheStats,
+    lane: Option<TraceBuffer>,
+    schedule: Option<&FaultSchedule>,
+) {
     if !telemetry::enabled() {
         return;
     }
     let reg = telemetry::registry();
-    reg.counter("sim.requests_total").add(run.total_requests);
+    reg.counter("sim.requests_total").add(report.total_requests);
     reg.counter("sim.requests_measured")
-        .add(run.measured_requests);
-    reg.counter("sim.local_requests").add(run.local_requests);
-    reg.counter("sim.cache_hits").add(run.cache_hits);
-    reg.counter("sim.replica_hits").add(run.replica_hits);
-    reg.counter("sim.origin_fetches").add(run.origin_fetches);
-    reg.counter("sim.peer_fetches").add(run.peer_fetches);
+        .add(report.measured_requests);
+    reg.counter("sim.local_requests").add(report.local_requests);
+    reg.counter("sim.cache_hits").add(report.cache_hits);
+    reg.counter("sim.replica_hits").add(report.replica_hits);
+    reg.counter("sim.origin_fetches").add(report.origin_fetches);
+    reg.counter("sim.peer_fetches").add(report.peer_fetches);
     reg.counter("sim.failover_fetches")
-        .add(run.failover_fetches);
-    reg.counter("sim.failed_requests").add(run.failed_requests);
+        .add(report.failover_fetches);
+    reg.counter("sim.failed_requests")
+        .add(report.failed_requests);
     reg.counter("sim.histogram_fills")
-        .add(run.histogram.count() + run.failover_histogram.count());
-    reg.counter("sim.cache_evictions").add(run.cache.evictions);
-    reg.counter("sim.cache_insertions")
-        .add(run.cache.insertions);
-    reg.counter("sim.cache_rejections")
-        .add(run.cache.rejections);
+        .add(report.histogram.count() + report.failover_histogram.count());
+    reg.counter("sim.cache_evictions").add(cache.evictions);
+    reg.counter("sim.cache_insertions").add(cache.insertions);
+    reg.counter("sim.cache_rejections").add(cache.rejections);
     // Per-server mean latency distribution (integer bin counts, so the
     // fill order does not matter).
     let latency_hist = reg.histogram("sim.server_mean_latency_ms", 5.0, 400);
-    for s in &run.per_server {
+    for s in &report.per_server {
         latency_hist.record(s.mean_latency_ms);
     }
     // Cause attribution: request counts plus latency totals in integer
@@ -385,17 +357,17 @@ fn emit_observability(run: &RunAccum, lane: Option<TraceBuffer>, schedule: Optio
     // Per-cause counts sum to `sim.requests_measured`; `cdn report`
     // renders the table from these.
     for c in Cause::ALL {
-        let lat = run.cause.get(c);
+        let lat = report.cause.get(c);
         reg.counter(&format!("sim.cause.{}", c.label()))
             .add(lat.requests);
         reg.counter(&format!("sim.cause.{}_latency_us", c.label()))
             .add(lat.latency_us);
     }
     reg.counter("sim.cause.failover_surcharge_us")
-        .add(run.cause.failover_surcharge_us);
+        .add(report.cause.failover_surcharge_us);
     // Whole-run per-request latency distribution (1 ms bins, 4 s range +
     // overflow), recorded bin by bin from the merged histogram.
-    let hist = &run.histogram;
+    let hist = &report.histogram;
     let request_hist = reg.histogram("sim.latency_ms", hist.bin_ms(), hist.bin_counts().len());
     for (i, &n) in hist.bin_counts().iter().enumerate() {
         if n > 0 {
@@ -991,7 +963,6 @@ mod tests {
 
     #[test]
     fn timeline_is_observational_and_sums_to_run_level() {
-        use crate::timeline::WindowStats;
         let (problem, catalog, trace) = scenario(0.1, LambdaMode::Expired);
         let pl = cdn_placement::greedy_global(&problem).placement;
         let plain = SimConfig {
@@ -1021,30 +992,31 @@ mod tests {
         let zero = simulate_system(&problem, &pl, &catalog, &trace, &zero_cfg, None);
         assert!(zero.timeline.is_none());
         assert_reports_identical(&base, &zero);
-        // Windowed counters sum to the run-level counters exactly, both
+        // Windowed tallies sum to the run-level counters exactly, both
         // globally and per server.
         let tl = windowed.timeline.as_ref().expect("timeline enabled");
         assert_eq!(tl.width, 128);
         assert!(tl.windows.len() > 1, "scenario too small to window");
-        let sum = |f: fn(&WindowStats) -> u64| tl.windows.iter().map(|(_, w)| f(w)).sum::<u64>();
-        assert_eq!(sum(|w| w.requests), windowed.measured_requests);
-        assert_eq!(sum(|w| w.local_requests), windowed.local_requests);
-        assert_eq!(sum(|w| w.cache_hits), windowed.cache_hits);
-        assert_eq!(sum(|w| w.replica_hits), windowed.replica_hits);
-        assert_eq!(sum(|w| w.origin_fetches), windowed.origin_fetches);
-        assert_eq!(sum(|w| w.peer_fetches), windowed.peer_fetches);
-        assert_eq!(sum(|w| w.failover_fetches), windowed.failover_fetches);
-        assert_eq!(sum(|w| w.failed_requests), windowed.failed_requests);
-        assert_eq!(sum(|w| w.total_bytes), windowed.total_bytes);
-        assert_eq!(sum(|w| w.origin_bytes), windowed.origin_bytes);
+        let mut sum = Tally::default();
+        for (_, w) in &tl.windows {
+            sum.merge(&w.tally);
+        }
+        assert_eq!(sum.cause, windowed.cause);
+        assert_eq!(sum.requests(), windowed.measured_requests);
+        assert_eq!(sum.local_requests(), windowed.local_requests);
+        assert_eq!(sum.total_bytes, windowed.total_bytes);
+        assert_eq!(sum.origin_bytes, windowed.origin_bytes);
         assert_eq!(
-            sum(|w| w.sketch.count()),
+            tl.windows
+                .iter()
+                .map(|(_, w)| w.sketch.count())
+                .sum::<u64>(),
             windowed.measured_requests - windowed.failed_requests
         );
         assert_eq!(tl.per_server.len(), problem.n_servers());
         for (i, st) in tl.per_server.iter().enumerate() {
             assert_eq!(st.server, i);
-            let measured: u64 = st.windows.iter().map(|(_, w)| w.requests).sum();
+            let measured: u64 = st.windows.iter().map(|(_, w)| w.tally.requests()).sum();
             assert_eq!(measured, windowed.per_server[i].measured_requests);
         }
         // Every recorded window attributes a hottest site.
@@ -1052,7 +1024,7 @@ mod tests {
         // Per-window sketch quantiles respect the advertised error bound
         // against the run-level histogram's range.
         for (_, w) in &tl.windows {
-            if w.served() > 0 {
+            if w.tally.served() > 0 {
                 let p99 = w.quantile_ms(0.99);
                 assert!(p99 >= w.quantile_ms(0.50));
                 assert!(p99 <= w.max_ms() * (1.0 + cdn_telemetry::RELATIVE_ERROR));
@@ -1102,9 +1074,13 @@ mod tests {
         );
         // Coalesced fetches travel no hops of their own.
         assert!(delayed.cost_hops_identity() < off.cost_hops_identity());
-        // Windowed twins mirror the run level with the feature on.
+        // The windows count the delayed hits the run does.
         let tl = delayed.timeline.as_ref().unwrap();
-        let win_delayed: u64 = tl.windows.iter().map(|(_, w)| w.delayed_hits).sum();
+        let win_delayed: u64 = tl
+            .windows
+            .iter()
+            .map(|(_, w)| w.tally.cause.delayed_hit.requests)
+            .sum();
         assert_eq!(win_delayed, delayed.delayed_hits);
         // Byte-identical at any shard count and thread count, feature on.
         for shards in [1, 2, 4, 8] {

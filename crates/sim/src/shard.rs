@@ -13,8 +13,9 @@
 //!   `min(n_servers, MAX_DEFAULT_SHARDS)`) — never from the thread count.
 //! * Shards are contiguous, balanced server ranges, so concatenating shard
 //!   outputs in shard order recovers exact global server order.
-//! * Every accumulator is an integer (counters, histogram bins, µs latency
-//!   sums) or a max, so folds and merges commute. Results are therefore
+//! * Every accumulator is an integer (the request [`crate::Tally`],
+//!   histogram bins, µs latency sums) or a max, so folds and merges
+//!   commute. Results are therefore
 //!   bit-identical at any thread count *and* any shard count.
 
 /// Default upper bound on the shard count: enough slices to keep any

@@ -1,25 +1,24 @@
 //! Virtual-time windowed timeline of a simulation run.
 //!
-//! The engine buckets its measured-request accounting by virtual-time
-//! window (window id = `tick / width`, where `tick` is the request's
-//! deterministic per-server stream index, warm-up included — the same key
-//! the sampler uses). Every run-level counter in [`crate::SimReport`] has
-//! a per-window twin here, updated on exactly the same code path, so the
-//! windowed counters summed across all windows equal the run-level
-//! counters *exactly* (property-tested in `tests/differential.rs`).
+//! The engine records every measured request into the [`Tally`] of its
+//! virtual-time window (window id = `tick / width`, where `tick` is the
+//! request's deterministic per-server stream index, warm-up included — the
+//! same key the sampler uses) as well as into its server's tally. Both go
+//! through [`Tally::record`], so the windowed counters summed across all
+//! windows equal the run-level counters by construction.
 //!
 //! Determinism follows the §9.1 contract: per-server window series are
 //! accumulated inside the (embarrassingly parallel) per-server loops and
 //! folded into the global timeline at the final merge. Every fold is an
-//! integer add (counts, µs latency sums, sketch buckets) or a max, so the
-//! fold order cannot move a bit; the per-server series are kept in
-//! ascending server order, so timelines are byte-identical at any thread
-//! and shard count.
+//! integer add (tallies, sketch buckets) or a max, so the fold order
+//! cannot move a bit; the per-server series are kept in ascending server
+//! order, so timelines are byte-identical at any thread and shard count.
 
-use crate::metrics::us_to_ms;
+use crate::metrics::{us_to_ms, Cause, Outcome, Tally};
 use cdn_cache::Cache;
 use cdn_telemetry::json::escape_into;
-use cdn_telemetry::{QuantileSketch, WindowGrid};
+use cdn_telemetry::QuantileSketch;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
@@ -27,22 +26,8 @@ use std::fmt::Write as _;
 /// the global timeline holds per-window sums across servers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowStats {
-    /// Measured requests in this window (failed ones included).
-    pub requests: u64,
-    pub local_requests: u64,
-    pub cache_hits: u64,
-    pub replica_hits: u64,
-    /// Requests coalesced onto an in-flight fetch (delayed hits).
-    pub delayed_hits: u64,
-    pub origin_fetches: u64,
-    pub peer_fetches: u64,
-    pub failover_fetches: u64,
-    pub failed_requests: u64,
-    pub cost_hops: u64,
-    pub total_bytes: u64,
-    pub origin_bytes: u64,
-    /// Latency sum over served (non-failed) requests, µs.
-    pub latency_sum_us: u64,
+    /// The window's measured requests (failed ones included).
+    pub tally: Tally,
     /// Per-window latency quantiles with a guaranteed relative error of
     /// [`cdn_telemetry::RELATIVE_ERROR`].
     pub sketch: QuantileSketch,
@@ -50,23 +35,18 @@ pub struct WindowStats {
     pub cache_used_bytes: u64,
     /// Evictions that happened during this window (close − open snapshot).
     pub evictions: u64,
-    /// Hottest site of the window: `(site, requests)`, ties broken toward
-    /// the lower site id — a total order, so the result is deterministic.
+    /// Hottest site of one server's window: `(site, requests on that
+    /// server)`. A merged window keeps the hottest per-server pair; it does
+    /// not sum a site's requests across servers.
     pub top_site: Option<(u32, u64)>,
 }
 
 impl WindowStats {
-    /// Served (non-failed) requests — the latency population.
-    pub fn served(&self) -> u64 {
-        self.requests - self.failed_requests
-    }
-
     /// Mean latency over served requests (0 when none).
     pub fn mean_ms(&self) -> f64 {
-        if self.served() == 0 {
-            0.0
-        } else {
-            us_to_ms(self.latency_sum_us) / self.served() as f64
+        match self.tally.served() {
+            0 => 0.0,
+            served => us_to_ms(self.tally.cause.total_latency_us()) / served as f64,
         }
     }
 
@@ -82,32 +62,19 @@ impl WindowStats {
 
     /// Fold `other` into `self`: integer adds and maxima, so folds commute.
     pub fn merge(&mut self, other: &Self) {
-        self.requests += other.requests;
-        self.local_requests += other.local_requests;
-        self.cache_hits += other.cache_hits;
-        self.replica_hits += other.replica_hits;
-        self.delayed_hits += other.delayed_hits;
-        self.origin_fetches += other.origin_fetches;
-        self.peer_fetches += other.peer_fetches;
-        self.failover_fetches += other.failover_fetches;
-        self.failed_requests += other.failed_requests;
-        self.cost_hops += other.cost_hops;
-        self.total_bytes += other.total_bytes;
-        self.origin_bytes += other.origin_bytes;
-        self.latency_sum_us += other.latency_sum_us;
+        self.tally.merge(&other.tally);
         self.sketch.merge(&other.sketch);
         self.cache_used_bytes += other.cache_used_bytes;
         self.evictions += other.evictions;
-        self.top_site = match (self.top_site, other.top_site) {
-            (None, b) => b,
-            (a, None) => a,
-            (Some(a), Some(b)) => Some(if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
-                b
-            } else {
-                a
-            }),
-        };
+        self.top_site = hottest(self.top_site.into_iter().chain(other.top_site));
     }
+}
+
+/// The hottest of some `(site, requests)` pairs: the most requests, ties
+/// broken toward the lower site id — a total order, so the pick is
+/// deterministic whatever order the pairs come in.
+fn hottest(sites: impl Iterator<Item = (u32, u64)>) -> Option<(u32, u64)> {
+    sites.max_by_key(|&(site, requests)| (requests, Reverse(site)))
 }
 
 /// One server's window series, sparse and ascending by window id.
@@ -124,7 +91,8 @@ pub struct Timeline {
     /// Window width in per-server stream ticks.
     pub width: u64,
     /// Global windows, ascending by id; each is the sum of every server's
-    /// matching window (occupancy/eviction gauges sum across servers too).
+    /// matching window (occupancy/eviction gauges sum across servers too),
+    /// except `top_site`, which is the hottest single server's.
     pub windows: Vec<(u64, WindowStats)>,
     /// Per-server series in ascending server order.
     pub per_server: Vec<ServerTimeline>,
@@ -149,12 +117,14 @@ impl Timeline {
     }
 }
 
-/// The engine's per-server window accumulator. Owns the boundary logic:
+/// The engine's per-server window accumulator: a sparse grid of windows,
+/// ascending by id, of which the last is open. Owns the boundary logic:
 /// [`Self::roll`] runs at the top of the request loop *before* the request
 /// touches the cache, so the occupancy/eviction snapshots of a closing
 /// window exclude the first request of the next one.
 pub(crate) struct TimelineAcc {
-    grid: WindowGrid<WindowStats>,
+    width: u64,
+    windows: Vec<(u64, WindowStats)>,
     /// Transient per-window site tallies; only their deterministic maximum
     /// survives into [`WindowStats::top_site`].
     site_counts: HashMap<u32, u64>,
@@ -163,9 +133,13 @@ pub(crate) struct TimelineAcc {
 }
 
 impl TimelineAcc {
+    /// # Panics
+    /// Panics unless `width > 0`.
     pub(crate) fn new(width: u64) -> Self {
+        assert!(width > 0, "window width must be positive");
         Self {
-            grid: WindowGrid::new(width),
+            width,
+            windows: Vec::new(),
             site_counts: HashMap::new(),
             evictions_at_open: 0,
         }
@@ -174,41 +148,45 @@ impl TimelineAcc {
     /// Ensure the window containing `tick` is open, closing the previous
     /// one against the current cache state. Call only for measured ticks,
     /// before the request is resolved.
+    ///
+    /// # Panics
+    /// Panics if `tick` falls in a window before the open one: virtual
+    /// time never rewinds.
     pub(crate) fn roll(&mut self, tick: u64, cache: &dyn Cache) {
-        let window = self.grid.window_of(tick);
-        if self.grid.last_id() == Some(window) {
-            return;
+        let window = tick / self.width;
+        match self.windows.last() {
+            Some(&(open, _)) if open == window => return,
+            Some(&(open, _)) => assert!(open < window, "window ids must be non-decreasing"),
+            None => {}
         }
         self.close(cache);
         self.evictions_at_open = cache.stats().evictions;
-        self.grid.slot(window);
+        self.windows.push((window, WindowStats::default()));
     }
 
     fn close(&mut self, cache: &dyn Cache) {
-        if let Some((_, w)) = self.grid.last_mut() {
+        if let Some((_, w)) = self.windows.last_mut() {
             w.cache_used_bytes = cache.used_bytes();
             w.evictions = cache.stats().evictions - self.evictions_at_open;
-            let mut top: Option<(u32, u64)> = None;
-            for (&site, &n) in &self.site_counts {
-                top = match top {
-                    None => Some((site, n)),
-                    Some(t) if n > t.1 || (n == t.1 && site < t.0) => Some((site, n)),
-                    t => t,
-                };
-            }
-            w.top_site = top;
-            self.site_counts.clear();
+            w.top_site = hottest(self.site_counts.drain());
         }
     }
 
-    pub(crate) fn tally_site(&mut self, site: u32) {
+    /// Record one measured request for `site` into the open window.
+    ///
+    /// # Panics
+    /// Panics if [`Self::roll`] was never called — the engine rolls before
+    /// recording by construction.
+    pub(crate) fn record(&mut self, site: u32, outcome: &Outcome) {
         *self.site_counts.entry(site).or_insert(0) += 1;
-    }
-
-    /// The open window. Panics if [`Self::roll`] was never called — the
-    /// engine rolls before recording by construction.
-    pub(crate) fn current(&mut self) -> &mut WindowStats {
-        &mut self.grid.last_mut().expect("roll() opens a window first").1
+        let (_, w) = self
+            .windows
+            .last_mut()
+            .expect("roll() opens a window first");
+        w.tally.record(outcome);
+        if outcome.cause != Cause::Failed {
+            w.sketch.record(us_to_ms(outcome.latency_us));
+        }
     }
 
     /// Close the trailing partial window and hand the series over.
@@ -216,7 +194,7 @@ impl TimelineAcc {
         self.close(cache);
         ServerTimeline {
             server,
-            windows: self.grid.into_windows(),
+            windows: self.windows,
         }
     }
 }
@@ -248,28 +226,22 @@ fn push_f64_col(out: &mut String, name: &str, vals: impl Iterator<Item = f64>) {
 fn push_counter_cols(out: &mut String, windows: &[(u64, WindowStats)]) {
     push_u64_col(out, "windows", windows.iter().map(|(id, _)| *id));
     out.push(',');
-    for (name, get) in [
-        (
-            "requests",
-            (|w: &WindowStats| w.requests) as fn(&WindowStats) -> u64,
-        ),
-        ("local_requests", |w| w.local_requests),
-        ("cache_hits", |w| w.cache_hits),
-        ("replica_hits", |w| w.replica_hits),
-        ("delayed_hits", |w| w.delayed_hits),
-        ("origin_fetches", |w| w.origin_fetches),
-        ("peer_fetches", |w| w.peer_fetches),
-        ("failover_fetches", |w| w.failover_fetches),
-        ("failed_requests", |w| w.failed_requests),
-        ("cost_hops", |w| w.cost_hops),
-        ("total_bytes", |w| w.total_bytes),
-        ("origin_bytes", |w| w.origin_bytes),
-        ("cache_used_bytes", |w| w.cache_used_bytes),
-        ("evictions", |w| w.evictions),
-    ] {
-        push_u64_col(out, name, windows.iter().map(|(_, w)| get(w)));
+    for (i, (name, _)) in Tally::default().counters().into_iter().enumerate() {
+        push_u64_col(
+            out,
+            name,
+            windows.iter().map(|(_, w)| w.tally.counters()[i].1),
+        );
         out.push(',');
     }
+    push_u64_col(
+        out,
+        "cache_used_bytes",
+        windows.iter().map(|(_, w)| w.cache_used_bytes),
+    );
+    out.push(',');
+    push_u64_col(out, "evictions", windows.iter().map(|(_, w)| w.evictions));
+    out.push(',');
     push_f64_col(out, "mean_ms", windows.iter().map(|(_, w)| w.mean_ms()));
     out.push(',');
     for (name, q) in [("p50_ms", 0.50), ("p90_ms", 0.90), ("p99_ms", 0.99)] {
@@ -329,33 +301,27 @@ pub fn render_timeline_json(runs: &[(String, Timeline)]) -> String {
 /// CSV twin of the global section of [`render_timeline_json`]: one row per
 /// `(run, window)`.
 pub fn render_timeline_csv(runs: &[(String, Timeline)]) -> String {
-    let mut out = String::from(
-        "run,window,requests,local_requests,cache_hits,replica_hits,delayed_hits,\
-         origin_fetches,peer_fetches,failover_fetches,failed_requests,cost_hops,total_bytes,\
-         origin_bytes,mean_ms,p50_ms,p90_ms,p99_ms,max_ms,cache_used_bytes,evictions,top_site,\
+    let mut out = String::from("run,window");
+    for (name, _) in Tally::default().counters() {
+        let _ = write!(out, ",{name}");
+    }
+    out.push_str(
+        ",mean_ms,p50_ms,p90_ms,p99_ms,max_ms,cache_used_bytes,evictions,top_site,\
          top_site_requests\n",
     );
     for (run, tl) in runs {
         for (id, w) in &tl.windows {
+            let _ = write!(out, "{run},{id}");
+            for (_, v) in w.tally.counters() {
+                let _ = write!(out, ",{v}");
+            }
             let (top_site, top_n) = match w.top_site {
                 Some((s, n)) => (s.to_string(), n),
                 None => (String::new(), 0),
             };
             let _ = writeln!(
                 out,
-                "{run},{id},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{},{},{top_site},{top_n}",
-                w.requests,
-                w.local_requests,
-                w.cache_hits,
-                w.replica_hits,
-                w.delayed_hits,
-                w.origin_fetches,
-                w.peer_fetches,
-                w.failover_fetches,
-                w.failed_requests,
-                w.cost_hops,
-                w.total_bytes,
-                w.origin_bytes,
+                ",{:.3},{:.3},{:.3},{:.3},{:.3},{},{},{top_site},{top_n}",
                 w.mean_ms(),
                 w.quantile_ms(0.50),
                 w.quantile_ms(0.90),
@@ -372,16 +338,27 @@ pub fn render_timeline_csv(runs: &[(String, Timeline)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdn_cache::LruCache;
 
     fn window(requests: u64, failed: u64, latency_each_us: u64) -> WindowStats {
-        let mut w = WindowStats {
-            requests,
-            failed_requests: failed,
-            ..Default::default()
-        };
-        for _ in 0..(requests - failed) {
-            w.latency_sum_us += latency_each_us;
-            w.sketch.record(us_to_ms(latency_each_us));
+        let mut w = WindowStats::default();
+        for i in 0..requests {
+            let (cause, latency_us) = if i < failed {
+                (Cause::Failed, 0)
+            } else {
+                (Cause::CacheHit, latency_each_us)
+            };
+            w.tally.record(&Outcome {
+                cause,
+                latency_us,
+                penalty_us: 0,
+                hops: 0,
+                bytes: 10,
+                from_origin: false,
+            });
+            if cause != Cause::Failed {
+                w.sketch.record(us_to_ms(latency_us));
+            }
         }
         w
     }
@@ -397,15 +374,57 @@ mod tests {
         b.cache_used_bytes = 50;
         b.evictions = 1;
         a.merge(&b);
-        assert_eq!(a.requests, 15);
-        assert_eq!(a.failed_requests, 2);
-        assert_eq!(a.served(), 13);
+        assert_eq!(a.tally.requests(), 15);
+        assert_eq!(a.tally.cause.failed.requests, 2);
+        assert_eq!(a.tally.served(), 13);
         assert_eq!(a.cache_used_bytes, 150);
         assert_eq!(a.evictions, 5);
         // Equal counts: the lower site id wins, regardless of merge side.
         assert_eq!(a.top_site, Some((1, 7)));
-        assert_eq!(a.latency_sum_us, 8 * 20_000 + 5 * 40_000);
+        assert_eq!(a.tally.cause.total_latency_us(), 8 * 20_000 + 5 * 40_000);
         assert_eq!(a.mean_ms(), (8.0 * 20.0 + 5.0 * 40.0) / 13.0);
+    }
+
+    #[test]
+    fn grid_slots_are_sparse_and_ordered() {
+        let cache = LruCache::new(0);
+        let mut acc = TimelineAcc::new(10);
+        for tick in [0, 9, 35] {
+            acc.roll(tick, &cache);
+            acc.record(0, &hit_outcome());
+        }
+        let series = acc.finish(4, &cache);
+        assert_eq!(series.server, 4);
+        let ids: Vec<u64> = series.windows.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![0, 3], "empty windows occupy no space");
+        assert_eq!(series.windows[0].1.tally.requests(), 2);
+        assert_eq!(series.windows[1].1.tally.requests(), 1);
+    }
+
+    fn hit_outcome() -> Outcome {
+        Outcome {
+            cause: Cause::CacheHit,
+            latency_us: 20_000,
+            penalty_us: 0,
+            hops: 0,
+            bytes: 10,
+            from_origin: false,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn grid_rejects_rewinding_windows() {
+        let cache = LruCache::new(0);
+        let mut acc = TimelineAcc::new(10);
+        acc.roll(50, &cache);
+        acc.roll(40, &cache);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn grid_rejects_zero_width() {
+        let _ = TimelineAcc::new(0);
     }
 
     #[test]
@@ -422,14 +441,14 @@ mod tests {
         assert_eq!(tl.width, 8);
         let ids: Vec<u64> = tl.windows.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(tl.windows[2].1.requests, 3);
+        assert_eq!(tl.windows[2].1.tally.requests(), 3);
         assert_eq!(tl.per_server.len(), 2);
         // Window totals cover every per-server request exactly once.
-        let global: u64 = tl.windows.iter().map(|(_, w)| w.requests).sum();
+        let global: u64 = tl.windows.iter().map(|(_, w)| w.tally.requests()).sum();
         let per: u64 = tl
             .per_server
             .iter()
-            .flat_map(|s| s.windows.iter().map(|(_, w)| w.requests))
+            .flat_map(|s| s.windows.iter().map(|(_, w)| w.tally.requests()))
             .sum();
         assert_eq!(global, per);
     }

@@ -19,10 +19,9 @@
 //!   spans exported as Chrome Trace Event Format JSON. Deliberately
 //!   non-deterministic, so its output lives strictly in its own file
 //!   (`--profile-out`) and never in anything byte-diffed.
-//! * [`timeline`] — virtual-time windowed telemetry primitives: a
-//!   [`WindowGrid`] bucketing per-window state by virtual tick, a
-//!   [`QuantileSketch`] with deterministic bit-manipulation bucket layout,
-//!   and an OpenMetrics snapshot exporter.
+//! * [`timeline`] — windowed telemetry primitives: a [`QuantileSketch`]
+//!   with deterministic bit-manipulation bucket layout, a sparkline
+//!   renderer, and an OpenMetrics snapshot exporter.
 //!
 //! ## Determinism contract
 //!
@@ -52,7 +51,7 @@ mod trace;
 
 pub use event::Value;
 pub use registry::{Counter, Gauge, Histogram, Registry};
-pub use timeline::{QuantileSketch, WindowGrid, RELATIVE_ERROR};
+pub use timeline::{QuantileSketch, RELATIVE_ERROR};
 pub use trace::{SpanId, Trace, TraceBuffer};
 
 use std::sync::atomic::{AtomicBool, Ordering};

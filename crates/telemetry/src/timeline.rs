@@ -1,14 +1,12 @@
 //! Windowed (virtual-time) telemetry primitives.
 //!
 //! This module supplies the building blocks for deterministic time-series
-//! metrics: a [`WindowGrid`] that buckets arbitrary per-window state by
-//! virtual-time window id, and a [`QuantileSketch`] — a bounded-relative-
-//! error streaming quantile sketch with a *deterministic* bucket layout.
+//! metrics: a [`QuantileSketch`] — a bounded-relative-error streaming
+//! quantile sketch with a *deterministic* bucket layout — plus a sparkline
+//! renderer and an OpenMetrics exporter.
 //!
 //! ## Determinism contract (extends the crate-level contract)
 //!
-//! * Window ids are pure functions of virtual time (`tick / width`), never
-//!   of wall-clock time or scheduling.
 //! * The sketch maps values to buckets with **pure bit manipulation** on
 //!   the IEEE-754 representation — no `ln`/`log2`/`powf`, whose libm
 //!   implementations are not guaranteed to round identically across
@@ -153,80 +151,6 @@ impl QuantileSketch {
         }
         // Unreachable when counts are consistent; fall back to the max.
         Some(self.max)
-    }
-}
-
-/// Per-window state bucketed by virtual-time window id.
-///
-/// The grid is sparse and append-only: window ids must be presented in
-/// non-decreasing order (virtual time only moves forward within a stream),
-/// and empty windows occupy no space. Merging grids from different streams
-/// is the caller's job — fold them in a fixed global order so any
-/// order-sensitive state inside `T` stays deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowGrid<T> {
-    width: u64,
-    windows: Vec<(u64, T)>,
-}
-
-impl<T: Default> WindowGrid<T> {
-    /// Create a grid with the given window width (> 0) in virtual ticks.
-    pub fn new(width: u64) -> Self {
-        assert!(width > 0, "window width must be positive");
-        Self {
-            width,
-            windows: Vec::new(),
-        }
-    }
-
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// Window id containing virtual tick `tick`.
-    #[inline]
-    pub fn window_of(&self, tick: u64) -> u64 {
-        tick / self.width
-    }
-
-    /// Mutable access to window `window`, appending a fresh `T::default()`
-    /// if it is not the current last window. Panics if `window` is older
-    /// than the last one — virtual time never rewinds.
-    pub fn slot(&mut self, window: u64) -> &mut T {
-        match self.windows.last() {
-            Some((id, _)) if *id == window => {}
-            Some((id, _)) => {
-                assert!(*id < window, "window ids must be non-decreasing");
-                self.windows.push((window, T::default()));
-            }
-            None => self.windows.push((window, T::default())),
-        }
-        &mut self.windows.last_mut().expect("just ensured").1
-    }
-
-    /// The most recent window, if any.
-    pub fn last_mut(&mut self) -> Option<&mut (u64, T)> {
-        self.windows.last_mut()
-    }
-
-    pub fn last_id(&self) -> Option<u64> {
-        self.windows.last().map(|(id, _)| *id)
-    }
-
-    pub fn windows(&self) -> &[(u64, T)] {
-        &self.windows
-    }
-
-    pub fn into_windows(self) -> Vec<(u64, T)> {
-        self.windows
-    }
-
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 }
 
@@ -426,33 +350,6 @@ mod tests {
         assert_eq!(s.percentile(0.5), None);
         assert_eq!(s.max(), None);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn grid_slots_are_sparse_and_ordered() {
-        let mut g: WindowGrid<u64> = WindowGrid::new(10);
-        assert_eq!(g.window_of(0), 0);
-        assert_eq!(g.window_of(19), 1);
-        *g.slot(0) += 1;
-        *g.slot(0) += 1;
-        *g.slot(3) += 5;
-        assert_eq!(g.windows(), &[(0, 2), (3, 5)]);
-        assert_eq!(g.last_id(), Some(3));
-        assert_eq!(g.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn grid_rejects_rewinding_windows() {
-        let mut g: WindowGrid<u64> = WindowGrid::new(10);
-        g.slot(5);
-        g.slot(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn grid_rejects_zero_width() {
-        let _ = WindowGrid::<u64>::new(0);
     }
 
     #[test]

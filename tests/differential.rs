@@ -22,7 +22,7 @@ use cdn_placement::{
 };
 use cdn_sim::{
     simulate_server_faulted, FaultParams, FaultSchedule, Holder, ServerPlan, ServerReport,
-    SimConfig,
+    SimConfig, Tally,
 };
 use cdn_workload::{Flavor, Request, ZipfLike};
 use proptest::prelude::*;
@@ -313,7 +313,6 @@ fn assert_server_reports_identical(a: &ServerReport, b: &ServerReport) {
     assert_eq!(a.histogram.count(), b.histogram.count());
     assert_eq!(a.histogram.mean().to_bits(), b.histogram.mean().to_bits());
     assert_eq!(a.histogram.cdf(), b.histogram.cdf());
-    assert_eq!(a.cost_hops, b.cost_hops);
     assert_eq!(a.total_requests, b.total_requests);
     assert_eq!(a.measured_requests, b.measured_requests);
     assert_eq!(a.local_requests, b.local_requests);
@@ -326,7 +325,7 @@ fn assert_server_reports_identical(a: &ServerReport, b: &ServerReport) {
     assert_eq!(a.failover_histogram.count(), b.failover_histogram.count());
     assert_eq!(a.total_bytes, b.total_bytes);
     assert_eq!(a.origin_bytes, b.origin_bytes);
-    assert_eq!(a.cause, b.cause);
+    assert_eq!(a.tally, b.tally);
     assert_eq!(a.samples, b.samples);
 }
 
@@ -372,10 +371,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 3b: the windowed timeline vs. the run-level counters — the same
-// stream tallied by two independent accumulators (per-window grid vs. flat
-// report fields). Summing every window must reproduce the run totals
-// exactly, whatever eviction policy backs the cache.
+// Oracle 3b: window keying. The engine records each measured request into
+// its server's tally and, through the same `Tally::record`, into the tally
+// of the window its stream tick falls in. Summing every window therefore
+// reproduces the server's tally exactly unless the windows drop or
+// double-count a measured tick — whatever eviction policy backs the cache.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -408,20 +408,11 @@ proptest! {
                 None,
             );
             let tl = r.timeline.as_ref().expect("timeline enabled");
-            let sum = |f: fn(&cdn_sim::WindowStats) -> u64| -> u64 {
-                tl.windows.iter().map(|(_, w)| f(w)).sum()
-            };
-            prop_assert_eq!(sum(|w| w.requests), r.measured_requests, "{}", name);
-            prop_assert_eq!(sum(|w| w.local_requests), r.local_requests, "{}", name);
-            prop_assert_eq!(sum(|w| w.cache_hits), r.cache_hits, "{}", name);
-            prop_assert_eq!(sum(|w| w.replica_hits), r.replica_hits, "{}", name);
-            prop_assert_eq!(sum(|w| w.origin_fetches), r.origin_fetches, "{}", name);
-            prop_assert_eq!(sum(|w| w.peer_fetches), r.peer_fetches, "{}", name);
-            prop_assert_eq!(sum(|w| w.failover_fetches), r.failover_fetches, "{}", name);
-            prop_assert_eq!(sum(|w| w.failed_requests), r.failed_requests, "{}", name);
-            prop_assert_eq!(sum(|w| w.cost_hops), r.cost_hops, "{}", name);
-            prop_assert_eq!(sum(|w| w.total_bytes), r.total_bytes, "{}", name);
-            prop_assert_eq!(sum(|w| w.origin_bytes), r.origin_bytes, "{}", name);
+            let mut sum = Tally::default();
+            for (_, w) in &tl.windows {
+                sum.merge(&w.tally);
+            }
+            prop_assert_eq!(sum, r.tally, "{}", name);
             // Every served (non-failed) request records exactly one latency
             // sample in its window's sketch.
             prop_assert_eq!(
@@ -471,13 +462,13 @@ fn windowed_counters_survive_the_parallel_runner_at_1_and_4_threads() {
             t4.timeline.as_ref(),
             "{name}: thread-dependent timeline"
         );
-        let sum = |f: fn(&cdn_sim::WindowStats) -> u64| -> u64 {
-            tl.windows.iter().map(|(_, w)| f(w)).sum()
-        };
-        assert_eq!(sum(|w| w.requests), t1.measured_requests, "{name}");
-        assert_eq!(sum(|w| w.cache_hits), t1.cache_hits, "{name}");
-        assert_eq!(sum(|w| w.failed_requests), t1.failed_requests, "{name}");
-        assert_eq!(sum(|w| w.total_bytes), t1.total_bytes, "{name}");
+        let mut sum = Tally::default();
+        for (_, w) in &tl.windows {
+            sum.merge(&w.tally);
+        }
+        assert_eq!(sum.cause, t1.cause, "{name}");
+        assert_eq!(sum.requests(), t1.measured_requests, "{name}");
+        assert_eq!(sum.total_bytes, t1.total_bytes, "{name}");
     }
 }
 
