@@ -60,24 +60,16 @@ fn run_at(
     (timings, plan, report, work)
 }
 
-/// Bitwise equality of the fields that summarise a run; any scheduling
-/// nondeterminism would show up here first.
+/// Equality of the plan summary and the whole simulation report; any
+/// scheduling nondeterminism would show up here first.
 fn reports_identical(
     a: &(PhaseTimings, PlanResult, SimReport, Vec<(String, u64)>),
     b: &(PhaseTimings, PlanResult, SimReport, Vec<(String, u64)>),
 ) -> bool {
-    let (pa, ra) = (&a.1, &a.2);
-    let (pb, rb) = (&b.1, &b.2);
+    let (pa, pb) = (&a.1, &b.1);
     pa.placement.replica_count() == pb.placement.replica_count()
         && pa.predicted_cost.to_bits() == pb.predicted_cost.to_bits()
-        && ra.mean_latency_ms.to_bits() == rb.mean_latency_ms.to_bits()
-        && ra.mean_cost_hops.to_bits() == rb.mean_cost_hops.to_bits()
-        && ra.total_requests == rb.total_requests
-        && ra.cache_hits == rb.cache_hits
-        && ra.replica_hits == rb.replica_hits
-        && ra.origin_fetches == rb.origin_fetches
-        && ra.peer_fetches == rb.peer_fetches
-        && ra.histogram.cdf() == rb.histogram.cdf()
+        && a.2 == b.2
 }
 
 fn main() {

@@ -41,20 +41,6 @@ fn replay_at(
     replay_events(scenario, plan, events.to_vec())
 }
 
-/// Bitwise equality of the fields that summarise a replay.
-fn reports_identical(a: &SimReport, b: &SimReport) -> bool {
-    a.mean_latency_ms.to_bits() == b.mean_latency_ms.to_bits()
-        && a.mean_cost_hops.to_bits() == b.mean_cost_hops.to_bits()
-        && a.total_requests == b.total_requests
-        && a.cache_hits == b.cache_hits
-        && a.replica_hits == b.replica_hits
-        && a.delayed_hits == b.delayed_hits
-        && a.origin_fetches == b.origin_fetches
-        && a.peer_fetches == b.peer_fetches
-        && a.cause == b.cause
-        && a.histogram.cdf() == b.histogram.cdf()
-}
-
 fn main() {
     let args = BenchArgs::parse("bench_trace");
     let scale = args.scale;
@@ -117,8 +103,7 @@ fn main() {
     }
 
     // Invariant 1: latency 0 is the off switch, bit-identical to None.
-    let zero = &sweep[0].1;
-    let off_identical = reports_identical(&instant, zero);
+    let off_identical = instant == sweep[0].1;
     println!("  fetch latency 0 bit-identical to instant fetch: {off_identical}");
 
     // Invariant 2: with a positive latency, delayed hits appear and the

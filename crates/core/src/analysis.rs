@@ -113,7 +113,7 @@ pub fn compare_strategies_with_options(
         .map(|&s| {
             let plan = scenario.plan_with_model(s, model);
             let report = match policy {
-                Some(name) if s != Strategy::Replication => {
+                Some(name) if s.uses_cache() => {
                     let factory = |bytes: u64| {
                         cdn_cache::by_name(name, bytes).expect("policy validated above")
                     };

@@ -23,9 +23,8 @@
 //!   keeps replay byte-identical at any thread or shard count (DESIGN.md
 //!   §9.1: per-server state is keyed on the deterministic stream tick).
 
-use crate::scenario::Scenario;
-use crate::strategy::{PlanResult, Strategy};
-use cdn_cache::Cache;
+use crate::scenario::{cache_factory, Scenario};
+use crate::strategy::PlanResult;
 use cdn_sim::{simulate_system_streams, SimReport};
 use cdn_workload::{pack_key, unpack_key, Flavor, Request, TraceEvent};
 
@@ -187,10 +186,8 @@ impl ReplayStreams {
 }
 
 /// Replay a trace against a planned scenario: the placement and catalog
-/// come from the scenario, the requests from the trace. Cache policy
-/// mirrors [`Scenario::simulate`]: pure replication runs cache-less, every
-/// other strategy uses the default LRU sized to each server's leftover
-/// space.
+/// come from the scenario, the requests from the trace. The cache is the
+/// one [`Scenario::simulate`] runs for the plan's strategy.
 pub fn replay_events(scenario: &Scenario, plan: &PlanResult, events: Vec<TraceEvent>) -> SimReport {
     let streams = ReplayStreams::from_events(
         events,
@@ -199,18 +196,12 @@ pub fn replay_events(scenario: &Scenario, plan: &PlanResult, events: Vec<TraceEv
         scenario.config.workload.objects_per_site,
     );
     let lengths = streams.lengths();
-    let make_zero: &(dyn Fn(u64) -> Box<dyn Cache> + Sync) =
-        &|_| Box::new(cdn_cache::LruCache::new(0));
-    let factory = match plan.strategy {
-        Strategy::Replication => Some(make_zero),
-        _ => None,
-    };
     simulate_system_streams(
         &scenario.problem,
         &plan.placement,
         &scenario.catalog,
         &scenario.config.sim,
-        factory,
+        cache_factory(plan.strategy),
         &lengths,
         |server| streams.stream_for_server(server),
     )

@@ -272,23 +272,18 @@ impl Scenario {
         strategy.run_with_model(&self.problem, model)
     }
 
-    /// Simulate a plan with the trace-driven simulator. Pure replication is
-    /// simulated cache-less (it is the *stand-alone* baseline); every other
-    /// strategy runs an LRU sized to each server's leftover space.
+    /// Simulate a plan with the trace-driven simulator. A strategy that runs
+    /// no cache ([`Strategy::uses_cache`]: the stand-alone replication
+    /// baselines) is simulated cache-less; every other strategy runs an LRU
+    /// sized to each server's leftover space.
     pub fn simulate(&self, plan: &PlanResult) -> SimReport {
-        let make_zero: &(dyn Fn(u64) -> Box<dyn Cache> + Sync) =
-            &|_| Box::new(cdn_cache::LruCache::new(0));
-        let factory = match plan.strategy {
-            Strategy::Replication => Some(make_zero),
-            _ => None,
-        };
         simulate_system(
             &self.problem,
             &plan.placement,
             &self.catalog,
             &self.trace,
             &self.config.sim,
-            factory,
+            cache_factory(plan.strategy),
         )
     }
 
@@ -314,6 +309,18 @@ impl Scenario {
     }
 }
 
+/// The cache factory for simulating `strategy`, as [`Scenario::simulate`]
+/// describes: a zero-byte cache when the strategy runs none, else `None`,
+/// the simulator's default LRU.
+pub(crate) fn cache_factory(
+    strategy: Strategy,
+) -> Option<&'static (dyn Fn(u64) -> Box<dyn Cache> + Sync)> {
+    fn no_cache(_: u64) -> Box<dyn Cache> {
+        Box::new(cdn_cache::LruCache::new(0))
+    }
+    (!strategy.uses_cache()).then_some(&no_cache)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,6 +338,22 @@ mod tests {
         assert!(s.problem.capacities.iter().all(|&c| c == expected));
         // Demand matches the demand matrix.
         assert_eq!(s.problem.grand_total(), s.demand.grand_total());
+    }
+
+    #[test]
+    fn strategies_without_a_cache_simulate_no_cache_hits() {
+        let s = Scenario::generate(&ScenarioConfig::small());
+        for strategy in [Strategy::Replication, Strategy::Backtrack] {
+            assert!(!strategy.uses_cache());
+            let plan = s.plan(strategy);
+            let simulated = s.simulate(&plan);
+            let replayed = crate::replay_events(&s, &plan, crate::export_events(&s));
+            let compared =
+                crate::compare_strategies_with_policy(&s, &[strategy], Some("lfu")).unwrap();
+            for r in [&simulated, &replayed, &compared.rows[0].report] {
+                assert_eq!(r.cache_hits, 0, "{}", strategy.name());
+            }
+        }
     }
 
     #[test]

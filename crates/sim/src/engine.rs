@@ -43,7 +43,7 @@ impl SiteObs {
 /// Deterministic per-server observability: per-site tallies plus a
 /// whole-stream (warm-up included) snapshot of the cache's own counters —
 /// the eviction/insertion/rejection totals the trace reports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineObs {
     pub per_site: Vec<SiteObs>,
     pub cache: CacheStats,
@@ -51,7 +51,7 @@ pub struct EngineObs {
 
 /// Per-server simulation outcome. The request buckets, `measured_requests`
 /// and the byte counts are read off `tally` once, when the server finishes.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ServerReport {
     pub server: usize,
     pub histogram: LatencyHistogram,
@@ -303,8 +303,6 @@ where
     let no_faults = FaultSchedule::default();
     let schedule = schedule.unwrap_or(&no_faults);
     let retry_penalty_us = config.faults.map_or(0, |f| f.retry_penalty_us());
-    // The two histogram bin vectors are the only heap state this loop
-    // needs, allocated once per server.
     let mut histogram = LatencyHistogram::default();
     let mut failover_histogram = LatencyHistogram::default();
     let mut tally = Tally::default();

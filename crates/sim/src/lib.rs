@@ -22,9 +22,10 @@
 //! routing path: a fault-free run resolves against the empty
 //! [`FaultSchedule`], in which the nearest copy is always live.
 //!
-//! * [`metrics`] — latency histogram / CDF / mean, and the [`Tally`]: the
-//!   one record of which counters a measured request moves, kept per
-//!   server, per timeline window, per shard and per run.
+//! * [`metrics`] — the [`LatencyHistogram`], exact whole-µs latency counts
+//!   behind every CDF, quantile and mean, and the [`Tally`]: the one record
+//!   of which counters a measured request moves. Each is kept per server,
+//!   per timeline window, per shard and per run.
 //! * [`plan`] — the per-server view of a placement (what is replicated,
 //!   where every copy is, how much space the cache gets).
 //! * [`engine`] — the per-server request loop: it routes and prices each
@@ -36,7 +37,7 @@
 //! * [`runner`] — whole-system simulation, parallel across server shards;
 //!   shards and the run merge the servers' tallies.
 //! * [`timeline`] — virtual-time windowed telemetry: a tally, a latency
-//!   quantile sketch and hotspot attribution per window, merged across
+//!   histogram and hotspot attribution per window, merged across
 //!   shards in global server order so timelines are byte-identical at any
 //!   thread or shard count.
 

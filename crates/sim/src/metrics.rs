@@ -1,18 +1,22 @@
 //! Latency and cost accounting.
 
 use crate::engine::Resolution;
+use cdn_cache::FxHashMap;
 use cdn_workload::Flavor;
 use std::fmt::Write as _;
 
-/// Histogram of response times with fixed-width bins plus an overflow bin.
-/// The paper's CDF plots are exactly `cdf()` of this structure. Samples
-/// are whole microseconds, so the sum, the max and every merge are exact
-/// integer arithmetic; the millisecond accessors convert on the way out.
-#[derive(Debug, Clone)]
+/// Exact distribution of response times: one count per distinct
+/// whole-microsecond latency, with the exact sum and max. Every latency the
+/// simulator produces is one of a few values (20 ms per hop plus retry
+/// penalties), so storage grows with those values, and sums, maxima and
+/// merges are exact integer arithmetic. The paper's CDF plots are `cdf()`,
+/// read through fixed-width bins plus an overflow bin; the millisecond
+/// accessors convert on the way out.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     bin_us: u64,
-    counts: Vec<u64>,
-    overflow: u64,
+    n_bins: usize,
+    counts: FxHashMap<u64, u64>,
     sum_us: u64,
     n: u64,
     max_us: u64,
@@ -33,7 +37,10 @@ pub(crate) fn us_to_ms(us: u64) -> f64 {
 }
 
 impl LatencyHistogram {
-    /// `bin_us`-wide bins covering `[0, bin_us * n_bins)` µs.
+    /// `bin_us`-wide bins covering `[0, bin_us * n_bins)` µs, which shape
+    /// the binned views (`cdf`, `bin_counts`, `overflow_count`,
+    /// `percentile`, `fraction_at_or_below`); the counts are exact at any
+    /// shape.
     ///
     /// # Panics
     /// Panics unless `bin_us > 0` and `n_bins > 0`.
@@ -42,8 +49,8 @@ impl LatencyHistogram {
         assert!(n_bins > 0, "need at least one bin");
         Self {
             bin_us,
-            counts: vec![0; n_bins],
-            overflow: 0,
+            n_bins,
+            counts: FxHashMap::default(),
             sum_us: 0,
             n: 0,
             max_us: 0,
@@ -52,10 +59,7 @@ impl LatencyHistogram {
 
     /// Record one response time, µs.
     pub fn record(&mut self, us: u64) {
-        match self.counts.get_mut((us / self.bin_us) as usize) {
-            Some(bin) => *bin += 1,
-            None => self.overflow += 1,
-        }
+        *self.counts.entry(us).or_insert(0) += 1;
         self.sum_us += us;
         self.n += 1;
         self.max_us = self.max_us.max(us);
@@ -68,11 +72,10 @@ impl LatencyHistogram {
     /// Panics on shape mismatch.
     pub fn merge(&mut self, other: &Self) {
         assert_eq!(self.bin_us, other.bin_us, "bin width mismatch");
-        assert_eq!(self.counts.len(), other.counts.len(), "bin count mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        assert_eq!(self.n_bins, other.n_bins, "bin count mismatch");
+        for (&us, &c) in &other.counts {
+            *self.counts.entry(us).or_insert(0) += c;
         }
-        self.overflow += other.overflow;
         self.sum_us += other.sum_us;
         self.n += other.n;
         self.max_us = self.max_us.max(other.max_us);
@@ -102,37 +105,58 @@ impl LatencyHistogram {
         us_to_ms(self.max_us)
     }
 
-    /// The q-quantile (`0 <= q <= 1`) via the histogram (upper bin edge).
+    /// The exact q-quantile, µs: the recorded value of rank `ceil(q·n)`
+    /// clamped to `[1, n]` in ascending order, or 0 when empty.
+    pub fn quantile_us(&self, q: f64) -> u64 {
+        if self.n == 0 {
+            return 0;
+        }
+        let rank = ((q * self.n as f64).ceil() as u64).clamp(1, self.n);
+        let mut values: Vec<(u64, u64)> = self.counts.iter().map(|(&us, &c)| (us, c)).collect();
+        values.sort_unstable();
+        let mut seen = 0;
+        values
+            .into_iter()
+            .find_map(|(us, c)| {
+                seen += c;
+                (seen >= rank).then_some(us)
+            })
+            .expect("the counts sum to n")
+    }
+
+    /// The q-quantile (`0 <= q <= 1`) at bin resolution: the upper edge of
+    /// the bin holding [`Self::quantile_us`], or the max when that value
+    /// lies past the last bin.
     pub fn percentile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         if self.n == 0 {
             return 0.0;
         }
-        let target = (q * self.n as f64).ceil().max(1.0) as u64;
-        let mut acc = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return (i as f64 + 1.0) * self.bin_ms();
-            }
+        match self.bin_of(self.quantile_us(q)) {
+            Some(i) => (i as f64 + 1.0) * self.bin_ms(),
+            None => self.max(),
         }
-        self.max()
     }
 
-    /// CDF points `(upper bin edge ms, cumulative fraction)` for every
-    /// non-empty prefix bin — the series plotted in the paper's figures.
+    /// CDF points `(upper bin edge ms, cumulative fraction)` for every bin
+    /// up to the last non-empty one — the series plotted in the paper's
+    /// figures — then `(max, 1)` when samples overflow the bins.
     pub fn cdf(&self) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
         if self.n == 0 {
-            return out;
+            return Vec::new();
         }
+        let bins = self.bin_counts();
+        let last_used = bins.iter().rposition(|&c| c > 0).unwrap_or(0);
         let mut acc = 0u64;
-        let last_used = self.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-        for (i, &c) in self.counts.iter().enumerate().take(last_used + 1) {
-            acc += c;
-            out.push(((i as f64 + 1.0) * self.bin_ms(), acc as f64 / self.n as f64));
-        }
-        if self.overflow > 0 {
+        let mut out: Vec<(f64, f64)> = bins[..=last_used]
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                acc += c;
+                ((i as f64 + 1.0) * self.bin_ms(), acc as f64 / self.n as f64)
+            })
+            .collect();
+        if acc < self.n {
             out.push((self.max(), 1.0));
         }
         out
@@ -143,28 +167,48 @@ impl LatencyHistogram {
         us_to_ms(self.bin_us)
     }
 
+    /// The bin a value falls in, `None` past the last bin.
+    fn bin_of(&self, us: u64) -> Option<usize> {
+        let i = (us / self.bin_us) as usize;
+        (i < self.n_bins).then_some(i)
+    }
+
     /// Per-bin sample counts (bin `i` covers `[i*bin_ms, (i+1)*bin_ms)`).
-    pub fn bin_counts(&self) -> &[u64] {
-        &self.counts
+    pub fn bin_counts(&self) -> Vec<u64> {
+        let mut bins = vec![0; self.n_bins];
+        for (&us, &c) in &self.counts {
+            if let Some(i) = self.bin_of(us) {
+                bins[i] += c;
+            }
+        }
+        bins
     }
 
     /// Samples past the last bin.
     pub fn overflow_count(&self) -> u64 {
-        self.overflow
+        self.counts
+            .iter()
+            .filter(|&(&us, _)| self.bin_of(us).is_none())
+            .map(|(_, &c)| c)
+            .sum()
     }
 
-    /// Fraction of samples at or below `ms`.
+    /// Fraction of samples at or below `ms`, at bin resolution: a sample
+    /// counts when its bin starts at or below `ms`.
     pub fn fraction_at_or_below(&self, ms: f64) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
         let idx = (ms / self.bin_ms()).floor() as usize;
-        let mut acc: u64 = self.counts.iter().take(idx + 1).sum();
         // Overflow samples lie somewhere in [bin range end, max]; they are
         // certainly at-or-below `ms` once `ms` reaches the recorded max.
-        if idx >= self.counts.len() && ms >= self.max() {
-            acc += self.overflow;
-        }
+        let overflow_in = idx >= self.n_bins && ms >= self.max();
+        let acc: u64 = self
+            .counts
+            .iter()
+            .filter(|&(&us, _)| self.bin_of(us).map_or(overflow_in, |i| i <= idx))
+            .map(|(_, &c)| c)
+            .sum();
         acc as f64 / self.n as f64
     }
 }
@@ -374,12 +418,6 @@ impl Tally {
         self.cause.total_requests()
     }
 
-    /// Requests that were served, i.e. did not fail — the latency
-    /// population.
-    pub fn served(&self) -> u64 {
-        self.requests() - self.cause.failed.requests
-    }
-
     /// Requests answered entirely at the first-hop server.
     pub fn local_requests(&self) -> u64 {
         self.cause.replica_hit.requests + self.cause.cache_hit.requests
@@ -485,7 +523,7 @@ pub fn render_samples_jsonl(run: &str, report: &SimReport, out: &mut String) {
 }
 
 /// Per-server digest within a [`SimReport`] — the operator's per-POP view.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSummary {
     pub server: usize,
     pub measured_requests: u64,
@@ -501,7 +539,7 @@ pub struct ServerSummary {
 }
 
 /// Whole-system simulation result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Response-time distribution over measured (post-warm-up) requests.
     pub histogram: LatencyHistogram,
@@ -691,6 +729,30 @@ mod tests {
     }
 
     #[test]
+    fn quantile_us_is_the_exact_order_statistic() {
+        let fed = |values: &[u64]| {
+            let mut h = LatencyHistogram::default();
+            for &v in values {
+                h.record(v);
+            }
+            h
+        };
+        assert_eq!([0.0, 0.5, 1.0].map(|q| fed(&[]).quantile_us(q)), [0; 3]);
+        // Rank ceil(q·n), clamped to [1, n], of 20, 20, 40, 60, 100 ms.
+        let values = [60_000, 20_000, 100_000, 20_000, 40_000];
+        let all = fed(&values);
+        let ranked = [0.0, 0.4, 0.41, 0.8, 0.99, 1.0].map(|q| all.quantile_us(q));
+        assert_eq!(ranked, [20_000, 20_000, 40_000, 60_000, 100_000, 100_000]);
+        // Merging the parts in either order equals one feed.
+        let (a, b) = (fed(&values[..2]), fed(&values[2..]));
+        let (mut ab, mut ba) = (a.clone(), b.clone());
+        ab.merge(&b);
+        ba.merge(&a);
+        assert_eq!(ab, all);
+        assert_eq!(ba, all);
+    }
+
+    #[test]
     fn fraction_at_or_below_matches_cdf() {
         let mut h = LatencyHistogram::new(1_000, 100);
         h.record(10_000);
@@ -870,7 +932,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a, both);
         assert_eq!(both.requests(), 7);
-        assert_eq!((both.served(), both.local_requests()), (6, 2));
+        assert_eq!(both.local_requests(), 2);
     }
 
     #[test]

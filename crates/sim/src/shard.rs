@@ -1,8 +1,7 @@
 //! Sharding of the per-server fan-out.
 //!
-//! At internet scale (thousands of servers, 10^8+ requests) the runner no
-//! longer retains one full [`crate::engine::ServerReport`] per server —
-//! two 4096-bin histograms each would pin ~130 MB at N = 2000. Instead the
+//! At internet scale (thousands of servers, 10^8+ requests) the runner does
+//! not retain one full [`crate::engine::ServerReport`] per server. Instead the
 //! fleet is split into contiguous *shards* of servers; each shard runs its
 //! servers sequentially (in server order) and folds each report into one
 //! accumulator per shard as soon as the server finishes, keeping only the
@@ -14,7 +13,7 @@
 //! * Shards are contiguous, balanced server ranges, so concatenating shard
 //!   outputs in shard order recovers exact global server order.
 //! * Every accumulator is an integer (the request [`crate::Tally`],
-//!   histogram bins, µs latency sums) or a max, so folds and merges
+//!   histogram counts, µs latency sums) or a max, so folds and merges
 //!   commute. Results are therefore
 //!   bit-identical at any thread count *and* any shard count.
 

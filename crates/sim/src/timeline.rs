@@ -7,17 +7,20 @@
 //! through [`Tally::record`], so the windowed counters summed across all
 //! windows equal the run-level counters by construction.
 //!
+//! Each window also keeps the exact latency counts of its served requests
+//! in a [`LatencyHistogram`], the type the run and every server use, so a
+//! window's quantiles are exact order statistics and never exceed its max.
+//!
 //! Determinism follows the §9.1 contract: per-server window series are
 //! accumulated inside the (embarrassingly parallel) per-server loops and
 //! folded into the global timeline at the final merge. Every fold is an
-//! integer add (tallies, sketch buckets) or a max, so the fold order
+//! integer add (tallies, latency counts) or a max, so the fold order
 //! cannot move a bit; the per-server series are kept in ascending server
 //! order, so timelines are byte-identical at any thread and shard count.
 
-use crate::metrics::{us_to_ms, Cause, Outcome, Tally};
+use crate::metrics::{us_to_ms, Cause, LatencyHistogram, Outcome, Tally};
 use cdn_cache::Cache;
 use cdn_telemetry::json::escape_into;
-use cdn_telemetry::QuantileSketch;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -28,9 +31,8 @@ use std::fmt::Write as _;
 pub struct WindowStats {
     /// The window's measured requests (failed ones included).
     pub tally: Tally,
-    /// Per-window latency quantiles with a guaranteed relative error of
-    /// [`cdn_telemetry::RELATIVE_ERROR`].
-    pub sketch: QuantileSketch,
+    /// Latencies of the window's served requests, exact.
+    pub latency: LatencyHistogram,
     /// Cache occupancy snapshotted when the window closed.
     pub cache_used_bytes: u64,
     /// Evictions that happened during this window (close − open snapshot).
@@ -44,26 +46,23 @@ pub struct WindowStats {
 impl WindowStats {
     /// Mean latency over served requests (0 when none).
     pub fn mean_ms(&self) -> f64 {
-        match self.tally.served() {
-            0 => 0.0,
-            served => us_to_ms(self.tally.cause.total_latency_us()) / served as f64,
-        }
+        self.latency.mean()
     }
 
-    /// Sketch quantile, 0 when the window served nothing.
+    /// Exact latency quantile, 0 when the window served nothing.
     pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.sketch.percentile(q).unwrap_or(0.0)
+        us_to_ms(self.latency.quantile_us(q))
     }
 
     /// Largest served latency, 0 when the window served nothing.
     pub fn max_ms(&self) -> f64 {
-        self.sketch.max().unwrap_or(0.0)
+        self.latency.max()
     }
 
     /// Fold `other` into `self`: integer adds and maxima, so folds commute.
     pub fn merge(&mut self, other: &Self) {
         self.tally.merge(&other.tally);
-        self.sketch.merge(&other.sketch);
+        self.latency.merge(&other.latency);
         self.cache_used_bytes += other.cache_used_bytes;
         self.evictions += other.evictions;
         self.top_site = hottest(self.top_site.into_iter().chain(other.top_site));
@@ -185,7 +184,7 @@ impl TimelineAcc {
             .expect("roll() opens a window first");
         w.tally.record(outcome);
         if outcome.cause != Cause::Failed {
-            w.sketch.record(us_to_ms(outcome.latency_us));
+            w.latency.record(outcome.latency_us);
         }
     }
 
@@ -357,7 +356,7 @@ mod tests {
                 from_origin: false,
             });
             if cause != Cause::Failed {
-                w.sketch.record(us_to_ms(latency_us));
+                w.latency.record(latency_us);
             }
         }
         w
@@ -376,13 +375,16 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.tally.requests(), 15);
         assert_eq!(a.tally.cause.failed.requests, 2);
-        assert_eq!(a.tally.served(), 13);
+        assert_eq!(a.latency.count(), 13);
         assert_eq!(a.cache_used_bytes, 150);
         assert_eq!(a.evictions, 5);
         // Equal counts: the lower site id wins, regardless of merge side.
         assert_eq!(a.top_site, Some((1, 7)));
         assert_eq!(a.tally.cause.total_latency_us(), 8 * 20_000 + 5 * 40_000);
         assert_eq!(a.mean_ms(), (8.0 * 20.0 + 5.0 * 40.0) / 13.0);
+        // Exact quantiles of the merged latencies: eight 20 ms, five 40 ms.
+        let ladder = [a.quantile_ms(0.5), a.quantile_ms(0.99), a.max_ms()];
+        assert_eq!(ladder, [20.0, 40.0, 40.0]);
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //!   spans exported as Chrome Trace Event Format JSON. Deliberately
 //!   non-deterministic, so its output lives strictly in its own file
 //!   (`--profile-out`) and never in anything byte-diffed.
-//! * [`timeline`] — windowed telemetry primitives: a [`QuantileSketch`]
-//!   with deterministic bit-manipulation bucket layout, a sparkline
-//!   renderer, and an OpenMetrics snapshot exporter.
+//! * [`timeline`] — windowed telemetry rendering: a sparkline renderer and
+//!   an OpenMetrics snapshot exporter.
 //!
 //! ## Determinism contract
 //!
@@ -51,7 +50,6 @@ mod trace;
 
 pub use event::Value;
 pub use registry::{Counter, Gauge, Histogram, Registry};
-pub use timeline::{QuantileSketch, RELATIVE_ERROR};
 pub use trace::{SpanId, Trace, TraceBuffer};
 
 use std::sync::atomic::{AtomicBool, Ordering};

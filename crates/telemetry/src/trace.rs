@@ -93,6 +93,49 @@ impl Recorder {
         assert_eq!(span, id.0, "span exits must nest (LIFO)");
         self.records.push(Record::Exit { span, records });
     }
+
+    /// Append a closed buffer's records under the open span, renumbering
+    /// its local span ids into this recorder's id space. The buffer's root
+    /// records count as direct children of the open span; returns how many
+    /// attached to no span because none was open.
+    ///
+    /// # Panics
+    /// Panics if the buffer still has a span open.
+    fn splice(&mut self, buf: TraceBuffer) -> u64 {
+        assert!(
+            buf.inner.stack.is_empty(),
+            "TraceBuffer merged with {} span(s) still open",
+            buf.inner.stack.len()
+        );
+        let offset = self.next_span - 1;
+        let attach = self.stack.last().map_or(0, |&(id, _)| id);
+        let unattached = match self.stack.last_mut() {
+            Some(top) => {
+                top.1 += buf.root_records;
+                0
+            }
+            None => buf.root_records,
+        };
+        self.records
+            .extend(buf.inner.records.into_iter().map(|rec| match rec {
+                Record::Enter { span, parent, name } => Record::Enter {
+                    span: remap(span, offset, attach),
+                    parent: remap(parent, offset, attach),
+                    name,
+                },
+                Record::Event { span, name, fields } => Record::Event {
+                    span: remap(span, offset, attach),
+                    name,
+                    fields,
+                },
+                Record::Exit { span, records } => Record::Exit {
+                    span: remap(span, offset, attach),
+                    records,
+                },
+            }));
+        self.next_span += buf.inner.next_span - 1;
+        unattached
+    }
 }
 
 /// The process-wide trace sink. Use from sequential code only; parallel
@@ -132,31 +175,7 @@ impl Trace {
     /// Merging buffers in a fixed order (server index, not completion
     /// order) is what keeps the stream thread-schedule independent.
     pub fn merge(&mut self, buf: TraceBuffer) {
-        let buf = buf.finish();
-        let offset = self.inner.next_span - 1;
-        let attach = self.inner.stack.last().map_or(0, |&(id, _)| id);
-        if let Some(top) = self.inner.stack.last_mut() {
-            top.1 += buf.root_records;
-        }
-        for rec in buf.records {
-            self.inner.records.push(match rec {
-                Record::Enter { span, parent, name } => Record::Enter {
-                    span: remap(span, offset, attach),
-                    parent: remap(parent, offset, attach),
-                    name,
-                },
-                Record::Event { span, name, fields } => Record::Event {
-                    span: remap(span, offset, attach),
-                    name,
-                    fields,
-                },
-                Record::Exit { span, records } => Record::Exit {
-                    span: remap(span, offset, attach),
-                    records,
-                },
-            });
-        }
-        self.inner.next_span += buf.next_span - 1;
+        self.inner.splice(buf);
     }
 
     /// Render all buffered records as JSONL and clear them. Sequence
@@ -224,12 +243,6 @@ pub struct TraceBuffer {
     root_records: u64,
 }
 
-struct FinishedBuffer {
-    records: Vec<Record>,
-    next_span: u64,
-    root_records: u64,
-}
-
 impl TraceBuffer {
     pub fn new() -> Self {
         TraceBuffer {
@@ -263,45 +276,7 @@ impl TraceBuffer {
     /// exactly the records of merging each child into the trace directly,
     /// in the same order.
     pub fn merge_child(&mut self, child: TraceBuffer) {
-        let child = child.finish();
-        let offset = self.inner.next_span - 1;
-        let attach = self.inner.stack.last().map_or(0, |&(id, _)| id);
-        match self.inner.stack.last_mut() {
-            Some(top) => top.1 += child.root_records,
-            None => self.root_records += child.root_records,
-        }
-        for rec in child.records {
-            self.inner.records.push(match rec {
-                Record::Enter { span, parent, name } => Record::Enter {
-                    span: remap(span, offset, attach),
-                    parent: remap(parent, offset, attach),
-                    name,
-                },
-                Record::Event { span, name, fields } => Record::Event {
-                    span: remap(span, offset, attach),
-                    name,
-                    fields,
-                },
-                Record::Exit { span, records } => Record::Exit {
-                    span: remap(span, offset, attach),
-                    records,
-                },
-            });
-        }
-        self.inner.next_span += child.next_span - 1;
-    }
-
-    fn finish(self) -> FinishedBuffer {
-        assert!(
-            self.inner.stack.is_empty(),
-            "TraceBuffer merged with {} span(s) still open",
-            self.inner.stack.len()
-        );
-        FinishedBuffer {
-            records: self.inner.records,
-            next_span: self.inner.next_span,
-            root_records: self.root_records,
-        }
+        self.root_records += self.inner.splice(child);
     }
 }
 

@@ -258,16 +258,37 @@ fn zero_window_is_bit_identical_to_no_window() {
     let off = run_timeline(2, None, None);
     let zero = run_timeline(2, None, Some(0));
     assert!(off.timeline.is_none());
-    assert!(zero.timeline.is_none());
-    assert_eq!(
-        off.mean_latency_ms.to_bits(),
-        zero.mean_latency_ms.to_bits()
+    assert_eq!(off, zero);
+}
+
+/// The committed fig3 timeline reports exact window quantiles: in every
+/// global and per-server window, p50 ≤ p90 ≤ p99 ≤ max.
+#[test]
+fn golden_timeline_quantiles_are_ordered_and_bounded_by_the_max() {
+    use telemetry::json::Json;
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/quick/fig3_timeline.json"
     );
-    assert_eq!(off.histogram.cdf(), zero.histogram.cdf());
-    assert_eq!(off.measured_requests, zero.measured_requests);
-    assert_eq!(off.cache_hits, zero.cache_hits);
-    assert_eq!(off.replica_hits, zero.replica_hits);
-    assert_eq!(off.total_bytes, zero.total_bytes);
-    assert_eq!(off.cause, zero.cause);
-    assert_eq!(off.samples, zero.samples);
+    let text = std::fs::read_to_string(path).expect("read the fig3 timeline golden");
+    let doc = telemetry::json::parse(&text).expect("the golden parses");
+    let mut windows = 0;
+    for run in doc.get("runs").and_then(Json::as_arr).expect("runs") {
+        let servers = run.get("servers").and_then(Json::as_arr).expect("servers");
+        for section in std::iter::once(run).chain(servers) {
+            let [p50, p90, p99, max] = ["p50_ms", "p90_ms", "p99_ms", "max_ms"].map(|name| {
+                let column = section.get(name).and_then(Json::as_arr).expect(name);
+                column
+                    .iter()
+                    .map(|v| v.as_f64().expect(name))
+                    .collect::<Vec<_>>()
+            });
+            for i in 0..max.len() {
+                let q = [p50[i], p90[i], p99[i], max[i]];
+                assert!(q.windows(2).all(|w| w[0] <= w[1]), "window {i}: {q:?}");
+                windows += 1;
+            }
+        }
+    }
+    assert!(windows > 0, "the golden has no windows");
 }
