@@ -27,6 +27,29 @@ fn series_counters() -> &'static SeriesCounters {
     })
 }
 
+/// The work of one Eq. (1) query, in the units of the `lru_model.*`
+/// counters. A degenerate query (`K ≤ 0` or `p ≤ 0`) sums no series and
+/// does no work.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SeriesWork {
+    evaluations: u64,
+    terms: u64,
+    cutoffs: u64,
+}
+
+impl SeriesWork {
+    /// Flush into the registry as commutative atomic adds: totals are exact
+    /// for any thread schedule.
+    pub(crate) fn account(self) {
+        if self.evaluations > 0 && telemetry::enabled() {
+            let c = series_counters();
+            c.evals.add(self.evaluations);
+            c.terms.add(self.terms);
+            c.cutoffs.add(self.cutoffs);
+        }
+    }
+}
+
 /// `1 − (1 − p)^K` for `p ∈ [0, 1]`, `K > 0`, evaluated as
 /// `−expm1(K·ln_1p(−p))`: one log/exp pair instead of `powf`, and
 /// better-conditioned where the Zipf tail lives (`p → 0` would round
@@ -191,12 +214,22 @@ impl LruModel {
     ///
     /// `h = Σ_{rank=1..L} [1 − (1 − p_site·α/rank^θ)^K] · α/rank^θ`
     pub fn site_hit_ratio(&self, p_site: f64, k: f64) -> f64 {
+        let (h, work) = self.evaluate(p_site, k);
+        work.account();
+        h
+    }
+
+    /// [`Self::site_hit_ratio`] with its series work returned instead of
+    /// accounted. A memo table evaluates with no lock held and accounts
+    /// only the fill whose insert wins, so the counters count each cell
+    /// once whatever the thread schedule.
+    pub(crate) fn evaluate(&self, p_site: f64, k: f64) -> (f64, SeriesWork) {
+        let mut work = SeriesWork::default();
         if k <= 0.0 || p_site <= 0.0 {
-            return 0.0;
+            return (0.0, work);
         }
+        work.evaluations = 1;
         let mut h = 0.0;
-        let mut terms: u64 = 0;
-        let mut cut = false;
         // Hot loop (memo-table fills): iterate the precomputed pmf directly,
         // with `residency` replacing the old per-entry `powf`.
         for &pmf in self.zipf.pmf_slice() {
@@ -208,24 +241,13 @@ impl LruModel {
             // < 1e-14 — two orders inside the 1e-12 accuracy the regression
             // test asserts against the naive sum.
             if p < 0.5 && 2.0 * k * p < 1e-14 {
-                cut = true;
+                work.cutoffs = 1;
                 break;
             }
-            terms += 1;
+            work.terms += 1;
             h += residency(p, k) * pmf;
         }
-        // Work accounting: locally tallied, flushed as commutative atomic
-        // adds — totals are exact for any thread schedule, and, because the
-        // memo layers above are compute-once, a pure function of the run.
-        if telemetry::enabled() {
-            let c = series_counters();
-            c.evals.inc();
-            c.terms.add(terms);
-            if cut {
-                c.cutoffs.inc();
-            }
-        }
-        h.min(1.0)
+        (h.min(1.0), work)
     }
 
     /// Hit ratio adjusted for a fraction `lambda` of uncacheable requests —

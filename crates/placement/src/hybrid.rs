@@ -29,7 +29,7 @@
 //! scan ([`HybridConfig::dense_scan`]) at any thread count.
 
 use crate::cost::predicted_cost;
-use crate::oracle::{CheOracle, ClosedFormOracle, HitRatioOracle, PaperOracle};
+use crate::oracle::{memoised, CheOracle, ClosedFormOracle, HitRatioOracle, PaperOracle};
 use crate::problem::PlacementProblem;
 use crate::solution::Placement;
 use crate::Hops;
@@ -292,22 +292,16 @@ impl ShrinkMemo {
         i: usize,
         new_buf: usize,
     ) -> f64 {
+        // The sum is evaluated at the bucket's canonical representative and
+        // the placement is fixed during a scan, so the value is a pure
+        // function of the bucket and racing workers may both compute it.
         let bucket = Self::bucket(new_buf);
-        // Compute-once: hold the per-server lock across the evaluation so
-        // racing workers never both fill the same bucket. The value would
-        // be identical either way (the representative is canonical), but
-        // the *amount* of oracle work must be schedule-independent for the
-        // telemetry work counters to be bit-identical across thread counts.
-        let mut cells = self.s[i].lock();
-        if let Some(&s) = cells.get(&bucket) {
-            return s;
-        }
-        let rep = Self::representative(bucket);
-        let s = weighted_hit_sum(problem, placement, i, |k| {
-            adjusted_hit(problem, oracle, i, k, rep)
-        });
-        cells.insert(bucket, s);
-        s
+        memoised(&self.s[i], bucket, || {
+            let rep = Self::representative(bucket);
+            weighted_hit_sum(problem, placement, i, |k| {
+                adjusted_hit(problem, oracle, i, k, rep)
+            })
+        })
     }
 }
 

@@ -11,6 +11,7 @@
 use cdn_lru_model::{CheModel, ClosedFormLru, DemandScale, HitRatioTable, LruModel};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// A predictor of per-site LRU hit ratios.
 pub trait HitRatioOracle: Sync + Send {
@@ -30,6 +31,23 @@ pub trait HitRatioOracle: Sync + Send {
     }
 }
 
+/// Look `key` up in `memo`; on a miss, run `compute` with no lock held,
+/// insert its value unless a racing worker got there first, and return the
+/// stored value. Planner memo values are pure functions of their keys, so a
+/// racing loser's copy is bit-identical and dropped; work counted beneath
+/// `compute` is accounted once per cell by the [`HitRatioTable`] itself.
+pub(crate) fn memoised<K: Hash + Eq>(
+    memo: &Mutex<HashMap<K, f64>>,
+    key: K,
+    compute: impl FnOnce() -> f64,
+) -> f64 {
+    if let Some(&v) = memo.lock().get(&key) {
+        return v;
+    }
+    let v = compute();
+    *memo.lock().entry(key).or_insert(v)
+}
+
 /// The paper's model. Per the paper's implementation notes:
 ///
 /// * `p_B` — the cumulative popularity of the top-B objects — is computed
@@ -47,8 +65,7 @@ pub struct PaperOracle {
     /// exact O(B) summation and every oracle query needs the horizon just
     /// to build its memo-table key, so planners re-probing the same
     /// buffers would otherwise pay the summation millions of times.
-    /// Compute-once under the lock: the amount of model work stays a pure
-    /// function of the query set, independent of thread schedule.
+    /// Filled with no lock held across the summation (see [`memoised`]).
     horizons: Vec<Mutex<HashMap<usize, f64>>>,
 }
 
@@ -74,16 +91,11 @@ impl PaperOracle {
     }
 
     fn horizon(&self, server: usize, b: usize) -> f64 {
-        let mut memo = self.horizons[server].lock();
-        if let Some(&k) = memo.get(&b) {
-            return k;
-        }
-        let k = self
-            .table
-            .model()
-            .eviction_horizon_approx(b, self.p_b[server]);
-        memo.insert(b, k);
-        k
+        memoised(&self.horizons[server], b, || {
+            self.table
+                .model()
+                .eviction_horizon_approx(b, self.p_b[server])
+        })
     }
 
     /// The fixed `p_B` of a server.
@@ -120,9 +132,10 @@ impl HitRatioOracle for PaperOracle {
 }
 
 /// Che's approximation, memoising the characteristic time per
-/// `(server, buffer)` pair. Solving for `t_C` costs O(M·L) per distinct
-/// buffer size, so this oracle is intended for small instances (the
-/// ablation) rather than paper-scale planning.
+/// `(server, buffer)` pair, with no lock held across the solve. Solving
+/// for `t_C` costs O(M·L) per distinct buffer size, so this oracle is
+/// intended for small instances (the ablation) rather than paper-scale
+/// planning.
 pub struct CheOracle {
     model: CheModel,
     per_server_pops: Vec<Vec<f64>>,
@@ -140,18 +153,10 @@ impl CheOracle {
     }
 
     fn characteristic_time(&self, server: usize, b: usize) -> f64 {
-        // Compute-once: hold the lock across the solve so racing workers
-        // never both pay O(M·L) for the same cell, and so the amount of
-        // model work is deterministic for any thread schedule.
-        let mut memo = self.memo.lock();
-        if let Some(&t) = memo.get(&(server, b)) {
-            return t;
-        }
-        let t = self
-            .model
-            .characteristic_time(&self.per_server_pops[server], b);
-        memo.insert((server, b), t);
-        t
+        memoised(&self.memo, (server, b), || {
+            self.model
+                .characteristic_time(&self.per_server_pops[server], b)
+        })
     }
 }
 
@@ -167,9 +172,8 @@ impl HitRatioOracle for CheOracle {
 
 /// The closed-form model: per-site hit ratios in O(1) arithmetic once the
 /// shared characteristic scale `τ` of a `(server, buffer)` pair is known.
-/// The `τ` bisection costs O(M·64) and is memoised compute-once, so racing
-/// rayon workers never both pay for it and the amount of solver work is a
-/// pure function of the query set — independent of thread schedule.
+/// The `τ` bisection costs O(M·64) and is memoised per `(server, buffer)`,
+/// with no lock held across the solve.
 pub struct ClosedFormOracle {
     model: ClosedFormLru,
     /// Per-server demand geometry (site popularity mix).
@@ -197,13 +201,9 @@ impl ClosedFormOracle {
     }
 
     fn characteristic_scale(&self, server: usize, b: usize) -> f64 {
-        let mut memo = self.memo.lock();
-        if let Some(&tau) = memo.get(&(server, b)) {
-            return tau;
-        }
-        let tau = self.model.characteristic_scale(b, &self.scales[server]);
-        memo.insert((server, b), tau);
-        tau
+        memoised(&self.memo, (server, b), || {
+            self.model.characteristic_scale(b, &self.scales[server])
+        })
     }
 }
 

@@ -34,8 +34,9 @@
 //!    stream does not depend on task interleaving.
 //! 3. Counter totals are sums of per-task contributions; addition is
 //!    commutative, so totals are exact across thread counts — provided the
-//!    *amount of work* is deterministic. Memoisation layers upstream use
-//!    compute-once semantics for exactly this reason.
+//!    *amount of work* counted is deterministic. Memoisation layers
+//!    upstream account a cell's work only on the insert that fills it, so
+//!    a racing worker whose copy is dropped adds nothing.
 //!
 //! Telemetry is disabled by default ([`enabled`] returns `false`) and all
 //! instrumentation call sites are gated on it, so an uninstrumented run
