@@ -6,27 +6,35 @@
 //! `(key, timestamp_us)` pairs; this module gives them simulation
 //! semantics:
 //!
-//! * **Export** — [`export_events`] walks a synthetic scenario's
-//!   per-server streams in a deterministic round-robin interleave and
-//!   packs each request as `key = (site << 32) | object` with a
-//!   strictly increasing timestamp, so any scenario can be round-tripped
-//!   through a trace file.
+//! * **Export** — [`export_events`] interleaves a synthetic scenario's
+//!   per-server streams in (tick, server) order and packs each request as
+//!   `key = (site << 32) | object` with timestamp `tick * 1000 + server`
+//!   µs, so any scenario can be round-tripped through a trace file. Above
+//!   1,000 servers these timestamps tie and step back (see
+//!   [`export_events`]); replay sorts, so it does not depend on that
+//!   order.
 //! * **Ingest** — [`parse_csv_trace`] converts text traces (either
 //!   `timestamp_us,key` or `timestamp_us,site,object` columns) into
 //!   events, sorting stably by timestamp.
 //! * **Replay** — [`ReplayStreams::from_events`] partitions events
 //!   across servers by a deterministic key hash (all requests for an
 //!   object land on one server, the regime where delayed-hit coalescing
-//!   matters) and clamps sites/objects into the replaying scenario's
-//!   catalog, so any trace replays against any scenario. The resulting
-//!   per-server streams feed [`cdn_sim::simulate_system_streams`], which
-//!   keeps replay byte-identical at any thread or shard count (DESIGN.md
-//!   §9.1: per-server state is keyed on the deterministic stream tick).
+//!   matters), sorts each server's events stably by timestamp, and clamps
+//!   sites/objects into the replaying scenario's catalog, so any trace
+//!   replays against any scenario. The resulting per-server streams feed
+//!   [`cdn_sim::simulate_system_streams`], which keeps replay
+//!   byte-identical at any thread or shard count (DESIGN.md §9.1:
+//!   per-server state is keyed on the deterministic stream tick).
 
 use crate::scenario::{cache_factory, Scenario};
 use crate::strategy::PlanResult;
 use cdn_sim::{simulate_system_streams, SimReport};
 use cdn_workload::{pack_key, unpack_key, Flavor, Request, TraceEvent};
+use rayon::prelude::*;
+
+/// Ticks [`export_events`] draws from every server's stream per parallel
+/// round before interleaving them.
+const EXPORT_BLOCK_TICKS: usize = 1024;
 
 /// Deterministic 64-bit mix (splitmix64 finaliser) for the key → server
 /// partition. Not a security hash; just a stable spreader.
@@ -40,33 +48,53 @@ fn mix64(mut x: u64) -> u64 {
 
 /// Export a scenario's synthetic workload as a timestamped event list.
 ///
-/// Per-server streams are interleaved round-robin (server 0's tick t,
-/// server 1's tick t, …, then tick t+1), which is deterministic and gives
-/// every event a unique, strictly increasing timestamp:
-/// `t * 1000 + server` microseconds — i.e. a virtual 1 ms between
-/// consecutive ticks of one server.
+/// Events come in (tick, server) order — server 0's tick t, server 1's
+/// tick t, …, then tick t+1 — and tick t of server s is stamped
+/// `t * 1000 + server` microseconds, a virtual 1 ms between consecutive
+/// ticks of one server. With at most 1,000 servers the timestamps are
+/// unique and strictly increasing. Above that they are neither: tick t on
+/// server 1000+k gets the same timestamp as tick t+1 on server k, and the
+/// sequence steps back once per tick. Replay does not depend on the order
+/// ([`ReplayStreams::from_events`] sorts each server's events).
+///
+/// Each server's stream is seeded on its own and reads no other stream's
+/// state, so blocks of [`EXPORT_BLOCK_TICKS`] ticks are drawn from all
+/// streams in parallel and then interleaved; the output is identical at
+/// any thread count.
 pub fn export_events(scenario: &Scenario) -> Vec<TraceEvent> {
-    let n = scenario.trace.n_servers();
-    let mut streams: Vec<_> = (0..n)
-        .map(|s| scenario.trace.stream_for_server(s))
+    let trace = &scenario.trace;
+    let n = trace.n_servers();
+    let total: u64 = (0..n).map(|s| trace.len_for_server(s)).sum();
+    let mut lanes: Vec<_> = (0..n)
+        .map(|s| (trace.stream_for_server(s), Vec::new()))
         .collect();
-    let mut events = Vec::new();
-    let mut tick: u64 = 0;
-    loop {
-        let mut any = false;
-        for (server, stream) in streams.iter_mut().enumerate() {
-            if let Some(req) = stream.next() {
-                any = true;
-                events.push(TraceEvent {
-                    key: pack_key(req.site, req.object),
-                    timestamp_us: tick * 1000 + server as u64,
-                });
+    let mut events = Vec::with_capacity(total as usize);
+    for first_tick in (0u64..).step_by(EXPORT_BLOCK_TICKS) {
+        lanes.par_iter_mut().for_each(|(stream, keys)| {
+            keys.clear();
+            keys.extend(
+                stream
+                    .take(EXPORT_BLOCK_TICKS)
+                    .map(|req| pack_key(req.site, req.object)),
+            );
+        });
+        for offset in 0..EXPORT_BLOCK_TICKS {
+            let tick = first_tick + offset as u64;
+            for (server, (_, keys)) in lanes.iter().enumerate() {
+                if let Some(&key) = keys.get(offset) {
+                    events.push(TraceEvent {
+                        key,
+                        timestamp_us: tick * 1000 + server as u64,
+                    });
+                }
             }
         }
-        if !any {
+        if lanes
+            .iter()
+            .all(|(_, keys)| keys.len() < EXPORT_BLOCK_TICKS)
+        {
             break;
         }
-        tick += 1;
     }
     events
 }
@@ -144,10 +172,17 @@ impl ReplayStreams {
     /// * Order: stable by timestamp (ties keep input order), so replay is
     ///   independent of how the trace was produced or stored.
     ///
+    /// The events are first moved, in input order, into one exactly sized
+    /// buffer per server, and the input is dropped; each server's buffer is
+    /// then sorted stably by timestamp in parallel. Filtering a stable sort
+    /// by server gives the same order as stable-sorting each server's
+    /// filtered events, so this equals one global sort followed by the
+    /// partition.
+    ///
     /// All requests replay as [`Flavor::Normal`]; the `.events` format
     /// carries no uncacheable/expired flags.
     pub fn from_events(
-        mut events: Vec<TraceEvent>,
+        events: Vec<TraceEvent>,
         n_servers: usize,
         m_sites: usize,
         objects_per_site: usize,
@@ -155,17 +190,35 @@ impl ReplayStreams {
         assert!(n_servers > 0, "need at least one server");
         assert!(m_sites > 0, "need at least one site");
         assert!(objects_per_site > 0, "need at least one object per site");
-        events.sort_by_key(|e| e.timestamp_us);
-        let mut streams = vec![Vec::new(); n_servers];
+        let server_of = |key: u64| (mix64(key) % n_servers as u64) as usize;
+        let mut counts = vec![0usize; n_servers];
         for e in &events {
-            let (site, object) = unpack_key(e.key);
-            let server = (mix64(e.key) % n_servers as u64) as usize;
-            streams[server].push(Request {
-                site: site % m_sites as u32,
-                object: object % objects_per_site as u32,
-                flavor: Flavor::Normal,
-            });
+            counts[server_of(e.key)] += 1;
         }
+        let mut by_server: Vec<Vec<TraceEvent>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
+        for e in &events {
+            by_server[server_of(e.key)].push(*e);
+        }
+        drop(events);
+        let (m_sites, objects_per_site) = (m_sites as u32, objects_per_site as u32);
+        let streams = by_server
+            .into_par_iter()
+            .map(|mut server_events| {
+                server_events.sort_by_key(|e| e.timestamp_us);
+                server_events
+                    .iter()
+                    .map(|e| {
+                        let (site, object) = unpack_key(e.key);
+                        Request {
+                            site: site % m_sites,
+                            object: object % objects_per_site,
+                            flavor: Flavor::Normal,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         Self { streams }
     }
 
@@ -236,6 +289,86 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort_by_key(|e| e.timestamp_us);
         assert_eq!(sorted, a);
+    }
+
+    #[test]
+    fn export_equals_a_round_robin_over_the_streams_at_any_thread_count() {
+        let s = Scenario::generate(&ScenarioConfig::small());
+        let lengths: Vec<u64> = (0..s.trace.n_servers())
+            .map(|i| s.trace.len_for_server(i))
+            .collect();
+        // The streams cross a block boundary and end at different ticks.
+        assert!(lengths.iter().any(|&l| l > EXPORT_BLOCK_TICKS as u64));
+        assert!(lengths.iter().any(|&l| l != lengths[0]));
+        let mut streams: Vec<_> = (0..lengths.len())
+            .map(|i| s.trace.stream_for_server(i))
+            .collect();
+        let mut naive = Vec::new();
+        for tick in 0u64.. {
+            let before = naive.len();
+            for (server, stream) in streams.iter_mut().enumerate() {
+                if let Some(req) = stream.next() {
+                    naive.push(TraceEvent {
+                        key: pack_key(req.site, req.object),
+                        timestamp_us: tick * 1000 + server as u64,
+                    });
+                }
+            }
+            if naive.len() == before {
+                break;
+            }
+        }
+        let pool = |n: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+        };
+        assert_eq!(pool(1).install(|| export_events(&s)), naive);
+        assert_eq!(pool(4).install(|| export_events(&s)), naive);
+    }
+
+    #[test]
+    fn replay_of_disordered_input_equals_a_global_stable_sort_then_partition() {
+        // The export layout of 1,500 servers: tick t on server 1000+k ties
+        // with tick t+1 on server k, and the sequence steps back once per
+        // tick. Keys come from a small pool, so tied events share a replay
+        // server and their input order decides the stream order.
+        let events: Vec<TraceEvent> = (0..4u64)
+            .flat_map(|tick| {
+                (0..1500u64).map(move |server| TraceEvent {
+                    key: pack_key((server % 7) as u32, (mix64(tick ^ server) % 40) as u32),
+                    timestamp_us: tick * 1000 + server,
+                })
+            })
+            .collect();
+        assert!(events
+            .windows(2)
+            .any(|w| w[0].timestamp_us > w[1].timestamp_us));
+        let (n, m, l) = (3, 5, 30);
+        let mut sorted = events.clone();
+        sorted.sort_by_key(|e| e.timestamp_us);
+        let replay = ReplayStreams::from_events(events, n, m, l);
+        for server in 0..n {
+            let reference: Vec<Request> = sorted
+                .iter()
+                .filter(|e| (mix64(e.key) % n as u64) as usize == server)
+                .map(|e| {
+                    let (site, object) = unpack_key(e.key);
+                    Request {
+                        site: site % m as u32,
+                        object: object % l as u32,
+                        flavor: Flavor::Normal,
+                    }
+                })
+                .collect();
+            assert!(!reference.is_empty());
+            assert_eq!(
+                replay.stream_for_server(server).collect::<Vec<_>>(),
+                reference,
+                "server {server}"
+            );
+        }
     }
 
     #[test]

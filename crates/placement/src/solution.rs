@@ -1,6 +1,7 @@
-//! The mutable placement: the X matrix, per-server free space, and the
-//! nearest-replica (`SN`) pointers, maintained incrementally as replicas
-//! are created — the book-keeping of lines 19–25 of the paper's Figure 2.
+//! The mutable placement: the X matrix, each site's list of replicators,
+//! per-server free space, and the nearest-replica (`SN`) pointers,
+//! maintained incrementally as replicas are created — the book-keeping of
+//! lines 19–25 of the paper's Figure 2.
 
 use crate::problem::PlacementProblem;
 use crate::Hops;
@@ -32,6 +33,9 @@ pub struct Placement {
     m: usize,
     /// `x[i * m + j]` — true if site j is replicated at server i.
     x: Vec<bool>,
+    /// `holders[j]` — the servers replicating site j, ascending: column j
+    /// of `x` as a list, so walking a site's copies costs O(replicas).
+    holders: Vec<Vec<u32>>,
     /// `nearest[i * m + j]` — SN_j^(i).
     nearest: Vec<Nearest>,
     /// Capacity remaining at each server (available to the cache).
@@ -49,6 +53,7 @@ impl Placement {
             n,
             m,
             x: vec![false; n * m],
+            holders: vec![Vec::new(); m],
             nearest: vec![Nearest::Primary; n * m],
             free_bytes: problem.capacities.clone(),
             replica_count: 0,
@@ -95,9 +100,9 @@ impl Placement {
         self.replica_count
     }
 
-    /// Servers replicating site `j`.
+    /// Servers replicating site `j`, ascending.
     pub fn replicators_of(&self, j: usize) -> Vec<usize> {
-        (0..self.n).filter(|&i| self.is_replicated(i, j)).collect()
+        self.holders[j].iter().map(|&k| k as usize).collect()
     }
 
     /// Sites replicated at server `i`.
@@ -130,6 +135,9 @@ impl Placement {
             "replica ({i}, {j}) exceeds free space"
         );
         self.x[i * self.m + j] = true;
+        let list = &mut self.holders[j];
+        let at = list.partition_point(|&k| (k as usize) < i);
+        list.insert(at, i as u32);
         self.free_bytes[i] -= problem.site_bytes[j];
         self.replica_count += 1;
         let mut improved = Vec::new();
@@ -147,54 +155,53 @@ impl Placement {
 
     /// Remove the replica `(i, j)`, restoring free space and recomputing
     /// every server's SN pointer for site `j` (the only affected column).
-    /// O(N²). Used by the backtracking heuristic.
+    /// O(N × replicas of `j`). Used by the backtracking heuristic.
     ///
     /// # Panics
     /// Panics if the replica does not exist.
     pub fn remove_replica(&mut self, problem: &PlacementProblem, i: usize, j: usize) {
         assert!(self.is_replicated(i, j), "replica ({i}, {j}) absent");
         self.x[i * self.m + j] = false;
+        let list = &mut self.holders[j];
+        let at = list.partition_point(|&k| (k as usize) < i);
+        list.remove(at);
         self.free_bytes[i] += problem.site_bytes[j];
         self.replica_count -= 1;
         for k in 0..self.n {
-            let mut best = Nearest::Primary;
-            let mut best_d = problem.dist_primary(k, j);
-            for s in 0..self.n {
-                if self.is_replicated(s, j) {
-                    let d = problem.dist_servers(k, s);
-                    if d < best_d || (d == best_d && best == Nearest::Primary) {
-                        best = Nearest::Server(s as u32);
-                        best_d = d;
-                    }
-                }
-            }
-            self.nearest[k * self.m + j] = best;
+            self.nearest[k * self.m + j] = self.fresh_nearest(problem, k, j);
         }
     }
 
-    /// Recompute every SN pointer from scratch — O(N²M); used by tests to
-    /// check the incremental maintenance and by bulk constructors.
+    /// Recompute every SN pointer from scratch — O(NM × replicas per
+    /// site); used by tests to check the incremental maintenance.
     pub fn rebuild_nearest(&mut self, problem: &PlacementProblem) {
         for i in 0..self.n {
             for j in 0..self.m {
-                let mut best = Nearest::Primary;
-                let mut best_d = problem.dist_primary(i, j);
-                for k in 0..self.n {
-                    if self.is_replicated(k, j) {
-                        let d = problem.dist_servers(i, k);
-                        if d < best_d || (d == best_d && best == Nearest::Primary) {
-                            best = Nearest::Server(k as u32);
-                            best_d = d;
-                        }
-                    }
-                }
-                self.nearest[i * self.m + j] = best;
+                self.nearest[i * self.m + j] = self.fresh_nearest(problem, i, j);
             }
         }
+    }
+
+    /// The nearest holder of site `j` for server `i`, derived from the
+    /// holder list: the closest replicator, lowest index first among
+    /// equals, and the primary only when no replica is strictly closer.
+    fn fresh_nearest(&self, problem: &PlacementProblem, i: usize, j: usize) -> Nearest {
+        let mut best = Nearest::Primary;
+        let mut best_d = problem.dist_primary(i, j);
+        for &k in &self.holders[j] {
+            let d = problem.dist_servers(i, k as usize);
+            if d < best_d || (d == best_d && best == Nearest::Primary) {
+                best = Nearest::Server(k);
+                best_d = d;
+            }
+        }
+        best
     }
 
     /// Every holder of site `j` (each replicator plus the primary), ranked
     /// by distance from server `i` — the failover order when holders crash.
+    /// Walks the site's holder list, so it costs O(replicas of `j`), not
+    /// O(N).
     ///
     /// Rank 0 is always exactly `self.nearest(i, j)`: the incremental SN
     /// maintenance in [`add_replica`](Self::add_replica) breaks distance
@@ -208,13 +215,11 @@ impl Placement {
         i: usize,
         j: usize,
     ) -> Vec<RankedHolder> {
-        let mut holders: Vec<RankedHolder> = (0..self.n)
-            .filter(|&k| self.is_replicated(k, j))
-            .map(|k| RankedHolder {
-                holder: Nearest::Server(k as u32),
-                dist: problem.dist_servers(i, k),
-            })
-            .collect();
+        let mut holders: Vec<RankedHolder> = Vec::with_capacity(self.holders[j].len() + 1);
+        holders.extend(self.holders[j].iter().map(|&k| RankedHolder {
+            holder: Nearest::Server(k),
+            dist: problem.dist_servers(i, k as usize),
+        }));
         holders.push(RankedHolder {
             holder: Nearest::Primary,
             dist: problem.dist_primary(i, j),
@@ -291,6 +296,15 @@ impl Placement {
                     );
                 }
             }
+        }
+        for j in 0..self.m {
+            let column: Vec<u32> = (0..self.n as u32)
+                .filter(|&k| self.is_replicated(k as usize, j))
+                .collect();
+            assert_eq!(
+                self.holders[j], column,
+                "holder list of site {j} disagrees with x"
+            );
         }
         let count = self.x.iter().filter(|&&b| b).count();
         assert_eq!(count, self.replica_count, "replica_count drifted");
@@ -447,6 +461,18 @@ mod tests {
         assert_eq!(ranked[1].holder, Nearest::Server(0));
         assert_eq!(ranked[0].dist, ranked[1].dist);
         assert_eq!(ranked[2].holder, Nearest::Primary);
+    }
+
+    #[test]
+    #[should_panic(expected = "holder list of site 2 disagrees with x")]
+    fn validate_checks_holder_lists_against_x() {
+        let p = problem();
+        let mut pl = Placement::primaries_only(&p);
+        pl.add_replica(&p, 0, 2);
+        pl.add_replica(&p, 3, 2);
+        pl.validate(&p);
+        pl.holders[2].reverse();
+        pl.validate(&p);
     }
 
     #[test]

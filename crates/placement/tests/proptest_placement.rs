@@ -3,7 +3,7 @@
 use cdn_placement::{
     adhoc_split, greedy_global, hybrid::hybrid_greedy_paper, hybrid::paper_oracle_for,
     hybrid::pure_caching, predicted_cost, random_placement, replication_only_cost, HybridConfig,
-    Placement, PlacementProblem,
+    Nearest, Placement, PlacementProblem, RankedHolder,
 };
 use proptest::prelude::*;
 
@@ -53,8 +53,67 @@ fn arb_problem() -> impl Strategy<Value = PlacementProblem> {
     })
 }
 
+/// Every holder of site `j` seen from server `i`, found by scanning column
+/// `j` of the replica matrix: sorted by (distance, server index) with the
+/// primary last among equals, then the SN pointer moved to the front.
+fn column_scan_ranking(
+    p: &PlacementProblem,
+    pl: &Placement,
+    i: usize,
+    j: usize,
+) -> Vec<RankedHolder> {
+    let mut holders: Vec<RankedHolder> = (0..p.n_servers())
+        .filter(|&k| pl.is_replicated(k, j))
+        .map(|k| RankedHolder {
+            holder: Nearest::Server(k as u32),
+            dist: p.dist_servers(i, k),
+        })
+        .chain(std::iter::once(RankedHolder {
+            holder: Nearest::Primary,
+            dist: p.dist_primary(i, j),
+        }))
+        .collect();
+    holders.sort_by_key(|h| {
+        let index = match h.holder {
+            Nearest::Server(k) => k,
+            Nearest::Primary => u32::MAX,
+        };
+        (h.dist, index)
+    });
+    let head = holders
+        .iter()
+        .position(|h| h.holder == pl.nearest(i, j))
+        .unwrap();
+    holders[..=head].rotate_right(1);
+    holders
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn holder_lists_match_a_column_scan_after_adds_and_removes(
+        p in arb_problem(),
+        ops in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..40),
+    ) {
+        let mut pl = Placement::primaries_only(&p);
+        for (i, j) in ops {
+            let (i, j) = (i % p.n_servers(), j % p.m_sites());
+            if pl.is_replicated(i, j) {
+                pl.remove_replica(&p, i, j);
+            } else if pl.fits(&p, i, j) {
+                pl.add_replica(&p, i, j);
+            }
+        }
+        pl.validate(&p);
+        for j in 0..p.m_sites() {
+            let column: Vec<usize> = (0..p.n_servers()).filter(|&k| pl.is_replicated(k, j)).collect();
+            prop_assert_eq!(pl.replicators_of(j), column);
+            for i in 0..p.n_servers() {
+                prop_assert_eq!(pl.ranked_holders(&p, i, j), column_scan_ranking(&p, &pl, i, j));
+            }
+        }
+    }
 
     #[test]
     fn greedy_placement_upholds_invariants(p in arb_problem()) {

@@ -4,14 +4,13 @@ use crate::fault::FaultSchedule;
 use crate::metrics::{us_to_ms, Cause, LatencyHistogram, Outcome, RequestSample, Tally};
 use crate::plan::{ConsistencyMode, ServerPlan, SimConfig, HOP_DELAY_US};
 use crate::timeline::{ServerTimeline, TimelineAcc};
-use cdn_cache::{Cache, CacheStats, ObjectKey};
+use cdn_cache::{Cache, CacheStats, FxHashMap, ObjectKey};
 use cdn_telemetry as telemetry;
 use cdn_workload::{Flavor, Request};
-use std::collections::HashMap;
 
 /// In-flight fetch state for delayed-hit coalescing: the configured fetch
 /// latency plus a map of object -> (tick the fetch completes, fetch hops).
-type InflightTable = (u64, HashMap<ObjectKey, (u64, u32)>);
+type InflightTable = (u64, FxHashMap<ObjectKey, (u64, u32)>);
 
 /// Per-site tallies over one server's *measured* requests, gathered only
 /// when telemetry is enabled. Everything here is deterministic: the
@@ -325,11 +324,13 @@ where
     // exact instant-fetch code path, bit for bit. The table is keyed on
     // the deterministic per-server stream tick, so it is byte-identical
     // at any thread or shard count, and entries are retired lazily when
-    // the object is next touched.
+    // the object is next touched. It hashes with the Fx hasher the LRU
+    // cache uses on the same keys; the loop only gets, inserts and
+    // removes, never iterates, so the hasher cannot move a result.
     let mut inflight: Option<InflightTable> = config
         .fetch_latency
         .filter(|&l| l > 0)
-        .map(|l| (l, HashMap::new()));
+        .map(|l| (l, FxHashMap::default()));
 
     for req in requests {
         let tick = total_requests;

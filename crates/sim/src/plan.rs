@@ -33,7 +33,7 @@ pub struct ServerPlan {
 }
 
 impl ServerPlan {
-    /// Extract server `i`'s plan from a placement.
+    /// Extract server `i`'s plan from a placement, in O(M + replicas).
     pub fn from_placement(problem: &PlacementProblem, placement: &Placement, i: usize) -> Self {
         let m = problem.m_sites();
         let replicated = (0..m).map(|j| placement.is_replicated(i, j)).collect();

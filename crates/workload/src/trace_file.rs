@@ -17,7 +17,7 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// File magic: identifies a `.events` trace. 8 bytes, then a u32 version.
@@ -104,16 +104,22 @@ impl From<io::Error> for TraceFileError {
     }
 }
 
+/// Write `events` to `out` as a `.events` stream: header, then records.
+fn write_events<W: Write>(out: &mut W, events: &[TraceEvent]) -> io::Result<()> {
+    out.write_all(EVENTS_MAGIC)?;
+    out.write_all(&EVENTS_VERSION.to_le_bytes())?;
+    out.write_all(&(events.len() as u64).to_le_bytes())?;
+    for e in events {
+        out.write_all(&e.key.to_le_bytes())?;
+        out.write_all(&e.timestamp_us.to_le_bytes())?;
+    }
+    Ok(())
+}
+
 /// Encode `events` into the full file image (header + records).
 pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + events.len() * EVENT_LEN);
-    out.extend_from_slice(EVENTS_MAGIC);
-    out.extend_from_slice(&EVENTS_VERSION.to_le_bytes());
-    out.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for e in events {
-        out.extend_from_slice(&e.key.to_le_bytes());
-        out.extend_from_slice(&e.timestamp_us.to_le_bytes());
-    }
+    write_events(&mut out, events).expect("writing to a Vec cannot fail");
     out
 }
 
@@ -123,10 +129,12 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<TraceEvent>, TraceFileError> {
     EventsReader::new(bytes)?.collect()
 }
 
-/// Write `events` to `path` as a `.events` file.
+/// Write `events` to `path` as a `.events` file, streaming the records
+/// through a buffer rather than building the file image in memory.
 pub fn write_events_file(path: &Path, events: &[TraceEvent]) -> Result<(), TraceFileError> {
-    let mut f = File::create(path)?;
-    f.write_all(&encode_events(events))?;
+    let mut f = BufWriter::new(File::create(path)?);
+    write_events(&mut f, events)?;
+    f.flush()?;
     Ok(())
 }
 
