@@ -9,18 +9,18 @@
 //! unaffected. It quantifies what the CDN "pays" for its freshness
 //! guarantee.
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_consistency -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_consistency -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
+use cdn_bench::harness::{
+    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
+};
 use cdn_core::Strategy;
 use cdn_sim::ConsistencyMode;
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("ablation_consistency");
+    let args = BenchArgs::parse("ablation_consistency", SIMULATING);
     let scale = args.scale;
     banner(
         "Ablation H: strong vs weak consistency (lambda = 10%)",
@@ -87,5 +87,5 @@ fn main() {
         "consistency,replication_ms,caching_ms,hybrid_ms",
         &rows,
     );
-    args.finish("ablation_consistency");
+    flush();
 }

@@ -8,18 +8,18 @@
 //! mechanisms degrade. This quantifies the paper's §2.1 intuition that
 //! caching is "inherently dynamic".
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_drift -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_drift -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
+use cdn_bench::harness::{
+    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
+};
 use cdn_core::Strategy;
 use cdn_sim::simulate_system_streams;
 use cdn_workload::{DriftConfig, Drifted, LambdaMode};
 
 fn main() {
-    let args = BenchArgs::parse("ablation_drift");
+    let args = BenchArgs::parse("ablation_drift", SIMULATING);
     let scale = args.scale;
     banner("Ablation E: popularity drift vs delivery mechanism", scale);
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
@@ -96,5 +96,5 @@ fn main() {
         "drift,period_requests,replication_ms,caching_ms,hybrid_ms",
         &rows,
     );
-    args.finish("ablation_drift");
+    flush();
 }

@@ -9,12 +9,12 @@
 //! Failovers pay a retry penalty per dead holder skipped, so the degraded
 //! tail latency is reported alongside availability.
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_failures -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_failures -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
+use cdn_bench::harness::{
+    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
+};
 use cdn_core::Strategy;
 use cdn_sim::{FaultParams, SimReport};
 use cdn_workload::LambdaMode;
@@ -66,7 +66,7 @@ fn intensities(seed: u64) -> Vec<Intensity> {
 }
 
 fn main() {
-    let args = BenchArgs::parse("ablation_failures");
+    let args = BenchArgs::parse("ablation_failures", SIMULATING);
     let scale = args.scale;
     banner("Ablation I: availability under failures", scale);
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
@@ -155,5 +155,5 @@ fn main() {
         "intensity,strategy,availability,failed,failover_ratio,mean_ms,degraded_p95_ms",
         &rows,
     );
-    args.finish("ablation_failures");
+    flush();
 }

@@ -8,18 +8,16 @@
 //! 2. Does the paper's "compute K once at initialisation" shortcut cost
 //!    anything? (The paper claims it "produced the same result".)
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_model -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_model -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, write_csv, BenchArgs, Scale};
+use cdn_bench::harness::{banner, flush, write_csv, BenchArgs, Scale, PLANNING};
 use cdn_core::lru_model::validation::monte_carlo_hit_ratio;
 use cdn_core::lru_model::{CheModel, ClosedFormLru, LruModel};
 use cdn_core::workload::ZipfLike;
 
 fn main() {
-    let args = BenchArgs::parse("ablation_model");
+    let args = BenchArgs::parse("ablation_model", PLANNING);
     let scale = args.scale;
     banner("Ablation C: hit-ratio model accuracy", scale);
 
@@ -117,5 +115,5 @@ fn main() {
         "buffer,h_fixed,h_exact",
         &rows2,
     );
-    args.finish("ablation_model");
+    flush();
 }

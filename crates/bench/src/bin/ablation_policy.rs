@@ -5,18 +5,18 @@
 //! replica placement fixed and swaps the replacement policy of the leftover
 //! cache space: LRU, delayed-LRU, LFU, FIFO, CLOCK.
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_policy -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_policy -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
+use cdn_bench::harness::{
+    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
+};
 use cdn_core::cache;
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("ablation_policy");
+    let args = BenchArgs::parse("ablation_policy", SIMULATING);
     let scale = args.scale;
     banner(
         "Ablation D: replacement policy inside the hybrid scheme",
@@ -72,5 +72,5 @@ fn main() {
         "policy,mean_latency_ms,p95_ms,local_ratio,cache_hit_ratio",
         &rows,
     );
-    args.finish("ablation_policy");
+    flush();
 }

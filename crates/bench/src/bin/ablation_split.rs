@@ -4,17 +4,17 @@
 //! pure caching (100%) and overlays the hybrid algorithm's operating
 //! point.
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_split -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_split -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, generate_scenario, run_strategies, write_csv, BenchArgs};
+use cdn_bench::harness::{
+    banner, flush, generate_scenario, run_strategies, write_csv, BenchArgs, SIMULATING,
+};
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("ablation_split");
+    let args = BenchArgs::parse("ablation_split", SIMULATING);
     let scale = args.scale;
     banner(
         "Ablation B: cache-fraction sweep vs the hybrid optimum",
@@ -41,20 +41,20 @@ fn main() {
     );
     let mut best_fixed = f64::INFINITY;
     let mut hybrid_ms = f64::INFINITY;
-    for r in &results {
+    for r in &results.rows {
         println!(
             "  {:<18} {:>9.2} {:>9.3} {:>9}",
             r.strategy.name(),
             r.report.mean_latency_ms,
             r.report.mean_cost_hops,
-            r.replicas
+            r.plan.placement.replica_count()
         );
         rows.push(format!(
             "{},{:.3},{:.4},{}",
             r.strategy.name(),
             r.report.mean_latency_ms,
             r.report.mean_cost_hops,
-            r.replicas
+            r.plan.placement.replica_count()
         ));
         match r.strategy {
             Strategy::Hybrid => hybrid_ms = r.report.mean_latency_ms,
@@ -71,5 +71,5 @@ fn main() {
         "strategy,mean_latency_ms,mean_cost_hops,replicas",
         &rows,
     );
-    args.finish("ablation_split");
+    flush();
 }

@@ -6,17 +6,17 @@
 //! performance." This sweep quantifies that: for each θ we compare the
 //! hybrid against the two fixed splits and report who wins.
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_theta -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_theta -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, generate_scenario, run_strategies, write_csv, BenchArgs};
+use cdn_bench::harness::{
+    banner, flush, generate_scenario, run_strategies, write_csv, BenchArgs, SIMULATING,
+};
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("ablation_theta");
+    let args = BenchArgs::parse("ablation_theta", SIMULATING);
     let scale = args.scale;
     banner("Ablation A: Zipf-theta sensitivity", scale);
     let strategies = [
@@ -41,8 +41,7 @@ fn main() {
         let results = run_strategies(&scenario, &strategies);
         let ms = |s: Strategy| {
             results
-                .iter()
-                .find(|r| r.strategy == s)
+                .row(s)
                 .map(|r| r.report.mean_latency_ms)
                 .unwrap_or(f64::NAN)
         };
@@ -54,9 +53,8 @@ fn main() {
             cache_fraction: 0.8,
         });
         let replicas = results
-            .iter()
-            .find(|r| r.strategy == Strategy::Hybrid)
-            .map(|r| r.replicas)
+            .row(Strategy::Hybrid)
+            .map(|r| r.plan.placement.replica_count())
             .unwrap_or(0);
         println!("  {theta:>5.1} {hybrid:>12.2} {a20:>12.2} {a80:>12.2} {replicas:>16}");
         rows.push(format!("{theta},{hybrid:.3},{a20:.3},{a80:.3},{replicas}"));
@@ -72,5 +70,5 @@ fn main() {
         "theta,hybrid_ms,adhoc20_ms,adhoc80_ms,hybrid_replicas",
         &rows,
     );
-    args.finish("ablation_theta");
+    flush();
 }

@@ -6,12 +6,12 @@
 //! short paths) and a flat random tree-plus-extras (no hierarchy, long
 //! paths) — to check which conclusions survive the topology choice.
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_topology -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_topology -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, record, scenario_on_graph, write_csv, BenchArgs, Scale};
+use cdn_bench::harness::{
+    banner, flush, record, scenario_on_graph, write_csv, BenchArgs, Scale, SIMULATING,
+};
 use cdn_placement::{greedy_global, hybrid::hybrid_greedy_paper, HybridConfig, Placement};
 use cdn_sim::simulate_system;
 use cdn_topology::gen::flat;
@@ -29,7 +29,7 @@ fn flat_random(n: usize, extra_prob: f64, seed: u64) -> Graph {
 }
 
 fn main() {
-    let args = BenchArgs::parse("ablation_topology");
+    let args = BenchArgs::parse("ablation_topology", SIMULATING);
     let scale = args.scale;
     banner("Ablation F: topology families", scale);
     let cfg = args.config(0.05, 0.0, LambdaMode::Uncacheable);
@@ -145,5 +145,5 @@ fn main() {
         "topology,diameter,replication_ms,caching_ms,hybrid_ms,hybrid_gain_pc",
         &rows,
     );
-    args.finish("ablation_topology");
+    flush();
 }

@@ -8,19 +8,17 @@
 //! (consistency for caches is the λ/refresh mechanism), so the hybrid
 //! should glide from replica-heavy to cache-heavy as writes grow.
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin ablation_updates -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin ablation_updates -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, generate_scenario, write_csv, BenchArgs};
+use cdn_bench::harness::{banner, flush, generate_scenario, write_csv, BenchArgs, PLANNING};
 use cdn_placement::{
     greedy_global, hybrid::hybrid_greedy_paper, mean_hops_per_request, total_cost, HybridConfig,
 };
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("ablation_updates");
+    let args = BenchArgs::parse("ablation_updates", PLANNING);
     let scale = args.scale;
     banner(
         "Ablation G: update (write) intensity vs replica count",
@@ -75,5 +73,5 @@ fn main() {
         "write_read_ratio,updates_per_site,hybrid_replicas,hybrid_hops,greedy_replicas,greedy_hops",
         &rows,
     );
-    args.finish("ablation_updates");
+    flush();
 }

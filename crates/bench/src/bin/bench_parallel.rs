@@ -11,11 +11,11 @@
 //! machine-dependent quarantined under `"wall_clock"` — the perf gate
 //! (`perf_gate`) compares the two sections with different strictness.
 //!
-//! Usage: `bench_parallel [--scale <tier>] [--quick] [--threads <n>]
-//!                        [--trace-out <path>] [--metrics-out <path>]
-//!                        [--profile-out <path>] [--sample-every <n>] [--quiet]`
+//! `bench_parallel --help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, progress, record, write_json, BenchArgs, PhaseTimings, Scale};
+use cdn_bench::harness::{
+    banner, flush, progress, record, write_json, BenchArgs, PhaseTimings, Scale, SIMULATING,
+};
 use cdn_core::{PlanResult, Scenario, ScenarioConfig, Strategy};
 use cdn_sim::SimReport;
 use cdn_telemetry as telemetry;
@@ -73,14 +73,11 @@ fn reports_identical(
 }
 
 fn main() {
-    let args = BenchArgs::parse("bench_parallel");
+    let args = BenchArgs::parse("bench_parallel", SIMULATING);
     let scale = args.scale;
     banner("bench_parallel: per-phase wall-clock, 1 thread vs N", scale);
 
-    let n_threads = args
-        .threads
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(1);
+    let n_threads = args.threads;
 
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
     let strategy = strategy_for(scale);
@@ -176,7 +173,7 @@ fn main() {
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
     write_json("BENCH_parallel.json", &json);
-    args.finish("bench_parallel");
+    flush();
 
     assert!(
         identical,

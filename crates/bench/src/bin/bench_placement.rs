@@ -21,10 +21,11 @@
 //!   scale where its per-object fixed point is affordable), recording
 //!   replica counts, predicted mean hops, and plan seconds side by side.
 //!
-//! Usage: `bench_placement [--scale <tier>] [--quick] [--threads <n>]
-//!                         [--metrics-out <path>] [--quiet]`
+//! `bench_placement --help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, progress, write_json, BenchArgs, PhaseTimings, Scale};
+use cdn_bench::harness::{
+    banner, flush, progress, write_json, BenchArgs, PhaseTimings, Scale, PLANNING,
+};
 use cdn_core::{ModelBackend, PlanResult, Scenario, Strategy};
 use cdn_telemetry as telemetry;
 use cdn_workload::LambdaMode;
@@ -67,17 +68,14 @@ fn lazy_ratio(work: &[(String, u64)]) -> Option<f64> {
 }
 
 fn main() {
-    let args = BenchArgs::parse("bench_placement");
+    let args = BenchArgs::parse("bench_placement", PLANNING);
     let scale = args.scale;
     banner(
         "bench_placement: lazy-greedy hybrid planner, 1 thread vs N",
         scale,
     );
 
-    let n_threads = args
-        .threads
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(1);
+    let n_threads = args.threads;
 
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
     progress("generating scenario");
@@ -257,7 +255,7 @@ fn main() {
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
     write_json("BENCH_placement.json", &json);
-    args.finish("bench_placement");
+    flush();
 
     assert!(
         identical,

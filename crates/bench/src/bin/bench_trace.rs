@@ -15,11 +15,10 @@
 //! `bench_trace.csv` (one row per fetch latency: delayed hits, origin
 //! fetches, mean latency) under the results directory.
 //!
-//! Usage: `bench_trace [--scale <tier>] [--quick] [--trace-in <path>]
-//!                     [--threads <n>] [--quiet] ...`
+//! `bench_trace --help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    banner, progress, record, write_csv, write_json, BenchArgs, PhaseTimings,
+    banner, flush, progress, record, write_csv, write_json, BenchArgs, PhaseTimings, REPLAYING,
 };
 use cdn_core::{export_events, replay_events, Scenario, Strategy};
 use cdn_sim::SimReport;
@@ -42,12 +41,12 @@ fn replay_at(
 }
 
 fn main() {
-    let args = BenchArgs::parse("bench_trace");
+    let args = BenchArgs::parse("bench_trace", REPLAYING);
     let scale = args.scale;
     banner("bench_trace: .events replay + delayed-hit sweep", scale);
 
     let config = args.config(0.05, 0.0, cdn_workload::LambdaMode::Uncacheable);
-    let mut timings = PhaseTimings::new(args.threads.unwrap_or_else(rayon::current_num_threads));
+    let mut timings = PhaseTimings::new(args.threads);
     let mut scenario = timings.time("scenario", || Scenario::generate(&config));
 
     let (events, source) = timings.time("ingest", || match &args.trace_in {
@@ -152,7 +151,7 @@ fn main() {
         "fetch_latency,delayed_hits,origin_fetches,peer_fetches,cache_hits,mean_latency_ms",
         &rows,
     );
-    args.finish("bench_trace");
+    flush();
 
     assert!(off_identical, "fetch latency 0 diverged from instant fetch");
     assert!(coalesced, "no delayed hits at any positive fetch latency");

@@ -7,20 +7,18 @@
 //! "the hybrid approach outperformed the pure replication policy by
 //! approximately 40% on average, and the pure caching by 15% roughly."
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin fig3 -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin fig3 -- --quick`;
+//! `--help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    assert_sane, banner, generate_scenario, improvement_pct, run_strategies, summary_block,
-    write_cdf_csvs, BenchArgs,
+    assert_sane, banner, flush, generate_scenario, run_strategies, summary_block, write_cdf_csvs,
+    BenchArgs, SIMULATING,
 };
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("fig3");
+    let args = BenchArgs::parse("fig3", SIMULATING);
     let scale = args.scale;
     banner("Figure 3: CDFs, all objects cacheable (lambda = 0)", scale);
     let strategies = [Strategy::Replication, Strategy::Caching, Strategy::Hybrid];
@@ -35,13 +33,14 @@ fn main() {
         let results = run_strategies(&scenario, &strategies);
         assert_sane(&results);
         println!("\n{}", summary_block(&results));
-        if let Some(gain) = improvement_pct(&results, Strategy::Hybrid, Strategy::Replication) {
+        let gain = |b| results.improvement(Strategy::Hybrid, b).map(|g| 100.0 * g);
+        if let Some(gain) = gain(Strategy::Replication) {
             println!("  hybrid vs replication: {gain:+.1}% mean latency (paper: ~40%)");
         }
-        if let Some(gain) = improvement_pct(&results, Strategy::Hybrid, Strategy::Caching) {
+        if let Some(gain) = gain(Strategy::Caching) {
             println!("  hybrid vs caching:     {gain:+.1}% mean latency (paper: ~15%)");
         }
         write_cdf_csvs(&format!("fig3{panel}"), &results);
     }
-    args.finish("fig3");
+    flush();
 }

@@ -6,20 +6,18 @@
 //! Paper-reported shape: hybrid still wins; its edge over replication drops
 //! to ~30% while its edge over caching grows to ~20%.
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin fig4 -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin fig4 -- --quick`;
+//! `--help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    assert_sane, banner, generate_scenario, improvement_pct, run_strategies, summary_block,
-    write_cdf_csvs, BenchArgs,
+    assert_sane, banner, flush, generate_scenario, run_strategies, summary_block, write_cdf_csvs,
+    BenchArgs, SIMULATING,
 };
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("fig4");
+    let args = BenchArgs::parse("fig4", SIMULATING);
     let scale = args.scale;
     banner(
         "Figure 4: CDFs with 10% expired requests, strong consistency",
@@ -37,13 +35,14 @@ fn main() {
         let results = run_strategies(&scenario, &strategies);
         assert_sane(&results);
         println!("\n{}", summary_block(&results));
-        if let Some(gain) = improvement_pct(&results, Strategy::Hybrid, Strategy::Replication) {
+        let gain = |b| results.improvement(Strategy::Hybrid, b).map(|g| 100.0 * g);
+        if let Some(gain) = gain(Strategy::Replication) {
             println!("  hybrid vs replication: {gain:+.1}% mean latency (paper: ~30%)");
         }
-        if let Some(gain) = improvement_pct(&results, Strategy::Hybrid, Strategy::Caching) {
+        if let Some(gain) = gain(Strategy::Caching) {
             println!("  hybrid vs caching:     {gain:+.1}% mean latency (paper: ~20%)");
         }
         write_cdf_csvs(&format!("fig4{panel}"), &results);
     }
-    args.finish("fig4");
+    flush();
 }

@@ -6,20 +6,18 @@
 //! hybrid algorithm constantly outperforms both alternatives." (Further
 //! splits — 40%, 60% — are covered by `ablation_split`.)
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin fig5 -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin fig5 -- --quick`;
+//! `--help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    assert_sane, banner, generate_scenario, improvement_pct, run_strategies, summary_block,
-    write_cdf_csvs, BenchArgs,
+    assert_sane, banner, flush, generate_scenario, run_strategies, summary_block, write_cdf_csvs,
+    BenchArgs, SIMULATING,
 };
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("fig5");
+    let args = BenchArgs::parse("fig5", SIMULATING);
     let scale = args.scale;
     banner("Figure 5: hybrid vs ad-hoc fixed splits", scale);
     let strategies = [
@@ -46,20 +44,18 @@ fn main() {
         assert_sane(&results);
         println!("\n{}", summary_block(&results));
         for fraction in [0.2, 0.8] {
-            if let Some(gain) = improvement_pct(
-                &results,
-                Strategy::Hybrid,
-                Strategy::AdHoc {
-                    cache_fraction: fraction,
-                },
-            ) {
+            let adhoc = Strategy::AdHoc {
+                cache_fraction: fraction,
+            };
+            if let Some(gain) = results.improvement(Strategy::Hybrid, adhoc) {
                 println!(
-                    "  hybrid vs {:.0}%-cache ad-hoc: {gain:+.1}% mean latency",
-                    fraction * 100.0
+                    "  hybrid vs {:.0}%-cache ad-hoc: {:+.1}% mean latency",
+                    fraction * 100.0,
+                    gain * 100.0
                 );
             }
         }
         write_cdf_csvs(&format!("fig5{panel}"), &results);
     }
-    args.finish("fig5");
+    flush();
 }

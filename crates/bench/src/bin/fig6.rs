@@ -7,17 +7,17 @@
 //! total cost, especially for large buffer sizes, but the overall error is
 //! less than 7%."
 //!
-//! ```text
-//! cargo run -p cdn-bench --release --bin fig6 -- \
-//!     [--quick] [--threads <n>] [--trace-out <path>] [--metrics-out <path>]
-//! ```
+//! Run with `cargo run -p cdn-bench --release --bin fig6 -- --quick`;
+//! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, generate_scenario, record, write_csv, BenchArgs};
+use cdn_bench::harness::{
+    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
+};
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
-    let args = BenchArgs::parse("fig6");
+    let args = BenchArgs::parse("fig6", SIMULATING);
     let scale = args.scale;
     banner("Figure 6: predicted vs actual cost per request", scale);
 
@@ -65,5 +65,5 @@ fn main() {
         "capacity_pc,uncacheable_pc,actual_hops,predicted_hops,error_pc",
         &rows,
     );
-    args.finish("fig6");
+    flush();
 }

@@ -37,10 +37,10 @@
 //! actually pays — catching blowups even when the committed baseline was
 //! measured on very different hardware.
 //!
-//! Usage: `perf_gate --baseline <path> --current <path>
-//!                   [--tier <label>] [--min-speedup <x>]
-//!                   [--min-lazy-ratio <x>] [--max-seconds <x>]`
+//! `perf_gate --help` lists the flags it accepts.
 
+use cdn_bench::harness::{parse_or_exit, usage_error};
+use cdn_cli::args::Table;
 use cdn_telemetry::json::{parse, Json};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -53,78 +53,14 @@ const WALL_CLOCK_BAND: f64 = 3.0;
 /// gate: the regressed side crosses the floor and the ratio check fires.
 const MIN_COMPARABLE_SECONDS: f64 = 0.050;
 
-fn usage() -> String {
-    "usage: perf_gate --baseline <path> --current <path> [--tier <label>] [--min-speedup <x>]\n\
-     \x20                 [--min-lazy-ratio <x>] [--max-seconds <x>]\n\
-     \n\
-     \x20 --baseline <path>     committed BENCH_baseline.json to gate against\n\
-     \x20 --current <path>      freshly generated BENCH_parallel.json / BENCH_placement.json\n\
-     \x20 --tier <label>        baseline section to compare against (quick | paper |\n\
-     \x20                       large | large-ci | hybrid-large-ci); default: the\n\
-     \x20                       current file's scale\n\
-     \x20 --min-speedup <x>     fail unless the current run's wall_clock.speedup_total >= x\n\
-     \x20 --min-lazy-ratio <x>  fail unless (candidates evaluated + lazily skipped) /\n\
-     \x20                       evaluated >= x in the current run's work counters\n\
-     \x20 --max-seconds <x>     fail if the current run's parallel arm took longer\n\
-     \x20                       than x seconds of wall-clock\n\
-     \x20 --help                print this message\n"
-        .into()
-}
-
-struct Args {
-    baseline: String,
-    current: String,
-    tier: Option<String>,
-    min_speedup: Option<f64>,
-    min_lazy_ratio: Option<f64>,
-    max_seconds: Option<f64>,
-}
-
-/// Parse a positive, finite `f64` flag value.
-fn positive(flag: &str, v: Option<String>) -> Result<f64, String> {
-    let v = v.ok_or(format!("{flag} needs a value"))?;
-    let x: f64 = v.parse().map_err(|_| format!("{flag}: bad value `{v}`"))?;
-    if !(x.is_finite() && x > 0.0) {
-        return Err(format!("{flag} must be a positive number"));
-    }
-    Ok(x)
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut baseline = None;
-    let mut current = None;
-    let mut tier = None;
-    let mut min_speedup = None;
-    let mut min_lazy_ratio = None;
-    let mut max_seconds = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline = Some(it.next().ok_or("--baseline needs a path")?),
-            "--current" => current = Some(it.next().ok_or("--current needs a path")?),
-            "--tier" => tier = Some(it.next().ok_or("--tier needs a label")?),
-            "--min-speedup" => min_speedup = Some(positive("--min-speedup", it.next())?),
-            "--min-lazy-ratio" => min_lazy_ratio = Some(positive("--min-lazy-ratio", it.next())?),
-            "--max-seconds" => max_seconds = Some(positive("--max-seconds", it.next())?),
-            "--help" | "-h" => {
-                print!("{}", usage());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unrecognised argument `{other}`")),
-        }
-    }
-    match (baseline, current) {
-        (Some(baseline), Some(current)) => Ok(Args {
-            baseline,
-            current,
-            tier,
-            min_speedup,
-            min_lazy_ratio,
-            max_seconds,
-        }),
-        _ => Err("both --baseline and --current are required".into()),
-    }
-}
+const FLAGS: Table = &[&[
+    "--baseline <path>  committed BENCH_baseline.json to gate against (required)",
+    "--current <path>  freshly generated BENCH_parallel.json / BENCH_placement.json (required)",
+    "--tier <label>  baseline section: quick | large-ci | hybrid-large-ci | ... (default: scale)",
+    "--min-speedup <x>  fail unless the current run's wall_clock.speedup_total >= x",
+    "--min-lazy-ratio <x>  fail unless (evaluated + lazily skipped) / evaluated >= x",
+    "--max-seconds <x>  fail if the current run's parallel arm took longer than x seconds",
+]];
 
 /// Select the tier section from a (possibly multi-tier) baseline document.
 ///
@@ -394,14 +330,22 @@ fn render_step_summary(tier: &str, sections: &[(&str, &[String])], failures: &[S
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("perf_gate: {msg}\n\n{}", usage());
-            return ExitCode::from(2);
-        }
+    let a = parse_or_exit("perf_gate", FLAGS);
+    let (Some(baseline_path), Some(current_path)) = (a.get("baseline"), a.get("current")) else {
+        usage_error(
+            "perf_gate",
+            FLAGS,
+            "both --baseline and --current are required",
+        )
     };
-    let (baseline_doc, current) = match (load(&args.baseline), load(&args.current)) {
+    let limit = |key| {
+        a.get_positive(key)
+            .unwrap_or_else(|msg| usage_error("perf_gate", FLAGS, &msg))
+    };
+    let min_speedup = limit("min-speedup");
+    let min_lazy_ratio = limit("min-lazy-ratio");
+    let max_seconds = limit("max-seconds");
+    let (baseline_doc, current) = match (load(baseline_path), load(current_path)) {
         (Ok(b), Ok(c)) => (b, c),
         (b, c) => {
             for err in [b.err(), c.err()].into_iter().flatten() {
@@ -410,9 +354,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let tier = args
-        .tier
-        .clone()
+    let tier = a
+        .get("tier")
+        .map(str::to_string)
         .or_else(|| {
             current
                 .get("scale")
@@ -439,7 +383,7 @@ fn main() -> ExitCode {
 
     println!(
         "perf gate [{tier}]: {} vs baseline {}\n",
-        args.current, args.baseline
+        current_path, baseline_path
     );
     println!(
         "  {:<32} {:>14} {:>14}  deterministic work (exact)",
@@ -458,19 +402,19 @@ fn main() -> ExitCode {
     wall_table.iter().for_each(|l| println!("{l}"));
 
     let mut speedup_table = Vec::new();
-    if let Some(min) = args.min_speedup {
+    if let Some(min) = min_speedup {
         println!();
         failures.extend(check_speedup(&current, min, &mut speedup_table));
         speedup_table.iter().for_each(|l| println!("{l}"));
     }
 
     let mut extra_table = Vec::new();
-    if let Some(min) = args.min_lazy_ratio {
+    if let Some(min) = min_lazy_ratio {
         println!();
         failures.extend(check_lazy_ratio(&current, min, &mut extra_table));
     }
-    if let Some(max) = args.max_seconds {
-        if args.min_lazy_ratio.is_none() {
+    if let Some(max) = max_seconds {
+        if min_lazy_ratio.is_none() {
             println!();
         }
         failures.extend(check_max_seconds(&current, max, &mut extra_table));

@@ -1,8 +1,13 @@
-//! Shared experiment plumbing: scale selection, argument parsing, CSV
-//! output, observability wiring, timing, and the standard per-figure
-//! runner.
+//! Shared experiment plumbing: scale selection, the bench flag tables,
+//! CSV output, the process-wide output sink, timing, and the standard
+//! per-figure runner.
 
-use cdn_core::{Scenario, ScenarioConfig, Strategy};
+use cdn_cli::args::{
+    usage, ArgError, Args, Flag, Table, METRICS_OUT, PROFILE_OUT, SAMPLE_EVERY, THREADS, TRACE_OUT,
+    WINDOW,
+};
+use cdn_cli::sink::{self, Destinations, Sink};
+use cdn_core::{ComparisonRow, Scenario, ScenarioConfig, Strategy, StrategyComparison};
 use cdn_sim::SimReport;
 use cdn_telemetry as telemetry;
 use cdn_workload::LambdaMode;
@@ -65,270 +70,158 @@ impl Scale {
     }
 }
 
-/// Parsed command line shared by every bench binary.
-///
-/// Every binary accepts the same flag set; anything else is rejected with
-/// a usage message and exit code 2 (previously unknown flags were silently
-/// ignored, so a typo like `--qiuck` ran the full paper scale).
+const SCALE: Flag = "--scale <tier>  quick | paper | large | large-ci (default: paper)";
+const QUICK: Flag = "--quick  shorthand for --scale quick";
+const QUIET: Flag = "--quiet  suppress the stderr progress heartbeats";
+const TRACE_IN: Flag =
+    "--trace-in <path>  replay this binary .events trace, not the synthetic workload";
+
+/// The flags every bench binary reads.
+const COMMON: &[Flag] = &[
+    SCALE,
+    QUICK,
+    THREADS,
+    TRACE_OUT,
+    METRICS_OUT,
+    PROFILE_OUT,
+    QUIET,
+];
+
+/// The flag table of a bench binary that never simulates.
+pub const PLANNING: Table = &[COMMON];
+/// The flag table of a bench binary that simulates: the request sampler
+/// and the windowed timeline too.
+pub const SIMULATING: Table = &[COMMON, &[SAMPLE_EVERY, WINDOW]];
+/// The flag table of a bench binary that replays a trace file.
+pub const REPLAYING: Table = &[COMMON, &[SAMPLE_EVERY, WINDOW, TRACE_IN]];
+
+/// The bench binaries' view of their command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     pub scale: Scale,
-    /// Rayon pool size override (`--threads <n>`).
-    pub threads: Option<usize>,
-    /// Write the deterministic JSONL event trace here (`--trace-out`).
-    pub trace_out: Option<PathBuf>,
-    /// Write an extra metrics snapshot here (`--metrics-out`), in addition
-    /// to the `results/<bin>_metrics.json` every binary emits.
-    pub metrics_out: Option<PathBuf>,
-    /// Write the wall-clock Chrome trace profile here (`--profile-out`).
-    /// Timed data lives strictly in this file — enabling it never changes
-    /// a byte of the deterministic outputs.
-    pub profile_out: Option<PathBuf>,
-    /// Sample every Nth simulated request into `results/<bin>_samples.jsonl`
-    /// (`--sample-every <n>`). Deterministic: keyed on stream index.
+    /// Worker count of the global rayon pool (`--threads <n>`, default all
+    /// cores).
+    pub threads: usize,
+    /// Sample every Nth simulated request (`--sample-every <n>`).
+    /// Deterministic: keyed on stream index.
     pub sample_every: Option<u64>,
-    /// Virtual-time window width for the windowed timeline
-    /// (`--window <n>`), written to `results/<bin>_timeline.json` and
-    /// `.csv`. `--window 0` is the documented off switch, so unlike
-    /// `--sample-every` a zero value parses cleanly.
+    /// Virtual-time window width for the windowed timeline (`--window <n>`,
+    /// 0 = off).
     pub window: Option<u64>,
     /// Replay a binary `.events` trace file instead of the synthetic
-    /// workload (`--trace-in <path>`). Only `bench_trace` consumes this;
-    /// the figure binaries ignore it.
+    /// workload (`--trace-in <path>`).
     pub trace_in: Option<PathBuf>,
-    /// Suppress the stderr progress heartbeats (`--quiet`).
-    pub quiet: bool,
-}
-
-/// Why [`BenchArgs::parse_from`] refused a command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgError {
-    /// `--help` was passed: print usage, exit 0.
-    Help,
-    /// Bad flag or missing value: print message + usage, exit 2.
-    Bad(String),
-}
-
-/// Usage text for the shared bench flag set.
-pub fn usage(bin: &str) -> String {
-    format!(
-        "usage: {bin} [--scale <tier>] [--quick] [--threads <n>] [--trace-out <path>]\n\
-         \x20          [--metrics-out <path>] [--profile-out <path>] [--sample-every <n>]\n\
-         \x20          [--window <n>] [--trace-in <path>] [--quiet]\n\
-         \n\
-         \x20 --scale <tier>        quick | paper | large | large-ci (default: paper)\n\
-         \x20 --quick               shorthand for --scale quick\n\
-         \x20 --threads <n>         rayon thread-pool size (default: all cores)\n\
-         \x20 --trace-out <path>    write the deterministic JSONL event trace to <path>\n\
-         \x20 --metrics-out <path>  write the metrics snapshot JSON to <path>\n\
-         \x20 --profile-out <path>  write a wall-clock Chrome trace profile to <path>\n\
-         \x20                       (load in chrome://tracing or Perfetto)\n\
-         \x20 --sample-every <n>    sample every Nth request into <bin>_samples.jsonl\n\
-         \x20 --window <n>          bucket measured requests into n-tick virtual-time\n\
-         \x20                       windows, written to <bin>_timeline.json/.csv (0 = off)\n\
-         \x20 --trace-in <path>     replay a binary .events trace instead of the\n\
-         \x20                       synthetic workload (bench_trace only)\n\
-         \x20 --quiet               suppress stderr progress heartbeats\n\
-         \x20 --help                print this message\n"
-    )
 }
 
 impl BenchArgs {
-    /// Parse an argument list (without the program name). Pure — no
-    /// process exit, no global state — so tests can exercise every branch.
-    pub fn parse_from<I>(args: I) -> Result<Self, ArgError>
-    where
-        I: IntoIterator<Item = String>,
-    {
-        let mut out = BenchArgs {
-            scale: Scale::Paper,
-            threads: None,
-            trace_out: None,
-            metrics_out: None,
-            profile_out: None,
-            sample_every: None,
-            window: None,
-            trace_in: None,
-            quiet: false,
-        };
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--scale" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::Bad("--scale needs a value".into()))?;
-                    out.scale = Scale::from_label(&v).ok_or_else(|| {
-                        ArgError::Bad(format!(
-                            "--scale: unknown tier `{v}` (quick | paper | large | large-ci)"
-                        ))
-                    })?;
-                }
-                "--quick" => out.scale = Scale::Quick,
-                "--quiet" => out.quiet = true,
-                "--sample-every" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::Bad("--sample-every needs a value".into()))?;
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| ArgError::Bad(format!("--sample-every: bad value `{v}`")))?;
-                    if n == 0 {
-                        return Err(ArgError::Bad("--sample-every must be at least 1".into()));
-                    }
-                    out.sample_every = Some(n);
-                }
-                "--window" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::Bad("--window needs a value".into()))?;
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| ArgError::Bad(format!("--window: bad value `{v}`")))?;
-                    // 0 is valid: it is the documented timeline off switch.
-                    out.window = Some(n);
-                }
-                "--profile-out" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::Bad("--profile-out needs a path".into()))?;
-                    out.profile_out = Some(PathBuf::from(v));
-                }
-                "--help" | "-h" => return Err(ArgError::Help),
-                "--threads" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::Bad("--threads needs a value".into()))?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| ArgError::Bad(format!("--threads: bad value `{v}`")))?;
-                    if n == 0 {
-                        return Err(ArgError::Bad("--threads must be at least 1".into()));
-                    }
-                    out.threads = Some(n);
-                }
-                "--trace-in" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::Bad("--trace-in needs a path".into()))?;
-                    out.trace_in = Some(PathBuf::from(v));
-                }
-                "--trace-out" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::Bad("--trace-out needs a path".into()))?;
-                    out.trace_out = Some(PathBuf::from(v));
-                }
-                "--metrics-out" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::Bad("--metrics-out needs a path".into()))?;
-                    out.metrics_out = Some(PathBuf::from(v));
-                }
-                other => {
-                    return Err(ArgError::Bad(format!("unrecognised argument `{other}`")));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Parse the process command line, set up observability, and return.
-    /// Unknown flags print the usage message and exit with status 2.
-    pub fn parse(bin: &str) -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => {
-                args.apply(bin);
-                args
-            }
-            Err(ArgError::Help) => {
-                print!("{}", usage(bin));
-                std::process::exit(0);
-            }
-            Err(ArgError::Bad(msg)) => {
-                eprintln!("{bin}: {msg}\n\n{}", usage(bin));
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Configure the process for this run: size the global rayon pool,
-    /// reset the metrics registry, enable telemetry counters (they are
-    /// deterministic and cheap, so bench binaries always record them), and
-    /// install a trace/profiler when requested.
-    fn apply(&self, bin: &str) {
+    /// Parse the process command line against `flags`, size the rayon pool
+    /// and install the output sink that [`record`] feeds and [`flush`]
+    /// writes. `--help` prints the usage generated from `flags` and exits 0;
+    /// a bad command line prints why plus that usage and exits 2.
+    pub fn parse(bin: &str, flags: Table) -> Self {
         start_instant(); // anchor the heartbeat clock at process setup
-        QUIET.store(self.quiet, Ordering::Relaxed);
-        if let Some(n) = self.threads {
-            // Ignore "already built": tests and nested harnesses may have
-            // initialised the global pool first.
-            let _ = rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build_global();
+        let a = parse_or_exit(bin, flags);
+        let args = Self::from_args(&a).unwrap_or_else(|msg| usage_error(bin, flags, &msg));
+        HEARTBEATS_OFF.store(a.has("quiet"), Ordering::Relaxed);
+        *sink() = Some(Sink::install(args.destinations(&a, &results_dir(), bin)));
+        args
+    }
+
+    /// Read the bench's values from a parsed command line, sizing the rayon
+    /// pool on the way.
+    fn from_args(a: &Args) -> Result<Self, String> {
+        if a.has("quick") && a.has("scale") {
+            return Err("--quick is shorthand for --scale quick; give one of them".into());
         }
-        telemetry::reset_metrics();
-        telemetry::set_enabled(true);
-        if self.trace_out.is_some() {
-            telemetry::install_trace();
+        let scale = match a.get("scale") {
+            None if a.has("quick") => Scale::Quick,
+            None => Scale::Paper,
+            Some(label) => Scale::from_label(label).ok_or_else(|| {
+                format!("--scale: unknown tier `{label}` (quick | paper | large | large-ci)")
+            })?,
+        };
+        Ok(Self {
+            scale,
+            threads: a.thread_pool()?,
+            sample_every: a.sample_every()?,
+            window: a.window()?,
+            trace_in: a.get("trace-in").map(PathBuf::from),
+        })
+    }
+
+    /// Where `bin`'s outputs go: `<dir>/<bin>_metrics.json` always, plus a
+    /// `--metrics-out` copy, `<dir>/<bin>_samples.jsonl` under
+    /// `--sample-every`, `<dir>/<bin>_timeline.{json,csv}` under a nonzero
+    /// `--window`, and the `--trace-out`/`--profile-out` files.
+    fn destinations(&self, a: &Args, dir: &Path, bin: &str) -> Destinations {
+        let mut dest = Destinations::from_args(a);
+        dest.metrics
+            .insert(0, dir.join(format!("{bin}_metrics.json")));
+        if self.sample_every.is_some() {
+            dest.samples = Some(dir.join(format!("{bin}_samples.jsonl")));
         }
-        if self.profile_out.is_some() {
-            telemetry::profile::install();
+        if self.window.unwrap_or(0) > 0 {
+            dest.timeline_json = Some(dir.join(format!("{bin}_timeline.json")));
+            dest.timeline_csv = Some(dir.join(format!("{bin}_timeline.csv")));
         }
-        let _ = bin;
+        dest
     }
 
     /// The scenario configuration for this run: [`Scale::config`] plus the
-    /// per-request sampler wired through to the simulator.
+    /// per-request sampler and timeline window wired through to the
+    /// simulator.
     pub fn config(&self, capacity: f64, lambda: f64, mode: LambdaMode) -> ScenarioConfig {
         let mut cfg = self.scale.config(capacity, lambda, mode);
         cfg.sim.sample_every = self.sample_every;
         cfg.sim.window = self.window;
         cfg
     }
+}
 
-    /// Flush observability outputs. Every binary writes
-    /// `results/<bin>_metrics.json`; `--metrics-out` / `--trace-out` get
-    /// extra copies at the requested paths. Wall-clock never enters these
-    /// files — the snapshot holds only deterministic counters, gauges, and
-    /// histograms, so it is byte-comparable across machines and thread
-    /// counts. Wall-clock timings go **only** to `--profile-out`, and
-    /// sampled request paths to `results/<bin>_samples.jsonl` — separate
-    /// files, so the byte-diffed artifacts never see either.
-    pub fn finish(&self, bin: &str) {
-        let snapshot = telemetry::registry().snapshot_json();
-        write_json(&format!("{bin}_metrics.json"), &snapshot);
-        if let Some(path) = &self.metrics_out {
-            write_file_or_exit(path, &snapshot, "metrics snapshot");
-            println!("  wrote {}", path.display());
+/// Parse the process command line against `flags`, exiting 0 with the
+/// generated usage on `--help` and 2 with the reason on a bad command line.
+pub fn parse_or_exit(bin: &str, flags: Table) -> Args {
+    match Args::parse(std::env::args().skip(1), flags) {
+        Ok(a) => a,
+        Err(ArgError::Help) => {
+            print!("{}", usage(bin, flags));
+            std::process::exit(0);
         }
-        if let Some(path) = &self.trace_out {
-            let jsonl = telemetry::drain_trace().unwrap_or_default();
-            write_file_or_exit(path, &jsonl, "event trace");
-            println!("  wrote {}", path.display());
-        }
-        let Recorded { samples, timelines } = std::mem::take(&mut *recorded());
-        if !samples.is_empty() {
-            write_json(&format!("{bin}_samples.jsonl"), &samples);
-        }
-        if !timelines.is_empty() {
-            write_json(
-                &format!("{bin}_timeline.json"),
-                &cdn_sim::render_timeline_json(&timelines),
-            );
-            write_json(
-                &format!("{bin}_timeline.csv"),
-                &cdn_sim::render_timeline_csv(&timelines),
-            );
-        }
-        if let Some(path) = &self.profile_out {
-            let profile = telemetry::profile::drain_chrome_trace().unwrap_or_default();
-            write_file_or_exit(path, &profile, "wall-clock profile");
-            println!("  wrote {}", path.display());
-        }
+        Err(ArgError::Bad(msg)) => usage_error(bin, flags, &msg),
     }
 }
 
-static QUIET: AtomicBool = AtomicBool::new(false);
+/// Print `msg` and the usage generated from `flags`, and exit 2.
+pub fn usage_error(bin: &str, flags: Table, msg: &str) -> ! {
+    eprintln!("{bin}: {msg}\n\n{}", usage(bin, flags));
+    std::process::exit(2);
+}
+
+fn sink() -> MutexGuard<'static, Option<Sink>> {
+    static SINK: Mutex<Option<Sink>> = Mutex::new(None);
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Keep `report`'s sampled request paths and windowed timeline (when
+/// `--sample-every` / `--window` enabled them), tagged with `run`, which
+/// must tell this run apart from the binary's others; [`flush`] writes
+/// them.
+pub fn record(run: &str, report: &SimReport) {
+    if let Some(sink) = sink().as_mut() {
+        sink.record(run, report);
+    }
+}
+
+/// Write every output of the run: the metrics snapshot, trace, samples,
+/// timeline and profile. Exits 1 if a file cannot be written.
+pub fn flush() {
+    if let Some(Err(e)) = sink().take().map(Sink::flush) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+static HEARTBEATS_OFF: AtomicBool = AtomicBool::new(false);
 
 /// Wall-clock anchor for heartbeat lines, set once at argument parsing.
 fn start_instant() -> Instant {
@@ -340,46 +233,16 @@ fn start_instant() -> Instant {
 /// results). Silenced by `--quiet`. Long paper-scale figures previously
 /// ran for minutes with no output at all.
 pub fn progress(msg: &str) {
-    if !QUIET.load(Ordering::Relaxed) {
+    if !HEARTBEATS_OFF.load(Ordering::Relaxed) {
         eprintln!("[{:8.1}s] {msg}", start_instant().elapsed().as_secs_f64());
-    }
-}
-
-/// What [`record`] collected from every run so far.
-#[derive(Default)]
-struct Recorded {
-    /// Sampled request paths, as JSONL.
-    samples: String,
-    /// Windowed timelines, each tagged with its run.
-    timelines: Vec<(String, cdn_sim::Timeline)>,
-}
-
-fn recorded() -> MutexGuard<'static, Recorded> {
-    static SINK: Mutex<Recorded> = Mutex::new(Recorded {
-        samples: String::new(),
-        timelines: Vec::new(),
-    });
-    SINK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Keep `report`'s sampled request paths and windowed timeline (when
-/// `--sample-every` / `--window` enabled them), tagged with `run`, which
-/// must tell this run apart from the binary's others;
-/// [`BenchArgs::finish`] writes them to `results/<bin>_samples.jsonl` and
-/// `results/<bin>_timeline.json`/`.csv`.
-pub fn record(run: &str, report: &SimReport) {
-    let mut sink = recorded();
-    cdn_sim::render_samples_jsonl(run, report, &mut sink.samples);
-    if let Some(tl) = &report.timeline {
-        sink.timelines.push((run.to_string(), tl.clone()));
     }
 }
 
 /// Write `body` to `path`, exiting with a contextful message on failure
 /// (e.g. a bad `--metrics-out` directory) instead of a panic backtrace.
 fn write_file_or_exit(path: &Path, body: &str, what: &str) {
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("error: writing {what} to {}: {e}", path.display());
+    if let Err(e) = sink::write(path, body, what) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
@@ -407,7 +270,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
         body.push('\n');
     }
     write_file_or_exit(&path, &body, "result CSV");
-    println!("  wrote {}", path.display());
     path
 }
 
@@ -416,7 +278,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
 pub fn write_json(name: &str, body: &str) -> PathBuf {
     let path = results_dir().join(name);
     write_file_or_exit(&path, body, "result file");
-    println!("  wrote {}", path.display());
     path
 }
 
@@ -485,16 +346,6 @@ pub fn cdf_rows(report: &SimReport, max_points: usize) -> Vec<String> {
     rows
 }
 
-/// One strategy's results within a figure.
-pub struct StrategyResult {
-    pub strategy: Strategy,
-    pub report: SimReport,
-    pub predicted_mean_hops: f64,
-    pub replicas: usize,
-    pub plan_seconds: f64,
-    pub sim_seconds: f64,
-}
-
 /// [`Scenario::generate`] with a heartbeat, so multi-scenario figures
 /// show progress between panels as well as between strategies.
 pub fn generate_scenario(config: &ScenarioConfig) -> Scenario {
@@ -513,9 +364,9 @@ pub fn generate_scenario(config: &ScenarioConfig) -> Scenario {
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Plan + simulate each strategy against a scenario, logging progress.
-pub fn run_strategies(scenario: &Scenario, strategies: &[Strategy]) -> Vec<StrategyResult> {
+pub fn run_strategies(scenario: &Scenario, strategies: &[Strategy]) -> StrategyComparison {
     let run = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
-    strategies
+    let rows = strategies
         .iter()
         .map(|&strategy| {
             progress(&format!("planning {}", strategy.name()));
@@ -542,27 +393,25 @@ pub fn run_strategies(scenario: &Scenario, strategies: &[Strategy]) -> Vec<Strat
                 100.0 * report.local_ratio(),
                 plan.placement.replica_count(),
             );
-            StrategyResult {
+            ComparisonRow {
                 strategy,
-                predicted_mean_hops: plan.predicted_mean_hops(&scenario.problem),
-                replicas: plan.placement.replica_count(),
+                plan,
                 report,
-                plan_seconds,
-                sim_seconds,
             }
         })
-        .collect()
+        .collect();
+    StrategyComparison { rows }
 }
 
 /// Render the standard per-figure summary block.
-pub fn summary_block(results: &[StrategyResult]) -> String {
+pub fn summary_block(results: &StrategyComparison) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "  {:<16} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9}",
         "strategy", "mean_ms", "p50_ms", "p95_ms", "local%", "hops/req", "replicas"
     );
-    for r in results {
+    for r in &results.rows {
         let _ = writeln!(
             out,
             "  {:<16} {:>9.2} {:>9.1} {:>9.1} {:>8.1} {:>9.3} {:>9}",
@@ -572,25 +421,10 @@ pub fn summary_block(results: &[StrategyResult]) -> String {
             r.report.histogram.percentile(0.95),
             100.0 * r.report.local_ratio(),
             r.report.mean_cost_hops,
-            r.replicas,
+            r.plan.placement.replica_count(),
         );
     }
     out
-}
-
-/// Mean-latency improvement of `a` over `b`, in percent.
-pub fn improvement_pct(results: &[StrategyResult], a: Strategy, b: Strategy) -> Option<f64> {
-    let la = results
-        .iter()
-        .find(|r| r.strategy == a)?
-        .report
-        .mean_latency_ms;
-    let lb = results
-        .iter()
-        .find(|r| r.strategy == b)?
-        .report
-        .mean_latency_ms;
-    (lb > 0.0).then(|| 100.0 * (lb - la) / lb)
 }
 
 /// Stamp a figure banner.
@@ -599,24 +433,19 @@ pub fn banner(title: &str, scale: Scale) {
 }
 
 /// Helper to append a labelled CSV for every strategy's CDF.
-pub fn write_cdf_csvs(prefix: &str, results: &[StrategyResult]) {
-    for r in results {
+pub fn write_cdf_csvs(prefix: &str, results: &StrategyComparison) {
+    for r in &results.rows {
         let name = format!("{prefix}_{}.csv", r.strategy.name().replace('%', "pc"));
         write_csv(&name, "latency_ms,cdf", &cdf_rows(&r.report, 400));
     }
 }
 
 /// Sanity guard used by every figure binary: results must be non-trivial.
-pub fn assert_sane(results: &[StrategyResult]) {
-    for r in results {
+pub fn assert_sane(results: &StrategyComparison) {
+    for r in &results.rows {
         assert!(r.report.measured_requests > 0, "{}", r.strategy.name());
         assert!(r.report.mean_latency_ms > 0.0, "{}", r.strategy.name());
     }
-}
-
-/// Check whether `path`'s parent exists (used in tests).
-pub fn parent_exists(path: &Path) -> bool {
-    path.parent().map(|p| p.exists()).unwrap_or(false)
 }
 
 /// Build a placement problem + catalog + trace on an **arbitrary graph**
@@ -734,71 +563,109 @@ mod tests {
         assert_eq!(problem.grand_total(), catalog.total_requests());
     }
 
-    fn parse(args: &[&str]) -> Result<BenchArgs, ArgError> {
-        BenchArgs::parse_from(args.iter().map(|s| s.to_string()))
+    /// Parse a whitespace-separated command line against `flags`.
+    fn parse_with(flags: Table, line: &str) -> Result<(Args, BenchArgs), String> {
+        let a = Args::parse(line.split_whitespace().map(str::to_string), flags)
+            .map_err(|e| format!("{e:?}"))?;
+        let bench = BenchArgs::from_args(&a)?;
+        Ok((a, bench))
+    }
+
+    fn parse(line: &str) -> Result<BenchArgs, String> {
+        parse_with(REPLAYING, line).map(|(_, bench)| bench)
     }
 
     #[test]
     fn empty_args_select_paper_scale() {
-        let a = parse(&[]).unwrap();
-        assert_eq!(a.scale, Scale::Paper);
-        assert_eq!(a.threads, None);
-        assert_eq!(a.trace_out, None);
-        assert_eq!(a.metrics_out, None);
-        assert_eq!(a.profile_out, None);
-        assert_eq!(a.sample_every, None);
-        assert_eq!(a.window, None);
-        assert_eq!(a.trace_in, None);
-        assert!(!a.quiet);
+        let (a, bench) = parse_with(SIMULATING, "").unwrap();
+        assert_eq!(bench.scale, Scale::Paper);
+        assert_eq!(bench.sample_every, None);
+        assert_eq!(bench.window, None);
+        assert_eq!(bench.trace_in, None);
+        assert!(!a.has("quiet"));
+        // Only the metrics snapshot every binary writes.
+        let dest = bench.destinations(&a, Path::new("out"), "fig3");
+        assert_eq!(
+            dest,
+            Destinations {
+                metrics: vec![PathBuf::from("out/fig3_metrics.json")],
+                ..Destinations::default()
+            }
+        );
     }
 
     #[test]
     fn all_flags_parse() {
-        let a = parse(&[
-            "--quick",
-            "--threads",
-            "4",
-            "--trace-out",
-            "/tmp/t.jsonl",
-            "--metrics-out",
-            "/tmp/m.json",
-            "--profile-out",
-            "/tmp/p.json",
-            "--sample-every",
-            "1000",
-            "--window",
-            "256",
-            "--trace-in",
-            "/tmp/t.events",
-            "--quiet",
-        ])
+        let (a, bench) = parse_with(
+            REPLAYING,
+            "--quick --threads 4 --trace-out /tmp/t.jsonl --metrics-out /tmp/m.json \
+             --profile-out /tmp/p.json --sample-every 1000 --window 256 \
+             --trace-in /tmp/t.events --quiet",
+        )
         .unwrap();
-        assert_eq!(a.scale, Scale::Quick);
-        assert_eq!(a.threads, Some(4));
-        assert_eq!(a.trace_out.as_deref(), Some(Path::new("/tmp/t.jsonl")));
-        assert_eq!(a.metrics_out.as_deref(), Some(Path::new("/tmp/m.json")));
-        assert_eq!(a.profile_out.as_deref(), Some(Path::new("/tmp/p.json")));
-        assert_eq!(a.sample_every, Some(1000));
-        assert_eq!(a.window, Some(256));
-        assert_eq!(a.trace_in.as_deref(), Some(Path::new("/tmp/t.events")));
-        assert!(a.quiet);
+        assert_eq!(bench.scale, Scale::Quick);
+        assert_eq!(bench.threads, 4);
+        assert_eq!(bench.sample_every, Some(1000));
+        assert_eq!(bench.window, Some(256));
+        assert_eq!(bench.trace_in.as_deref(), Some(Path::new("/tmp/t.events")));
+        assert!(a.has("quiet"));
+        let dest = bench.destinations(&a, Path::new("out"), "bench_trace");
+        assert_eq!(
+            dest,
+            Destinations {
+                metrics: vec![
+                    PathBuf::from("out/bench_trace_metrics.json"),
+                    PathBuf::from("/tmp/m.json"),
+                ],
+                trace: Some(PathBuf::from("/tmp/t.jsonl")),
+                profile: Some(PathBuf::from("/tmp/p.json")),
+                samples: Some(PathBuf::from("out/bench_trace_samples.jsonl")),
+                timeline_json: Some(PathBuf::from("out/bench_trace_timeline.json")),
+                timeline_csv: Some(PathBuf::from("out/bench_trace_timeline.csv")),
+            }
+        );
     }
 
     #[test]
     fn window_zero_is_accepted_as_off_switch() {
-        // Unlike --sample-every, --window 0 is a documented no-op.
-        assert_eq!(parse(&["--window", "0"]).unwrap().window, Some(0));
-        assert!(matches!(parse(&["--window"]), Err(ArgError::Bad(_))));
-        assert!(matches!(
-            parse(&["--window", "wide"]),
-            Err(ArgError::Bad(_))
-        ));
-        assert!(usage("fig3").contains("--window"));
+        // Unlike --sample-every, --window 0 is a documented no-op: no
+        // timeline files.
+        let (a, bench) = parse_with(SIMULATING, "--window 0").unwrap();
+        assert_eq!(bench.window, Some(0));
+        let dest = bench.destinations(&a, Path::new("out"), "fig3");
+        assert_eq!(dest.timeline_json, None);
+        assert_eq!(dest.timeline_csv, None);
+        assert!(parse("--window").is_err());
+        assert!(parse("--window wide").is_err());
+        assert!(usage("fig3", SIMULATING).contains("--window"));
+    }
+
+    #[test]
+    fn trace_in_is_accepted_only_where_a_trace_replays() {
+        // `fig6 --quick --trace-in /nonexistent.events` once exited 0: the
+        // figure binaries accepted the flag and never read it.
+        let args = "--quick --trace-in /nonexistent.events";
+        for flags in [PLANNING, SIMULATING] {
+            let err = parse_with(flags, args).unwrap_err();
+            assert!(err.contains("--trace-in"), "{err}");
+        }
+        assert!(parse_with(REPLAYING, args).is_ok());
+    }
+
+    #[test]
+    fn sampler_and_window_are_rejected_where_nothing_simulates() {
+        // ablation_model, ablation_updates and bench_placement never
+        // simulate; they once accepted both flags and ignored them.
+        for line in ["--sample-every 10", "--window 64"] {
+            let err = parse_with(PLANNING, line).unwrap_err();
+            assert!(err.contains(&line[..line.find(' ').unwrap()]), "{err}");
+            assert!(parse_with(SIMULATING, line).is_ok());
+        }
     }
 
     #[test]
     fn config_injects_sampler() {
-        let mut a = parse(&["--quick"]).unwrap();
+        let mut a = parse("--quick").unwrap();
         assert_eq!(
             a.config(0.1, 0.0, LambdaMode::Uncacheable).sim.sample_every,
             None
@@ -820,15 +687,13 @@ mod tests {
 
     #[test]
     fn scale_flag_selects_every_tier() {
-        assert_eq!(parse(&["--scale", "quick"]).unwrap().scale, Scale::Quick);
-        assert_eq!(parse(&["--scale", "paper"]).unwrap().scale, Scale::Paper);
-        assert_eq!(parse(&["--scale", "large"]).unwrap().scale, Scale::Large);
-        assert_eq!(
-            parse(&["--scale", "large-ci"]).unwrap().scale,
-            Scale::LargeCi
-        );
-        assert!(matches!(parse(&["--scale"]), Err(ArgError::Bad(_))));
-        assert!(matches!(parse(&["--scale", "huge"]), Err(ArgError::Bad(_))));
+        assert_eq!(parse("--scale quick").unwrap().scale, Scale::Quick);
+        assert_eq!(parse("--scale paper").unwrap().scale, Scale::Paper);
+        assert_eq!(parse("--scale large").unwrap().scale, Scale::Large);
+        assert_eq!(parse("--scale large-ci").unwrap().scale, Scale::LargeCi);
+        assert!(parse("--scale").is_err());
+        assert!(parse("--scale huge").is_err());
+        assert!(parse("--scale paper --quick").is_err());
         // Round-trip: every label parses back to its tier.
         for s in [Scale::Paper, Scale::Quick, Scale::Large, Scale::LargeCi] {
             assert_eq!(Scale::from_label(s.label()), Some(s));
@@ -848,47 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_rejected_not_ignored() {
-        // The old `Scale::from_args` scanned only for `--quick`, so a typo
-        // silently ran the full paper scale. Now it is a hard error.
-        match parse(&["--qiuck"]) {
-            Err(ArgError::Bad(msg)) => assert!(msg.contains("--qiuck"), "{msg}"),
-            other => panic!("expected Bad, got {other:?}"),
-        }
-        assert!(matches!(parse(&["extra"]), Err(ArgError::Bad(_))));
-    }
-
-    #[test]
-    fn missing_or_bad_values_are_rejected() {
-        assert!(matches!(parse(&["--threads"]), Err(ArgError::Bad(_))));
-        assert!(matches!(
-            parse(&["--threads", "zero"]),
-            Err(ArgError::Bad(_))
-        ));
-        assert!(matches!(parse(&["--threads", "0"]), Err(ArgError::Bad(_))));
-        assert!(matches!(parse(&["--trace-out"]), Err(ArgError::Bad(_))));
-        assert!(matches!(parse(&["--trace-in"]), Err(ArgError::Bad(_))));
-        assert!(matches!(parse(&["--metrics-out"]), Err(ArgError::Bad(_))));
-        assert!(matches!(parse(&["--profile-out"]), Err(ArgError::Bad(_))));
-        assert!(matches!(parse(&["--sample-every"]), Err(ArgError::Bad(_))));
-        assert!(matches!(
-            parse(&["--sample-every", "many"]),
-            Err(ArgError::Bad(_))
-        ));
-        assert!(matches!(
-            parse(&["--sample-every", "0"]),
-            Err(ArgError::Bad(_))
-        ));
-    }
-
-    #[test]
-    fn help_is_distinguished_from_errors() {
-        assert_eq!(parse(&["--help"]), Err(ArgError::Help));
-        assert_eq!(parse(&["-h"]), Err(ArgError::Help));
-        assert!(usage("fig3").contains("--trace-out"));
-    }
-
-    #[test]
     fn csv_written_and_readable() {
         std::env::set_var(
             "CDN_RESULTS_DIR",
@@ -897,7 +721,6 @@ mod tests {
         let path = write_csv("unit_test.csv", "a,b", &["1,2".into(), "3,4".into()]);
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body, "a,b\n1,2\n3,4\n");
-        assert!(parent_exists(&path));
         std::env::remove_var("CDN_RESULTS_DIR");
     }
 }

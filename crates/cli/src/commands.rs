@@ -1,36 +1,49 @@
 //! The CLI subcommands.
 
-use crate::args::Args;
+use cdn_cli::args::{
+    Args, Flag, Table, METRICS_OUT, PROFILE_OUT, SAMPLE_EVERY, THREADS, TRACE_OUT, WINDOW,
+};
+use cdn_cli::sink::{self, Destinations, Sink};
 use cdn_core::{
     compare_strategies_with_options, export_events, parse_csv_trace, replay_events, ModelBackend,
     Scenario, ScenarioConfig, Strategy,
 };
-use cdn_telemetry as telemetry;
 use cdn_topology::metrics::compute_metrics;
 use cdn_topology::{export, TransitStubConfig, TransitStubTopology};
 use cdn_workload::{
     analysis::TraceStats, DemandMatrix, LambdaMode, SiteCatalog, TraceSpec, WorkloadConfig,
 };
+use std::path::Path;
 
 pub const USAGE: &str = "hybrid-cdn — replication + caching for CDNs (IPDPS 2005 reproduction)
 
 USAGE:
-  hybrid-cdn compare  [--capacity 0.05] [--lambda 0] [--mode uncacheable|expired]
-                      [--scale small|paper|large|large-ci] [--seed N] [--threads N]
-                      [--cache-policy lru|delayed-lru|fifo|lfu|clock|gdsf]
+  hybrid-cdn compare  [scenario options] [--cache-policy lru|delayed-lru|fifo|lfu|clock|gdsf]
                       [--model paper|che|closed-form] [--trace-in FILE.events]
-                      [fault options]
-  hybrid-cdn plan     [--strategy hybrid] [--model paper|che|closed-form]
-                      [--capacity 0.05] [--lambda 0] [--mode uncacheable|expired]
-                      [--scale small|paper|large|large-ci] [--seed N]
-                      [--threads N] [fault options]
-  hybrid-cdn topology [--scale small|paper|large] [--seed N] [--dot FILE] [--csv FILE]
+                      [--fetch-latency N] [fault options] [sampling options] [output options]
+  hybrid-cdn plan     [scenario options] [--strategy hybrid] [--model paper|che|closed-form]
+                      [output options]
+  hybrid-cdn ingest   --out FILE.events [--csv FILE] [scenario options] [output options]
+  hybrid-cdn topology [--scale small|paper|large|large-ci] [--seed N] [--dot FILE] [--csv FILE]
   hybrid-cdn workload [--theta 1.0] [--sites 15] [--objects 200] [--seed N]
-  hybrid-cdn ingest   --out FILE.events [--csv FILE] [scenario flags]
-  hybrid-cdn report   [--metrics FILE] [--profile FILE] [--samples FILE]
-                      [--trace FILE] [--timeline FILE] [--top N]
-                      [--format text|json|openmetrics]
+  hybrid-cdn report   [--metrics FILE] [--profile FILE] [--samples FILE] [--trace FILE]
+                      [--timeline FILE] [--top N] [--format text|json|openmetrics]
   hybrid-cdn help
+  hybrid-cdn COMMAND --help    describe each flag COMMAND accepts
+
+Every argument is a flag of its command: an unknown flag, a stray value or
+a flag missing its value is an error.
+
+SCENARIO OPTIONS: [--capacity 0.05] [--lambda 0] [--mode uncacheable|expired]
+  [--scale small|paper|large|large-ci] [--seed N] [--threads N]
+FAULT OPTIONS (any of them enables fault injection and failover routing):
+  [--mttf TICKS] [--mttr TICKS] [--origin-outage F] [--retry-penalty-ms MS]
+SAMPLING OPTIONS (each with the file it writes):
+  [--sample-every N --samples-out FILE] [--window N --timeline-out FILE]
+OUTPUT OPTIONS: [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]
+  Every output but the WALL-CLOCK --profile-out Chrome trace (chrome://tracing,
+  Perfetto) is deterministic: no timestamps, identical bytes at any --threads
+  value and any shard count.
 
 TRACES (the versioned binary .events format: (key, timestamp_us) pairs):
   `hybrid-cdn ingest --csv trace.csv --out trace.events` converts a text
@@ -41,32 +54,10 @@ TRACES (the versioned binary .events format: (key, timestamp_us) pairs):
   are partitioned across servers by a deterministic key hash and clamped
   into the scenario's catalog, so any trace replays against any scale.
 
-DELAYED HITS (compare, plan, and trace replay):
-  --fetch-latency N     remote fetches complete N ticks after the miss
-                        that started them; requests for the same object
-                        arriving earlier coalesce onto the pending fetch
-                        as `delayed_hit`s instead of separate fetches
-                        (0 = instant fetches, the off switch)
-
-FAULT OPTIONS (enable fault injection / failover routing in the simulator):
-  --mttf TICKS          mean requests between server crashes (default: never)
-  --mttr TICKS          mean requests to repair a crashed server (default 500)
-  --origin-outage F     long-run fraction of time origins are down, [0, 1)
-  --retry-penalty-ms MS latency per dead holder skipped (default 200)
-
-OBSERVABILITY (compare and plan; deterministic — no timestamps, identical
-bytes at any --threads value):
-  --trace-out FILE      write the JSONL span/event trace to FILE
-  --metrics-out FILE    write the counters/gauges/histograms snapshot to FILE
-  --sample-every N      sample every Nth request per server stream
-  --samples-out FILE    write sampled request paths (JSONL) to FILE
-  --window N            bucket measured requests into N-tick virtual-time
-                        windows (0 = off); timelines are byte-identical at
-                        any --threads value and any shard count
-  --timeline-out FILE   write the windowed timeline JSON to FILE
-  --profile-out FILE    write a WALL-CLOCK Chrome trace profile to FILE
-                        (load in chrome://tracing or Perfetto; timed data
-                        lives only here — the files above stay byte-identical)
+DELAYED HITS (compare): with --fetch-latency N, remote fetches complete N
+  ticks after the miss that started them, and requests for the same object
+  arriving earlier coalesce onto the pending fetch as `delayed_hit`s
+  instead of separate fetches (0 = instant fetches, the off switch).
 
 `hybrid-cdn report` renders these artifacts: a latency-attribution table
 plus percentile ladder from --metrics, per-phase self-time from --profile,
@@ -79,128 +70,71 @@ STRATEGIES (for --strategy):
   hybrid | replication | caching | popularity | greedy-local | backtrack
   | hybrid-che | random:<seed> | adhoc:<cache-fraction>";
 
-/// The `--key`s shared by every scenario-driven subcommand.
-pub const SCENARIO_KEYS: &[&str] = &[
-    "capacity",
-    "lambda",
-    "mode",
-    "scale",
-    "seed",
-    "threads",
-    "mttf",
-    "mttr",
-    "origin-outage",
-    "retry-penalty-ms",
-    "trace-out",
-    "metrics-out",
-    "profile-out",
-    "sample-every",
-    "samples-out",
-    "window",
-    "timeline-out",
-    "fetch-latency",
+const SCALE: Flag = "--scale <tier>  small | paper | large | large-ci (default small)";
+const MODEL: Flag = "--model <name>  hit-ratio model: paper | che | closed-form (default paper)";
+const GENERATOR_SEED: Flag = "--seed <n>  generator seed (default 1)";
+
+/// The flags of every command that builds a scenario.
+const SCENARIO: &[Flag] = &[
+    "--capacity <f>  storage per server, a fraction of the corpus in (0, 1] (default 0.05)",
+    "--lambda <f>  share of requests for uncacheable or expired objects, [0, 1] (default 0)",
+    "--mode <mode>  what those requests are: uncacheable | expired (default uncacheable)",
+    SCALE,
+    "--seed <n>  scenario seed",
+    THREADS,
+    TRACE_OUT,
+    METRICS_OUT,
+    PROFILE_OUT,
 ];
 
-/// Observability outputs requested on the command line. Constructing it
-/// (via [`Observability::setup`]) switches the telemetry layer on when any
-/// output is wanted; [`Observability::flush`] writes the files after the
-/// command's work is done.
-struct Observability {
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    /// Wall-clock profile destination — strictly separate from the
-    /// deterministic outputs above, which stay byte-identical whether or
-    /// not profiling is on.
-    profile_out: Option<String>,
-    samples_out: Option<String>,
-    /// Rendered sampled-request JSONL, accumulated via [`Self::record`].
-    samples: String,
-    timeline_out: Option<String>,
-    /// Windowed timelines buffered via [`Self::record`], rendered
-    /// to JSON at flush time.
-    timelines: Vec<(String, cdn_core::sim::Timeline)>,
-}
+/// The flags that only a command that simulates reads.
+const SIMULATION: &[Flag] = &[
+    "--mttf <ticks>  mean requests between server crashes (default: never)",
+    "--mttr <ticks>  mean requests to repair a crashed server (default 500)",
+    "--origin-outage <f>  long-run fraction of time origins are down, [0, 1)",
+    "--retry-penalty-ms <ms>  latency per dead holder skipped (default 200)",
+    "--fetch-latency <n>  remote fetches complete n ticks after their miss (0 = instant)",
+    SAMPLE_EVERY,
+    "--samples-out <path>  write the sampled request paths (JSONL)",
+    WINDOW,
+    "--timeline-out <path>  write the windowed timeline JSON",
+];
 
-impl Observability {
-    fn setup(a: &Args) -> Self {
-        let obs = Self {
-            trace_out: a.get("trace-out").map(str::to_string),
-            metrics_out: a.get("metrics-out").map(str::to_string),
-            profile_out: a.get("profile-out").map(str::to_string),
-            samples_out: a.get("samples-out").map(str::to_string),
-            samples: String::new(),
-            timeline_out: a.get("timeline-out").map(str::to_string),
-            timelines: Vec::new(),
-        };
-        if obs.trace_out.is_some() || obs.metrics_out.is_some() {
-            telemetry::reset_metrics();
-            telemetry::set_enabled(true);
-            if obs.trace_out.is_some() {
-                telemetry::install_trace();
-            }
-        }
-        if obs.profile_out.is_some() {
-            telemetry::profile::install();
-        }
-        obs
-    }
-
-    /// Buffer one simulation's sampled request paths and windowed timeline
-    /// under `run`, for whichever of the two outputs was asked for.
-    fn record(&mut self, run: &str, report: &cdn_core::sim::SimReport) {
-        if self.samples_out.is_some() {
-            cdn_core::sim::render_samples_jsonl(run, report, &mut self.samples);
-        }
-        if let (Some(_), Some(tl)) = (&self.timeline_out, &report.timeline) {
-            self.timelines.push((run.to_string(), tl.clone()));
-        }
-    }
-
-    fn flush(&self) -> Result<(), String> {
-        if let Some(path) = &self.metrics_out {
-            std::fs::write(path, telemetry::registry().snapshot_json())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote metrics snapshot to {path}");
-        }
-        if let Some(path) = &self.trace_out {
-            let jsonl = telemetry::drain_trace().unwrap_or_default();
-            std::fs::write(path, jsonl).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote event trace to {path}");
-        }
-        if let Some(path) = &self.samples_out {
-            std::fs::write(path, &self.samples).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote sampled requests to {path}");
-        }
-        if let Some(path) = &self.timeline_out {
-            let body = cdn_core::sim::render_timeline_json(&self.timelines);
-            std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote windowed timeline to {path}");
-        }
-        if let Some(path) = &self.profile_out {
-            let profile = telemetry::profile::drain_chrome_trace().unwrap_or_default();
-            std::fs::write(path, profile).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote wall-clock profile to {path} (chrome://tracing, Perfetto)");
-        }
-        Ok(())
-    }
-}
-
-/// Apply `--threads N` (configure the global rayon pool before any parallel
-/// region runs) and return the effective worker count. Results are
-/// bit-identical at any thread count, so this is purely a speed knob.
-fn configure_threads(a: &Args) -> Result<usize, String> {
-    if a.has("threads") {
-        let n = a.get_u64("threads", 0)?;
-        if n == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n as usize)
-            .build_global()
-            .map_err(|e| format!("--threads: {e}"))?;
-    }
-    Ok(rayon::current_num_threads())
-}
+pub const COMPARE: Table = &[
+    SCENARIO,
+    SIMULATION,
+    &[
+        "--cache-policy <name>  lru | delayed-lru | fifo | lfu | clock | gdsf (default lru)",
+        MODEL,
+        "--trace-in <path>  replay this .events trace instead of the synthetic workload",
+    ],
+];
+pub const PLAN: Table = &[
+    SCENARIO,
+    &[
+        "--strategy <name>  the strategy to plan (default hybrid; see `hybrid-cdn help`)",
+        MODEL,
+    ],
+];
+pub const INGEST: Table = &[
+    &[
+        "--out <path>  write the .events trace here (required)",
+        "--csv <path>  convert this CSV trace instead of exporting the synthetic workload",
+    ],
+    SCENARIO,
+];
+pub const TOPOLOGY: Table = &[&[
+    SCALE,
+    GENERATOR_SEED,
+    "--dot <path>  write the topology as Graphviz DOT",
+    "--csv <path>  write the edge list as CSV",
+]];
+pub const WORKLOAD: Table = &[&[
+    "--theta <f>  Zipf exponent of object popularity (default 1.0)",
+    "--sites <n>  number of sites (default 15)",
+    "--objects <n>  objects per site (default 200)",
+    GENERATOR_SEED,
+]];
 
 /// Fault parameters from `--mttf`/`--mttr`/`--origin-outage`/
 /// `--retry-penalty-ms`; `None` when no fault flag was given (nothing is
@@ -220,19 +154,13 @@ fn fault_params(
     let defaults = cdn_core::sim::FaultParams::default();
     let params = cdn_core::sim::FaultParams {
         mttf: a.get_f64("mttf", f64::INFINITY)?,
-        mttr: a.get_f64("mttr", defaults.mttr)?,
+        mttr: a.get_positive("mttr")?.unwrap_or(defaults.mttr),
         origin_outage: a.get_f64("origin-outage", 0.0)?,
         retry_penalty_ms: a.get_f64("retry-penalty-ms", defaults.retry_penalty_ms)?,
         seed: scenario_seed,
     };
     if params.mttf <= 0.0 {
         return Err(format!("--mttf must be positive, got {}", params.mttf));
-    }
-    if !(params.mttr > 0.0 && params.mttr.is_finite()) {
-        return Err(format!(
-            "--mttr must be positive and finite, got {}",
-            params.mttr
-        ));
     }
     if !(0.0..1.0).contains(&params.origin_outage) {
         return Err(format!(
@@ -288,23 +216,13 @@ fn scenario_config(a: &Args) -> Result<ScenarioConfig, String> {
         cfg.seed = a.get_u64("seed", cfg.seed)?;
     }
     cfg.sim.faults = fault_params(a, cfg.seed)?;
-    if a.has("sample-every") {
-        let n = a.get_u64("sample-every", 0)?;
-        if n == 0 {
-            return Err("--sample-every must be at least 1".into());
-        }
-        cfg.sim.sample_every = Some(n);
-    }
-    if a.has("window") {
-        // 0 is valid: it is the documented timeline off switch, and the
-        // `Some(0)` path is bit-identical to `None`.
-        cfg.sim.window = Some(a.get_u64("window", 0)?);
-    }
-    if a.has("fetch-latency") {
-        // Same contract as --window: 0 is the documented off switch and
-        // the `Some(0)` path is bit-identical to `None`.
-        cfg.sim.fetch_latency = Some(a.get_u64("fetch-latency", 0)?);
-    }
+    cfg.sim.sample_every = a.sample_every()?;
+    cfg.sim.window = a.window()?;
+    // As with --window, 0 is the documented off switch.
+    let fetch_latency = a
+        .get("fetch-latency")
+        .map(|_| a.get_u64("fetch-latency", 0));
+    cfg.sim.fetch_latency = fetch_latency.transpose()?;
     Ok(cfg)
 }
 
@@ -344,10 +262,23 @@ fn parse_model(a: &Args) -> Result<ModelBackend, String> {
     }
 }
 
+/// `compare`'s outputs. A sampler or a window with no file to write it to
+/// is an error, not work computed and then dropped.
+fn compare_outputs(a: &Args, sim: &cdn_core::sim::SimConfig) -> Result<Destinations, String> {
+    if sim.sample_every.is_some() && !a.has("samples-out") {
+        return Err("--sample-every needs --samples-out FILE".into());
+    }
+    if sim.window.unwrap_or(0) > 0 && !a.has("timeline-out") {
+        return Err("--window needs --timeline-out FILE (or --window 0 for no timeline)".into());
+    }
+    Ok(Destinations::from_args(a))
+}
+
 pub fn compare(a: &Args) -> Result<(), String> {
     let cfg = scenario_config(a)?;
-    let threads = configure_threads(a)?;
-    let obs = Observability::setup(a);
+    let outputs = compare_outputs(a, &cfg.sim)?;
+    let threads = a.thread_pool()?;
+    let mut sink = Sink::install(outputs);
     println!(
         "scenario: {} servers, {} sites, capacity {:.1}%, lambda {:.0}%, seed {}, {threads} thread(s)",
         cfg.hosts.n_servers,
@@ -381,7 +312,7 @@ pub fn compare(a: &Args) -> Result<(), String> {
                         --cache-policy is not supported here"
                 .into());
         }
-        let events = cdn_workload::read_events_file(std::path::Path::new(path))
+        let events = cdn_workload::read_events_file(Path::new(path))
             .map_err(|e| format!("reading {path}: {e}"))?;
         println!("replaying {} events from {path}", events.len());
         let rows = strategies
@@ -401,9 +332,8 @@ pub fn compare(a: &Args) -> Result<(), String> {
         compare_strategies_with_options(&scenario, &strategies, policy, model)
             .map_err(|e| format!("--cache-policy: {e}"))?
     };
-    let mut obs = obs;
     for row in &cmp.rows {
-        obs.record(&row.strategy.name(), &row.report);
+        sink.record(&row.strategy.name(), &row.report);
     }
     println!("\n{}", cmp.summary_table());
     if cfg.sim.faults.is_some() {
@@ -415,15 +345,15 @@ pub fn compare(a: &Args) -> Result<(), String> {
     if let Some(gain) = cmp.improvement(Strategy::Hybrid, Strategy::Caching) {
         println!("hybrid vs caching:     {:+.1}%", gain * 100.0);
     }
-    obs.flush()
+    sink.flush()
 }
 
 pub fn plan(a: &Args) -> Result<(), String> {
     let cfg = scenario_config(a)?;
     let strategy = parse_strategy(a.get("strategy").unwrap_or("hybrid"))?;
     let model = parse_model(a)?;
-    let threads = configure_threads(a)?;
-    let obs = Observability::setup(a);
+    let threads = a.thread_pool()?;
+    let sink = Sink::install(Destinations::from_args(a));
     let scenario = Scenario::generate(&cfg);
     let plan = scenario.plan_with_model(strategy, model);
     if model != ModelBackend::Paper {
@@ -449,7 +379,7 @@ pub fn plan(a: &Args) -> Result<(), String> {
             plan.placement.free_bytes(i) as f64 / 1e6,
         );
     }
-    obs.flush()
+    sink.flush()
 }
 
 pub fn topology(a: &Args) -> Result<(), String> {
@@ -472,14 +402,15 @@ pub fn topology(a: &Args) -> Result<(), String> {
         metrics.mean_degree
     );
     if let Some(path) = a.get("dot") {
-        std::fs::write(path, export::transit_stub_to_dot(&topo, "cdn"))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote DOT to {path}");
+        let dot = export::transit_stub_to_dot(&topo, "cdn");
+        sink::write(Path::new(path), &dot, "DOT")?;
     }
     if let Some(path) = a.get("csv") {
-        std::fs::write(path, export::to_edge_csv(&topo.graph))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote edge CSV to {path}");
+        sink::write(
+            Path::new(path),
+            &export::to_edge_csv(&topo.graph),
+            "edge CSV",
+        )?;
     }
     Ok(())
 }
@@ -540,6 +471,8 @@ pub fn ingest(a: &Args) -> Result<(), String> {
     let out = a
         .get("out")
         .ok_or("ingest needs --out FILE.events to know where to write")?;
+    a.thread_pool()?;
+    let sink = Sink::install(Destinations::from_args(a));
     let (events, source) = match a.get("csv") {
         Some(csv) => {
             let text = std::fs::read_to_string(csv).map_err(|e| format!("reading {csv}: {e}"))?;
@@ -560,7 +493,7 @@ pub fn ingest(a: &Args) -> Result<(), String> {
     if events.is_empty() {
         return Err("trace is empty — nothing to write".into());
     }
-    cdn_workload::write_events_file(std::path::Path::new(out), &events)
+    cdn_workload::write_events_file(Path::new(out), &events)
         .map_err(|e| format!("writing {out}: {e}"))?;
     let distinct: std::collections::HashSet<u64> = events.iter().map(|e| e.key).collect();
     let span_us = events.last().map(|e| e.timestamp_us).unwrap_or(0)
@@ -571,12 +504,24 @@ pub fn ingest(a: &Args) -> Result<(), String> {
         distinct.len(),
         span_us as f64 / 1e6
     );
-    Ok(())
+    sink.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdn_cli::args::ArgError;
+    use cdn_telemetry as telemetry;
+
+    /// Parse a whitespace-separated command line against a command's flag
+    /// table.
+    fn try_parse(command: Table, line: &str) -> Result<Args, ArgError> {
+        Args::parse(line.split_whitespace().map(str::to_string), command)
+    }
+
+    fn parse(command: Table, line: &str) -> Args {
+        try_parse(command, line).unwrap()
+    }
 
     #[test]
     fn strategy_parsing_round_trip() {
@@ -597,19 +542,11 @@ mod tests {
 
     #[test]
     fn model_parsing_defaults_and_rejects_unknown() {
-        let a = Args::parse(std::iter::empty::<String>(), &["model"]).unwrap();
+        let a = parse(PLAN, "");
         assert_eq!(parse_model(&a).unwrap(), ModelBackend::Paper);
-        let a = Args::parse(
-            ["--model", "closed-form"].iter().map(|s| s.to_string()),
-            &["model"],
-        )
-        .unwrap();
+        let a = parse(PLAN, "--model closed-form");
         assert_eq!(parse_model(&a).unwrap(), ModelBackend::ClosedForm);
-        let a = Args::parse(
-            ["--model", "fagin"].iter().map(|s| s.to_string()),
-            &["model"],
-        )
-        .unwrap();
+        let a = parse(COMPARE, "--model fagin");
         let err = parse_model(&a).unwrap_err();
         assert!(err.starts_with("--model:"), "{err}");
         assert!(err.contains("fagin"), "{err}");
@@ -618,22 +555,7 @@ mod tests {
 
     #[test]
     fn scenario_config_defaults_and_overrides() {
-        let a = Args::parse(
-            [
-                "--capacity",
-                "0.2",
-                "--lambda",
-                "0.1",
-                "--mode",
-                "expired",
-                "--seed",
-                "5",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-            &["capacity", "lambda", "mode", "scale", "seed"],
-        )
-        .unwrap();
+        let a = parse(PLAN, "--capacity 0.2 --lambda 0.1 --mode expired --seed 5");
         let cfg = scenario_config(&a).unwrap();
         assert!((cfg.capacity_fraction - 0.2).abs() < 1e-12);
         assert!((cfg.lambda - 0.1).abs() < 1e-12);
@@ -643,50 +565,41 @@ mod tests {
 
     #[test]
     fn out_of_range_numbers_rejected_cleanly() {
-        let a = Args::parse(
-            ["--capacity", "2.0"].iter().map(|s| s.to_string()),
-            &["capacity"],
-        )
-        .unwrap();
+        let a = parse(COMPARE, "--capacity 2.0");
         assert!(scenario_config(&a).unwrap_err().contains("--capacity"));
-        let a = Args::parse(
-            ["--lambda", "-0.2"].iter().map(|s| s.to_string()),
-            &["lambda"],
-        )
-        .unwrap();
+        let a = parse(COMPARE, "--lambda -0.2");
         assert!(scenario_config(&a).unwrap_err().contains("--lambda"));
         assert!(parse_strategy("adhoc:1.5")
             .unwrap_err()
             .contains("fraction"));
     }
 
-    fn parse_scenario(args: &[&str]) -> Result<ScenarioConfig, String> {
-        let a = Args::parse(args.iter().map(|s| s.to_string()), SCENARIO_KEYS).unwrap();
-        scenario_config(&a)
+    fn parse_scenario(line: &str) -> Result<ScenarioConfig, String> {
+        scenario_config(&parse(COMPARE, line))
     }
 
     #[test]
     fn window_flag_populates_sim_config_and_accepts_zero() {
-        let cfg = parse_scenario(&["--window", "512"]).unwrap();
+        let cfg = parse_scenario("--window 512").unwrap();
         assert_eq!(cfg.sim.window, Some(512));
         // --window 0 is the documented off switch, never an error.
-        let cfg = parse_scenario(&["--window", "0"]).unwrap();
+        let cfg = parse_scenario("--window 0").unwrap();
         assert_eq!(cfg.sim.window, Some(0));
-        let cfg = parse_scenario(&[]).unwrap();
+        let cfg = parse_scenario("").unwrap();
         assert_eq!(cfg.sim.window, None);
-        assert!(parse_scenario(&["--window", "wide"]).is_err());
+        assert!(parse_scenario("--window wide").is_err());
     }
 
     #[test]
     fn fetch_latency_flag_populates_sim_config_and_accepts_zero() {
-        let cfg = parse_scenario(&["--fetch-latency", "64"]).unwrap();
+        let cfg = parse_scenario("--fetch-latency 64").unwrap();
         assert_eq!(cfg.sim.fetch_latency, Some(64));
         // --fetch-latency 0 is the documented off switch, never an error.
-        let cfg = parse_scenario(&["--fetch-latency", "0"]).unwrap();
+        let cfg = parse_scenario("--fetch-latency 0").unwrap();
         assert_eq!(cfg.sim.fetch_latency, Some(0));
-        let cfg = parse_scenario(&[]).unwrap();
+        let cfg = parse_scenario("").unwrap();
         assert_eq!(cfg.sim.fetch_latency, None);
-        assert!(parse_scenario(&["--fetch-latency", "slow"]).is_err());
+        assert!(parse_scenario("--fetch-latency slow").is_err());
     }
 
     #[test]
@@ -696,47 +609,26 @@ mod tests {
         let csv = dir.join("trace.csv");
         let out = dir.join("trace.events");
         std::fs::write(&csv, "timestamp_us,site,object\n20,1,3\n10,0,5\n").unwrap();
-        let a = Args::parse(
-            [
-                "--csv",
-                csv.to_str().unwrap(),
-                "--out",
-                out.to_str().unwrap(),
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-            &["csv", "out"],
-        )
-        .unwrap();
-        ingest(&a).unwrap();
+        let line = format!("--csv {} --out {}", csv.display(), out.display());
+        ingest(&parse(INGEST, &line)).unwrap();
         let events = cdn_workload::read_events_file(&out).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].timestamp_us, 10, "sorted by timestamp");
 
         // Without --csv the selected scenario's synthetic workload exports.
         let synth = dir.join("synth.events");
-        let mut keys = vec!["csv", "out"];
-        keys.extend_from_slice(SCENARIO_KEYS);
-        let a = Args::parse(
-            ["--out", synth.to_str().unwrap(), "--seed", "7"]
-                .iter()
-                .map(|s| s.to_string()),
-            &keys,
-        )
-        .unwrap();
-        ingest(&a).unwrap();
+        let line = format!("--out {} --seed 7", synth.display());
+        ingest(&parse(INGEST, &line)).unwrap();
         let events = cdn_workload::read_events_file(&synth).unwrap();
         assert!(!events.is_empty());
 
         // Missing --out is a contextful error, not a panic.
-        let a = Args::parse(std::iter::empty::<String>(), &["csv", "out"]).unwrap();
-        assert!(ingest(&a).unwrap_err().contains("--out"));
+        assert!(ingest(&parse(INGEST, "")).unwrap_err().contains("--out"));
     }
 
     #[test]
     fn fault_flags_populate_sim_config() {
-        let cfg =
-            parse_scenario(&["--mttf", "300", "--origin-outage", "0.2", "--seed", "9"]).unwrap();
+        let cfg = parse_scenario("--mttf 300 --origin-outage 0.2 --seed 9").unwrap();
         let f = cfg.sim.faults.expect("faults enabled");
         assert_eq!(f.mttf, 300.0);
         assert_eq!(f.origin_outage, 0.2);
@@ -747,10 +639,10 @@ mod tests {
 
     #[test]
     fn no_fault_flags_means_no_fault_injection() {
-        let cfg = parse_scenario(&["--capacity", "0.2"]).unwrap();
+        let cfg = parse_scenario("--capacity 0.2").unwrap();
         assert!(cfg.sim.faults.is_none());
         // A single fault flag is enough to switch the layer on.
-        let cfg = parse_scenario(&["--retry-penalty-ms", "50"]).unwrap();
+        let cfg = parse_scenario("--retry-penalty-ms 50").unwrap();
         let f = cfg.sim.faults.unwrap();
         assert!(f.is_zero_fault(), "penalty alone never fires a fault");
         assert_eq!(f.retry_penalty_ms, 50.0);
@@ -758,17 +650,13 @@ mod tests {
 
     #[test]
     fn invalid_fault_flags_rejected() {
-        assert!(parse_scenario(&["--mttf", "0"])
-            .unwrap_err()
-            .contains("--mttf"));
-        assert!(parse_scenario(&["--mttr", "-3"])
-            .unwrap_err()
-            .contains("--mttr"));
-        assert!(parse_scenario(&["--origin-outage", "1.0"])
+        assert!(parse_scenario("--mttf 0").unwrap_err().contains("--mttf"));
+        assert!(parse_scenario("--mttr -3").unwrap_err().contains("--mttr"));
+        assert!(parse_scenario("--origin-outage 1.0")
             .unwrap_err()
             .contains("--origin-outage"));
         for penalty in ["-1", "1e300", "inf"] {
-            assert!(parse_scenario(&["--retry-penalty-ms", penalty])
+            assert!(parse_scenario(&format!("--retry-penalty-ms {penalty}"))
                 .unwrap_err()
                 .contains("--retry-penalty-ms"));
         }
@@ -776,21 +664,12 @@ mod tests {
 
     #[test]
     fn threads_flag_configures_pool() {
-        let a = Args::parse(
-            ["--threads", "0"].iter().map(|s| s.to_string()),
-            &["threads"],
-        )
-        .unwrap();
-        assert!(configure_threads(&a).unwrap_err().contains("--threads"));
-        let a = Args::parse(
-            ["--threads", "3"].iter().map(|s| s.to_string()),
-            &["threads"],
-        )
-        .unwrap();
-        assert_eq!(configure_threads(&a).unwrap(), 3);
+        let a = parse(COMPARE, "--threads 0");
+        assert!(a.thread_pool().unwrap_err().contains("--threads"));
+        let a = parse(INGEST, "--threads 3");
+        assert_eq!(a.thread_pool().unwrap(), 3);
         // Without the flag the pool is left as-is.
-        let a = Args::parse(std::iter::empty(), &["threads"]).unwrap();
-        assert_eq!(configure_threads(&a).unwrap(), 3);
+        assert_eq!(parse(PLAN, "").thread_pool().unwrap(), 3);
     }
 
     #[test]
@@ -799,22 +678,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("trace.jsonl");
         let metrics = dir.join("metrics.json");
-        let a = Args::parse(
-            [
-                "--trace-out",
-                trace.to_str().unwrap(),
-                "--metrics-out",
-                metrics.to_str().unwrap(),
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-            SCENARIO_KEYS,
-        )
-        .unwrap();
-        let obs = Observability::setup(&a);
+        let (t, m) = (trace.display(), metrics.display());
+        let a = parse(PLAN, &format!("--trace-out {t} --metrics-out {m}"));
+        let sink = Sink::install(Destinations::from_args(&a));
         assert!(telemetry::enabled());
         assert!(telemetry::trace_installed());
-        obs.flush().unwrap();
+        sink.flush().unwrap();
         let snapshot = std::fs::read_to_string(&metrics).unwrap();
         assert!(snapshot.contains("\"counters\""));
         assert!(trace.exists());
@@ -823,37 +692,94 @@ mod tests {
 
     #[test]
     fn bad_mode_rejected() {
-        let a = Args::parse(
-            ["--mode", "sideways"].iter().map(|s| s.to_string()),
-            &["mode"],
-        )
-        .unwrap();
-        assert!(scenario_config(&a).is_err());
+        assert!(scenario_config(&parse(PLAN, "--mode sideways")).is_err());
     }
 
     #[test]
     fn paper_scale_selected() {
-        let a = Args::parse(
-            ["--scale", "paper"].iter().map(|s| s.to_string()),
-            &["scale"],
-        )
-        .unwrap();
-        let cfg = scenario_config(&a).unwrap();
+        let cfg = scenario_config(&parse(PLAN, "--scale paper")).unwrap();
         assert_eq!(cfg.hosts.n_servers, 50);
     }
 
     #[test]
     fn large_scales_selected() {
-        let parse_scale = |label: &str| {
-            let a =
-                Args::parse(["--scale", label].iter().map(|s| s.to_string()), &["scale"]).unwrap();
-            scenario_config(&a).unwrap()
-        };
+        let parse_scale =
+            |label: &str| scenario_config(&parse(PLAN, &format!("--scale {label}"))).unwrap();
         let large = parse_scale("large");
         assert_eq!(large.hosts.n_servers, 2000);
         assert_eq!(large.workload.m_sites, 400);
         let ci = parse_scale("large-ci");
         assert_eq!(ci.hosts.n_servers, 2000);
         assert!(ci.workload.base_requests < large.workload.base_requests);
+    }
+
+    const SIMULATOR_FLAGS: &[&str] = &[
+        "--mttf 300",
+        "--mttr 50",
+        "--origin-outage 0.2",
+        "--retry-penalty-ms 10",
+        "--fetch-latency 4",
+        "--sample-every 10",
+        "--samples-out s.jsonl",
+        "--window 4",
+        "--timeline-out t.json",
+    ];
+
+    #[test]
+    fn plan_rejects_simulator_flags() {
+        // `plan` never simulates: it once accepted these, ignored them, and
+        // wrote an empty samples file and `{"runs": []}`.
+        for line in SIMULATOR_FLAGS {
+            assert!(try_parse(PLAN, line).is_err(), "{line}");
+            assert!(try_parse(COMPARE, line).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn ingest_rejects_simulator_flags() {
+        for line in SIMULATOR_FLAGS {
+            assert!(try_parse(INGEST, line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn compare_needs_a_file_for_samples_and_timeline() {
+        let outputs = |line| {
+            let a = parse(COMPARE, line);
+            compare_outputs(&a, &scenario_config(&a).unwrap().sim)
+        };
+        // Both were computed and then dropped.
+        let err = outputs("--sample-every 100").unwrap_err();
+        assert!(err.contains("--samples-out"), "{err}");
+        let err = outputs("--window 64").unwrap_err();
+        assert!(err.contains("--timeline-out"), "{err}");
+        assert!(outputs("--window 0").is_ok());
+        let line = "--sample-every 100 --samples-out s.jsonl --window 64 --timeline-out t.json";
+        let dest = outputs(line).unwrap();
+        assert_eq!(dest.samples, Some("s.jsonl".into()));
+        assert_eq!(dest.timeline_json, Some("t.json".into()));
+    }
+
+    #[test]
+    fn ingest_writes_its_output_files() {
+        // `ingest` once accepted these and wrote none of them.
+        let dir = std::env::temp_dir().join("cdn-cli-ingest-outputs-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let outputs = ["m.json", "t.jsonl", "p.json"].map(|name| dir.join(name));
+        for file in &outputs {
+            let _ = std::fs::remove_file(file);
+        }
+        let [m, t, p] = outputs.each_ref().map(|file| file.display());
+        let out = dir.join("synth.events");
+        let line = format!(
+            "--out {} --metrics-out {m} --trace-out {t} --profile-out {p}",
+            out.display()
+        );
+        ingest(&parse(INGEST, &line)).unwrap();
+        for file in &outputs {
+            assert!(file.exists(), "{}", file.display());
+        }
+        let snapshot = std::fs::read_to_string(&outputs[0]).unwrap();
+        assert!(snapshot.contains("\"counters\""), "{snapshot}");
     }
 }

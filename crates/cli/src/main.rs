@@ -1,22 +1,25 @@
 //! `hybrid-cdn` — command-line front end for the reproduction.
 //!
-//! ```text
-//! hybrid-cdn compare  [--capacity 0.05] [--lambda 0] [--mode uncacheable|expired]
-//!                     [--scale small|paper] [--seed N]
-//! hybrid-cdn plan     [--strategy hybrid|replication|caching|adhoc:<frac>|...]
-//!                     [--capacity ...] [--scale ...] [--seed N]
-//! hybrid-cdn topology [--scale small|paper] [--seed N] [--dot FILE] [--csv FILE]
-//! hybrid-cdn workload [--theta 1.0] [--sites N] [--objects L] [--seed N]
-//! hybrid-cdn report   [--metrics FILE] [--profile FILE] [--samples FILE]
-//!                     [--trace FILE] [--top N]
-//! hybrid-cdn ingest   --out FILE.events [--csv FILE] [scenario flags]
-//! ```
+//! `hybrid-cdn help` prints the overview ([`commands::USAGE`]);
+//! `hybrid-cdn COMMAND --help` lists the flags COMMAND accepts, generated
+//! from its table in [`COMMANDS`]. Any other flag is an error.
 
-mod args;
 mod commands;
 mod report;
 
-use args::Args;
+use cdn_cli::args::{usage, ArgError, Args, Table};
+
+type Run = fn(&Args) -> Result<(), String>;
+
+/// Every command: its name, its flag table and what runs it.
+const COMMANDS: &[(&str, Table, Run)] = &[
+    ("compare", commands::COMPARE, commands::compare),
+    ("plan", commands::PLAN, commands::plan),
+    ("topology", commands::TOPOLOGY, commands::topology),
+    ("workload", commands::WORKLOAD, commands::workload),
+    ("ingest", commands::INGEST, commands::ingest),
+    ("report", report::FLAGS, report::report),
+];
 
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
@@ -25,33 +28,20 @@ fn main() {
         std::process::exit(2);
     }
     let command = raw.remove(0);
-    let result = match command.as_str() {
-        "compare" => {
-            let mut keys = vec!["cache-policy", "model", "trace-in"];
-            keys.extend_from_slice(commands::SCENARIO_KEYS);
-            Args::parse(raw, &keys).and_then(|a| commands::compare(&a))
-        }
-        "ingest" => {
-            let mut keys = vec!["csv", "out"];
-            keys.extend_from_slice(commands::SCENARIO_KEYS);
-            Args::parse(raw, &keys).and_then(|a| commands::ingest(&a))
-        }
-        "plan" => {
-            let mut keys = vec!["strategy", "model"];
-            keys.extend_from_slice(commands::SCENARIO_KEYS);
-            Args::parse(raw, &keys).and_then(|a| commands::plan(&a))
-        }
-        "topology" => {
-            Args::parse(raw, &["scale", "seed", "dot", "csv"]).and_then(|a| commands::topology(&a))
-        }
-        "workload" => Args::parse(raw, &["theta", "sites", "objects", "seed"])
-            .and_then(|a| commands::workload(&a)),
-        "report" => Args::parse(raw, report::REPORT_KEYS).and_then(|a| report::report(&a)),
-        "help" | "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|(name, ..)| *name == command) {
+        Some((name, flags, run)) => match Args::parse(raw, flags) {
+            Ok(a) => run(&a),
+            Err(ArgError::Help) => {
+                print!("{}", usage(&format!("hybrid-cdn {name}"), flags));
+                Ok(())
+            }
+            Err(ArgError::Bad(msg)) => Err(msg),
+        },
+        None if ["help", "--help", "-h"].contains(&command.as_str()) => {
             println!("{}", commands::USAGE);
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n{}", commands::USAGE)),
+        None => Err(format!("unknown command '{command}'\n{}", commands::USAGE)),
     };
     if let Err(e) = result {
         eprintln!("error: {e}");
@@ -61,17 +51,31 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    // The binary's logic lives in `args` and `commands`, both tested there;
-    // this smoke test just keeps `main`'s dispatch table in sync with USAGE.
+    use super::COMMANDS;
+    use crate::commands::USAGE;
+    use cdn_cli::args::declared;
+    use std::collections::BTreeSet;
+
     #[test]
     fn usage_mentions_every_command() {
-        for cmd in [
-            "compare", "plan", "topology", "workload", "report", "ingest",
-        ] {
-            assert!(
-                crate::commands::USAGE.contains(cmd),
-                "{cmd} missing from USAGE"
-            );
+        for (cmd, ..) in COMMANDS {
+            assert!(USAGE.contains(cmd), "{cmd} missing from USAGE");
         }
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        let accepted: BTreeSet<&str> = COMMANDS
+            .iter()
+            .flat_map(|(_, table, _)| table.iter().flat_map(|g| g.iter().map(|f| declared(f).0)))
+            .collect();
+        let is_name = |c: char| c.is_ascii_lowercase() || c == '-';
+        let documented: BTreeSet<&str> = USAGE
+            .split("--")
+            .skip(1)
+            .map(|rest| &rest[..rest.find(|c| !is_name(c)).unwrap_or(rest.len())])
+            .filter(|name| !name.is_empty() && *name != "help")
+            .collect();
+        assert_eq!(accepted, documented);
     }
 }

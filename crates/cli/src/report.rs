@@ -6,15 +6,21 @@
 //! Everything here is read-only post-processing: the command never runs a
 //! simulation, it only parses files produced by earlier runs.
 
-use crate::args::Args;
+use cdn_cli::args::{Args, Table};
 use cdn_telemetry::json::{self, Json};
 use cdn_telemetry::timeline::{render_openmetrics, sparkline};
 use std::fmt::Write as _;
 
-/// The `--key`s accepted by `hybrid-cdn report`.
-pub const REPORT_KEYS: &[&str] = &[
-    "metrics", "profile", "samples", "trace", "timeline", "top", "format",
-];
+/// The flags of `hybrid-cdn report`.
+pub const FLAGS: Table = &[&[
+    "--metrics <path>  a metrics snapshot JSON to attribute",
+    "--profile <path>  a wall-clock Chrome trace profile",
+    "--samples <path>  sampled request paths (JSONL)",
+    "--trace <path>  a JSONL span/event trace",
+    "--timeline <path>  a windowed timeline JSON",
+    "--top <n>  rows in each ranked table (default 10)",
+    "--format <name>  text | json | openmetrics (default text)",
+]];
 
 /// Fixed cause order — mirrors `cdn_sim::Cause::ALL` so tables line up
 /// with the simulator's own accounting.
@@ -615,6 +621,10 @@ fn timeline_section(doc: &Json, path: &str, top: usize) -> Result<String, String
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Args {
+        Args::parse(args.iter().map(|s| s.to_string()), FLAGS).unwrap()
+    }
+
     const SNAPSHOT: &str = r#"{
   "counters": {
     "sim.cause.cache_hit": 30, "sim.cause.cache_hit_latency_us": 600000,
@@ -740,10 +750,12 @@ mod tests {
 
     #[test]
     fn report_requires_an_input() {
-        let a = Args::parse(std::iter::empty(), REPORT_KEYS).unwrap();
-        assert!(report(&a).unwrap_err().contains("at least one input"));
-        let a = Args::parse(["--top", "0"].iter().map(|s| s.to_string()), REPORT_KEYS).unwrap();
-        assert!(report(&a).unwrap_err().contains("--top"));
+        assert!(report(&parse(&[]))
+            .unwrap_err()
+            .contains("at least one input"));
+        assert!(report(&parse(&["--top", "0"]))
+            .unwrap_err()
+            .contains("--top"));
     }
 
     #[test]
@@ -776,17 +788,13 @@ mod tests {
 
     #[test]
     fn unknown_format_is_rejected() {
-        let a = Args::parse(
-            ["--format", "yaml"].iter().map(|s| s.to_string()),
-            REPORT_KEYS,
-        )
-        .unwrap();
-        assert!(report(&a).unwrap_err().contains("--format"));
+        assert!(report(&parse(&["--format", "yaml"]))
+            .unwrap_err()
+            .contains("--format"));
         // json/openmetrics need a metrics snapshot to render.
         for f in ["json", "openmetrics"] {
-            let a =
-                Args::parse(["--format", f].iter().map(|s| s.to_string()), REPORT_KEYS).unwrap();
-            assert!(report(&a).unwrap_err().contains("--metrics"), "{f}");
+            let err = report(&parse(&["--format", f])).unwrap_err();
+            assert!(err.contains("--metrics"), "{f}");
         }
     }
 

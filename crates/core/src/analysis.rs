@@ -11,13 +11,6 @@ pub struct ComparisonRow {
     pub report: SimReport,
 }
 
-impl ComparisonRow {
-    /// Predicted mean hops per request (planner's view).
-    pub fn predicted_hops(&self, scenario: &Scenario) -> f64 {
-        self.plan.predicted_mean_hops(&scenario.problem)
-    }
-}
-
 /// The full comparison for one scenario.
 pub struct StrategyComparison {
     pub rows: Vec<ComparisonRow>,
@@ -79,26 +72,18 @@ impl StrategyComparison {
 
 /// Plan and simulate each strategy against `scenario`.
 pub fn compare_strategies(scenario: &Scenario, strategies: &[Strategy]) -> StrategyComparison {
-    compare_strategies_with_policy(scenario, strategies, None).expect("None policy is always valid")
+    compare_strategies_with_options(scenario, strategies, None, crate::ModelBackend::Paper)
+        .expect("None policy is always valid")
 }
 
 /// [`compare_strategies`] with an explicit replacement policy for each
-/// server's leftover cache space (`None` = the paper's plain LRU). Pure
-/// replication stays cache-less either way — it is the stand-alone
-/// baseline. The name is resolved through [`cdn_cache::by_name`], so an
-/// unknown policy surfaces as an `Err` for the caller's arg parsing
-/// instead of a panic mid-run.
-pub fn compare_strategies_with_policy(
-    scenario: &Scenario,
-    strategies: &[Strategy],
-    policy: Option<&str>,
-) -> Result<StrategyComparison, String> {
-    compare_strategies_with_options(scenario, strategies, policy, crate::ModelBackend::Paper)
-}
-
-/// [`compare_strategies_with_policy`] plus an explicit hit-ratio model
-/// backend for the planners (the simulator itself is model-free — it runs
-/// real caches — so `model` only changes the plans being simulated).
+/// server's leftover cache space (`None` = the paper's plain LRU) and an
+/// explicit hit-ratio model backend for the planners. Strategies without a
+/// cache stay cache-less either way. The policy name is resolved through
+/// [`cdn_cache::by_name`], so an unknown policy surfaces as an `Err` for
+/// the caller's arg parsing instead of a panic mid-run. The simulator
+/// itself is model-free — it runs real caches — so `model` only changes
+/// the plans being simulated.
 pub fn compare_strategies_with_options(
     scenario: &Scenario,
     strategies: &[Strategy],
@@ -151,11 +136,19 @@ mod tests {
     #[test]
     fn unknown_policy_is_an_error_not_a_panic() {
         let scenario = Scenario::generate(&ScenarioConfig::small());
-        let err = compare_strategies_with_policy(&scenario, &[Strategy::Hybrid], Some("arc"))
+        let compare = |policy| {
+            compare_strategies_with_options(
+                &scenario,
+                &[Strategy::Hybrid],
+                Some(policy),
+                crate::ModelBackend::Paper,
+            )
+        };
+        let err = compare("arc")
             .err()
             .expect("unknown policy must be rejected");
         assert!(err.contains("arc"), "{err}");
-        let ok = compare_strategies_with_policy(&scenario, &[Strategy::Hybrid], Some("gdsf"));
+        let ok = compare("gdsf");
         assert!(ok.is_ok());
     }
 

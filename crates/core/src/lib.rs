@@ -45,8 +45,7 @@ pub mod scenario;
 pub mod strategy;
 
 pub use analysis::{
-    compare_strategies, compare_strategies_with_options, compare_strategies_with_policy,
-    ComparisonRow, StrategyComparison,
+    compare_strategies, compare_strategies_with_options, ComparisonRow, StrategyComparison,
 };
 pub use replay::{export_events, parse_csv_trace, replay_events, ReplayStreams};
 pub use scenario::{CapacityProfile, Scenario, ScenarioConfig};

@@ -348,8 +348,13 @@ mod tests {
             let plan = s.plan(strategy);
             let simulated = s.simulate(&plan);
             let replayed = crate::replay_events(&s, &plan, crate::export_events(&s));
-            let compared =
-                crate::compare_strategies_with_policy(&s, &[strategy], Some("lfu")).unwrap();
+            let compared = crate::compare_strategies_with_options(
+                &s,
+                &[strategy],
+                Some("lfu"),
+                crate::ModelBackend::Paper,
+            )
+            .unwrap();
             for r in [&simulated, &replayed, &compared.rows[0].report] {
                 assert_eq!(r.cache_hits, 0, "{}", strategy.name());
             }
