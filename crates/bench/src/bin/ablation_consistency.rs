@@ -48,23 +48,14 @@ fn main() {
             // Re-simulate under the given consistency regime.
             let mut scenario_cfg = scenario.config.clone();
             scenario_cfg.sim.consistency = mode;
-            let report = {
-                let zero: &(dyn Fn(u64) -> Box<dyn cdn_core::cache::Cache> + Sync) =
-                    &|_| Box::new(cdn_core::cache::LruCache::new(0));
-                let factory = if *strategy == Strategy::Replication {
-                    Some(zero)
-                } else {
-                    None
-                };
-                cdn_sim::simulate_system(
-                    &scenario.problem,
-                    &plan.placement,
-                    &scenario.catalog,
-                    &scenario.trace,
-                    &scenario_cfg.sim,
-                    factory,
-                )
-            };
+            let report = cdn_sim::simulate_system(
+                &scenario.problem,
+                &plan.placement,
+                &scenario.catalog,
+                &scenario.trace,
+                &scenario_cfg.sim,
+                strategy.cache_factory(),
+            );
             record(&format!("{label}:{}", strategy.name()), &report);
             cells.push(report.mean_latency_ms);
         }

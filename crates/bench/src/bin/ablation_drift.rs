@@ -50,18 +50,12 @@ fn main() {
     for &(period, label) in periods {
         let mut cells = Vec::new();
         for (strategy, plan) in &plans {
-            let factory: Option<&(dyn Fn(u64) -> Box<dyn cdn_core::cache::Cache> + Sync)> =
-                if *strategy == Strategy::Replication {
-                    Some(&|_| Box::new(cdn_core::cache::LruCache::new(0)))
-                } else {
-                    None
-                };
             let report = simulate_system_streams(
                 &scenario.problem,
                 &plan.placement,
                 &scenario.catalog,
                 &scenario.config.sim,
-                factory,
+                strategy.cache_factory(),
                 &lengths,
                 |server| {
                     Drifted::new(

@@ -85,24 +85,14 @@ fn main() {
         for (strategy, plan) in &plans {
             let mut sim = scenario.config.sim;
             sim.faults = intensity.faults;
-            let report: SimReport = {
-                // Pure replication keeps no cache, as in the paper.
-                let zero: &(dyn Fn(u64) -> Box<dyn cdn_core::cache::Cache> + Sync) =
-                    &|_| Box::new(cdn_core::cache::LruCache::new(0));
-                let factory = if *strategy == Strategy::Replication {
-                    Some(zero)
-                } else {
-                    None
-                };
-                cdn_sim::simulate_system(
-                    &scenario.problem,
-                    &plan.placement,
-                    &scenario.catalog,
-                    &scenario.trace,
-                    &sim,
-                    factory,
-                )
-            };
+            let report: SimReport = cdn_sim::simulate_system(
+                &scenario.problem,
+                &plan.placement,
+                &scenario.catalog,
+                &scenario.trace,
+                &sim,
+                strategy.cache_factory(),
+            );
             record(&format!("{}:{}", intensity.label, strategy.name()), &report);
             println!(
                 "  {:<10} {:<12} {:>8.3} {:>9} {:>9.1}% {:>10.2} {:>17.1}",

@@ -12,6 +12,7 @@
 use cdn_bench::harness::{
     banner, flush, record, scenario_on_graph, write_csv, BenchArgs, Scale, SIMULATING,
 };
+use cdn_core::Strategy;
 use cdn_placement::{greedy_global, hybrid::hybrid_greedy_paper, HybridConfig, Placement};
 use cdn_sim::simulate_system;
 use cdn_topology::gen::flat;
@@ -77,31 +78,15 @@ fn main() {
 
         // Replication (cache-less), caching, hybrid — same machinery as the
         // figure binaries but against the custom problem.
-        let zero_cache: &(dyn Fn(u64) -> Box<dyn cdn_core::cache::Cache> + Sync) =
-            &|_| Box::new(cdn_core::cache::LruCache::new(0));
-        let repl = simulate_system(
-            &problem,
-            &greedy_global(&problem).placement,
-            &catalog,
-            &trace,
-            &cfg.sim,
-            Some(zero_cache),
-        );
-        let caching = simulate_system(
-            &problem,
-            &Placement::primaries_only(&problem),
-            &catalog,
-            &trace,
-            &cfg.sim,
-            None,
-        );
-        let hybrid = simulate_system(
-            &problem,
+        let simulate = |strategy: Strategy, placement: &Placement| {
+            let factory = strategy.cache_factory();
+            simulate_system(&problem, placement, &catalog, &trace, &cfg.sim, factory)
+        };
+        let repl = simulate(Strategy::Replication, &greedy_global(&problem).placement);
+        let caching = simulate(Strategy::Caching, &Placement::primaries_only(&problem));
+        let hybrid = simulate(
+            Strategy::Hybrid,
             &hybrid_greedy_paper(&problem, &HybridConfig::default()).placement,
-            &catalog,
-            &trace,
-            &cfg.sim,
-            None,
         );
         for (strategy, report) in [
             ("replication", &repl),

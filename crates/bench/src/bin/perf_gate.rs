@@ -1,7 +1,10 @@
-//! CI perf-regression gate over `BENCH_parallel.json`.
+//! CI perf-regression gate over a `BENCH_parallel.json` or
+//! `BENCH_placement.json` run.
 //!
 //! Compares a freshly generated benchmark file against a committed
-//! baseline with two very different strictness levels:
+//! baseline, the file the same binary wrote on the machine that reports it
+//! (`results/baseline/<tier>.json`), with two very different strictness
+//! levels:
 //!
 //! * the `"work"` section holds deterministic work counters (series terms
 //!   evaluated, placement candidates scanned, cache events, ...) that are
@@ -15,17 +18,13 @@
 //!   baseline, wide enough for noisy shared CI runners but tight enough
 //!   to catch order-of-magnitude blowups.
 //!
-//! Prints a readable delta table and exits non-zero on any violation.
-//! When `$GITHUB_STEP_SUMMARY` is set, the same delta tables are appended
-//! there as Markdown, so the comparison shows up on the workflow run page.
-//!
-//! The baseline file holds one section per scale tier (`{"quick": {...},
-//! "large-ci": {...}}`); pass `--tier` to select one. A legacy single-tier
-//! baseline (the old flat document) still works when its `"scale"` matches.
+//! The current run must also report both of its 1-vs-N identities
+//! (`bit_identical`, `work_identical`) and the baseline's scale.
 //!
 //! `--min-speedup <x>` additionally gates the current run's measured
-//! multi-thread speedup (`wall_clock.speedup_total`) — the check that the
-//! parallel engine actually pays off at the internet-scale tier.
+//! multi-thread speedup (`wall_clock.speedup_total`). A floor above
+//! min(`parallel_threads`, `available_parallelism`) cannot be reached on
+//! that run's host, so it is reported as not measured instead of failed.
 //!
 //! `--min-lazy-ratio <x>` gates the lazy planner's work saving, computed
 //! from the current run's own counters: (candidates evaluated + lazily
@@ -37,12 +36,17 @@
 //! actually pays — catching blowups even when the committed baseline was
 //! measured on very different hardware.
 //!
+//! Prints a readable delta table and exits non-zero on any violation.
+//! When `$GITHUB_STEP_SUMMARY` is set, the same tables are appended there
+//! as Markdown, so the comparison shows up on the workflow run page.
+//!
 //! `perf_gate --help` lists the flags it accepts.
 
 use cdn_bench::harness::{parse_or_exit, usage_error};
-use cdn_cli::args::Table;
+use cdn_cli::args::{Args, Table};
 use cdn_telemetry::json::{parse, Json};
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Wall-clock tolerance band: current/baseline must stay in [1/3, 3].
@@ -54,29 +58,83 @@ const WALL_CLOCK_BAND: f64 = 3.0;
 const MIN_COMPARABLE_SECONDS: f64 = 0.050;
 
 const FLAGS: Table = &[&[
-    "--baseline <path>  committed BENCH_baseline.json to gate against (required)",
+    "--baseline <path>  committed results/baseline/<tier>.json to gate against (required)",
     "--current <path>  freshly generated BENCH_parallel.json / BENCH_placement.json (required)",
-    "--tier <label>  baseline section: quick | large-ci | hybrid-large-ci | ... (default: scale)",
     "--min-speedup <x>  fail unless the current run's wall_clock.speedup_total >= x",
     "--min-lazy-ratio <x>  fail unless (evaluated + lazily skipped) / evaluated >= x",
     "--max-seconds <x>  fail if the current run's parallel arm took longer than x seconds",
 ]];
 
-/// Select the tier section from a (possibly multi-tier) baseline document.
-///
-/// A multi-tier baseline maps tier labels to the old flat layout; a legacy
-/// flat baseline (with a top-level `"scale"`) stands for its own tier.
-fn baseline_for_tier<'a>(doc: &'a Json, tier: &str) -> Result<&'a Json, String> {
-    if let Some(section) = doc.get(tier) {
-        return Ok(section);
+/// The optional limits on the current run alone.
+#[derive(Debug)]
+struct Limits {
+    min_speedup: Option<f64>,
+    min_lazy_ratio: Option<f64>,
+    max_seconds: Option<f64>,
+}
+
+impl Limits {
+    fn from_args(a: &Args) -> Result<Self, String> {
+        Ok(Self {
+            min_speedup: a.get_positive("min-speedup")?,
+            min_lazy_ratio: a.get_positive("min-lazy-ratio")?,
+            max_seconds: a.get_positive("max-seconds")?,
+        })
     }
-    match doc.get("scale").and_then(Json::as_str) {
-        Some(s) if s == tier => Ok(doc),
-        Some(s) => Err(format!(
-            "baseline has no `{tier}` section (flat baseline is for scale `{s}`)"
-        )),
-        None => Err(format!("baseline has no `{tier}` section")),
+}
+
+/// What the gate found: titled tables of the comparisons it made, and one
+/// line per violated check.
+#[derive(Debug, Default)]
+struct Verdict {
+    sections: Vec<(&'static str, Vec<String>)>,
+    failures: Vec<String>,
+}
+
+/// Run every check of `current` against `baseline` and `limits`.
+fn gate(baseline: &Json, current: &Json, limits: &Limits) -> Verdict {
+    let mut v = Verdict::default();
+    let (sa, sb) = (
+        baseline.get("scale").and_then(Json::as_str),
+        current.get("scale").and_then(Json::as_str),
+    );
+    if sa != sb {
+        v.failures.push(format!("scale mismatch: {sa:?} vs {sb:?}"));
     }
+    let mut table = vec![format!(
+        "  {:<32} {:>14} {:>14}",
+        "counter", "baseline", "current"
+    )];
+    v.failures.extend(check_work(baseline, current, &mut table));
+    v.sections
+        .push(("Deterministic work counters (exact)", table));
+
+    let mut table = vec![format!(
+        "  {:<32} {:>14} {:>14}",
+        "phase", "baseline", "current"
+    )];
+    v.failures
+        .extend(check_wall_clock(baseline, current, &mut table));
+    v.sections
+        .push(("Single-thread wall-clock (3x band)", table));
+
+    let mut table = Vec::new();
+    if let Some(min) = limits.min_speedup {
+        v.failures.extend(check_speedup(current, min, &mut table));
+    }
+    if let Some(min) = limits.min_lazy_ratio {
+        v.failures
+            .extend(check_lazy_ratio(current, min, &mut table));
+    }
+    if let Some(max) = limits.max_seconds {
+        v.failures
+            .extend(check_max_seconds(current, max, &mut table));
+    }
+    if !table.is_empty() {
+        v.sections.push(("Floors & ceilings on this run", table));
+    }
+    v.failures.extend(check_flags(current));
+    v
 }
 
 fn load(path: &str) -> Result<Json, String> {
@@ -116,16 +174,24 @@ fn check_work(baseline: &Json, current: &Json, table: &mut Vec<String>) -> Vec<S
             status
         ));
         if failed {
-            failures.push(format!("work counter `{name}`: {} vs {}", fmt(b), fmt(c)));
+            failures.push(format!(
+                "work counter `{name}` {status}: {} vs {}",
+                fmt(b),
+                fmt(c)
+            ));
         }
     }
     failures
 }
 
+/// `wall_clock.<key>` of a run.
+fn wall_clock<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
+    doc.get("wall_clock").and_then(|w| w.get(key))
+}
+
 /// Single-thread per-phase seconds: `wall_clock.runs[0].phases`.
-fn baseline_run_phases(doc: &Json) -> Vec<(String, f64)> {
-    doc.get("wall_clock")
-        .and_then(|w| w.get("runs"))
+fn single_thread_phases(doc: &Json) -> Vec<(String, f64)> {
+    wall_clock(doc, "runs")
         .and_then(Json::as_arr)
         .and_then(|runs| runs.first())
         .and_then(|run| run.get("phases"))
@@ -142,8 +208,8 @@ fn baseline_run_phases(doc: &Json) -> Vec<(String, f64)> {
 /// Compare single-thread wall-clock phases within the band.
 fn check_wall_clock(baseline: &Json, current: &Json, table: &mut Vec<String>) -> Vec<String> {
     let mut failures = Vec::new();
-    let base = baseline_run_phases(baseline);
-    let cur = baseline_run_phases(current);
+    let base = single_thread_phases(baseline);
+    let cur = single_thread_phases(current);
     if base.is_empty() {
         failures.push("baseline has no wall_clock.runs[0].phases".into());
     }
@@ -189,33 +255,42 @@ fn check_flags(current: &Json) -> Vec<String> {
         .collect()
 }
 
-/// Gate the measured multi-thread speedup when `--min-speedup` is given.
+/// Gate the measured multi-thread speedup when `--min-speedup` is given,
+/// unless the floor exceeds the parallelism the run could use:
+/// min(`parallel_threads`, `available_parallelism`).
 fn check_speedup(current: &Json, min: f64, table: &mut Vec<String>) -> Vec<String> {
-    let speedup = current
-        .get("wall_clock")
-        .and_then(|w| w.get("speedup_total"))
-        .and_then(Json::as_f64);
-    let threads = current
-        .get("wall_clock")
-        .and_then(|w| w.get("parallel_threads"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    match speedup {
-        Some(s) => {
-            let ok = s >= min;
-            table.push(format!(
-                "  speedup_total at {threads} thread(s): {s:.2}x (floor {min:.2}x)  {}",
-                if ok { "ok" } else { "TOO SLOW" }
-            ));
-            if ok {
-                Vec::new()
-            } else {
-                vec![format!(
-                    "multi-thread speedup {s:.2}x below the {min:.2}x floor"
-                )]
-            }
-        }
-        None => vec!["current run has no wall_clock.speedup_total".into()],
+    let count = |key| wall_clock(current, key).and_then(Json::as_u64);
+    let (Some(s), Some(threads), Some(cores)) = (
+        wall_clock(current, "speedup_total").and_then(Json::as_f64),
+        count("parallel_threads"),
+        count("available_parallelism"),
+    ) else {
+        return vec![
+            "current run lacks wall_clock.speedup_total, parallel_threads or \
+             available_parallelism"
+                .into(),
+        ];
+    };
+    let usable = threads.min(cores);
+    if min > usable as f64 {
+        table.push(format!(
+            "  speedup_total: {s:.2}x at {threads} thread(s) on {cores} core(s): \
+             not measured (floor {min:.2}x exceeds {usable} usable thread(s))"
+        ));
+        return Vec::new();
+    }
+    let ok = s >= min;
+    table.push(format!(
+        "  speedup_total: {s:.2}x at {threads} thread(s) on {cores} core(s) \
+         (floor {min:.2}x)  {}",
+        if ok { "ok" } else { "TOO SLOW" }
+    ));
+    if ok {
+        Vec::new()
+    } else {
+        vec![format!(
+            "multi-thread speedup {s:.2}x below the {min:.2}x floor"
+        )]
     }
 }
 
@@ -252,9 +327,7 @@ fn check_lazy_ratio(current: &Json, min: f64, table: &mut Vec<String>) -> Vec<St
 /// Gate the parallel arm's absolute wall-clock when `--max-seconds` is
 /// given — the time CI actually pays (`wall_clock.runs` last entry).
 fn check_max_seconds(current: &Json, max: f64, table: &mut Vec<String>) -> Vec<String> {
-    let total = current
-        .get("wall_clock")
-        .and_then(|w| w.get("runs"))
+    let total = wall_clock(current, "runs")
         .and_then(Json::as_arr)
         .and_then(|runs| runs.last())
         .and_then(|run| run.get("total_s"))
@@ -278,15 +351,41 @@ fn check_max_seconds(current: &Json, max: f64, table: &mut Vec<String>) -> Vec<S
     }
 }
 
-/// Append the delta tables as Markdown to `$GITHUB_STEP_SUMMARY`, or print
-/// them to stdout when the variable is unset/empty (local runs get the same
-/// report CI does). Plain-text tables go inside a code fence — exact
-/// alignment, zero markup escaping concerns — with the verdict as a heading.
-fn write_step_summary(tier: &str, sections: &[(&str, &[String])], failures: &[String]) {
-    let body = render_step_summary(tier, sections, failures);
+/// The verdict as Markdown for `$GITHUB_STEP_SUMMARY`. Plain-text tables
+/// go inside a code fence — exact alignment, zero markup escaping
+/// concerns — with the verdict as a heading.
+fn render_step_summary(tier: &str, verdict: &Verdict) -> String {
+    let mut body = String::new();
+    body.push_str(&format!(
+        "### perf gate (`{tier}` tier): {}\n\n",
+        if verdict.failures.is_empty() {
+            "PASS ✅"
+        } else {
+            "FAIL ❌"
+        }
+    ));
+    for (title, lines) in &verdict.sections {
+        body.push_str(&format!("**{title}**\n\n```text\n"));
+        for l in lines {
+            body.push_str(l);
+            body.push('\n');
+        }
+        body.push_str("```\n\n");
+    }
+    if !verdict.failures.is_empty() {
+        body.push_str("**Failures**\n\n");
+        for f in &verdict.failures {
+            body.push_str(&format!("- {f}\n"));
+        }
+        body.push('\n');
+    }
+    body
+}
+
+/// Append `body` to `$GITHUB_STEP_SUMMARY` when it names a file.
+fn append_step_summary(body: &str) {
     let path = std::env::var("GITHUB_STEP_SUMMARY").unwrap_or_default();
     if path.is_empty() {
-        print!("{body}");
         return;
     }
     use std::io::Write as _;
@@ -300,35 +399,6 @@ fn write_step_summary(tier: &str, sections: &[(&str, &[String])], failures: &[St
     }
 }
 
-/// The Markdown body [`write_step_summary`] emits.
-fn render_step_summary(tier: &str, sections: &[(&str, &[String])], failures: &[String]) -> String {
-    let mut body = String::new();
-    body.push_str(&format!(
-        "### perf gate (`{tier}` tier): {}\n\n",
-        if failures.is_empty() {
-            "PASS ✅"
-        } else {
-            "FAIL ❌"
-        }
-    ));
-    for (title, lines) in sections {
-        body.push_str(&format!("**{title}**\n\n```text\n"));
-        for l in *lines {
-            body.push_str(l);
-            body.push('\n');
-        }
-        body.push_str("```\n\n");
-    }
-    if !failures.is_empty() {
-        body.push_str("**Failures**\n\n");
-        for f in failures {
-            body.push_str(&format!("- {f}\n"));
-        }
-        body.push('\n');
-    }
-    body
-}
-
 fn main() -> ExitCode {
     let a = parse_or_exit("perf_gate", FLAGS);
     let (Some(baseline_path), Some(current_path)) = (a.get("baseline"), a.get("current")) else {
@@ -338,14 +408,8 @@ fn main() -> ExitCode {
             "both --baseline and --current are required",
         )
     };
-    let limit = |key| {
-        a.get_positive(key)
-            .unwrap_or_else(|msg| usage_error("perf_gate", FLAGS, &msg))
-    };
-    let min_speedup = limit("min-speedup");
-    let min_lazy_ratio = limit("min-lazy-ratio");
-    let max_seconds = limit("max-seconds");
-    let (baseline_doc, current) = match (load(baseline_path), load(current_path)) {
+    let limits = Limits::from_args(&a).unwrap_or_else(|msg| usage_error("perf_gate", FLAGS, &msg));
+    let (baseline, current) = match (load(baseline_path), load(current_path)) {
         (Ok(b), Ok(c)) => (b, c),
         (b, c) => {
             for err in [b.err(), c.err()].into_iter().flatten() {
@@ -354,93 +418,25 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let tier = a
-        .get("tier")
-        .map(str::to_string)
-        .or_else(|| {
-            current
-                .get("scale")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-        })
-        .unwrap_or_default();
-    let baseline = match baseline_for_tier(&baseline_doc, &tier) {
-        Ok(section) => section,
-        Err(msg) => {
-            eprintln!("perf_gate: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    // The tier is the baseline file's name: results/baseline/<tier>.json.
+    let tier = Path::new(baseline_path)
+        .file_stem()
+        .map_or_else(String::new, |s| s.to_string_lossy().into_owned());
 
-    let mut failures = Vec::new();
-    let (sa, sb) = (
-        baseline.get("scale").and_then(Json::as_str),
-        current.get("scale").and_then(Json::as_str),
-    );
-    if sa != sb {
-        failures.push(format!("scale mismatch: {sa:?} vs {sb:?}"));
+    let verdict = gate(&baseline, &current, &limits);
+    println!("perf gate [{tier}]: {current_path} vs baseline {baseline_path}");
+    for (title, lines) in &verdict.sections {
+        println!("\n  {title}");
+        lines.iter().for_each(|l| println!("{l}"));
     }
+    append_step_summary(&render_step_summary(&tier, &verdict));
 
-    println!(
-        "perf gate [{tier}]: {} vs baseline {}\n",
-        current_path, baseline_path
-    );
-    println!(
-        "  {:<32} {:>14} {:>14}  deterministic work (exact)",
-        "counter", "baseline", "current"
-    );
-    let mut work_table = Vec::new();
-    failures.extend(check_work(baseline, &current, &mut work_table));
-    work_table.iter().for_each(|l| println!("{l}"));
-
-    println!(
-        "\n  {:<32} {:>14} {:>14}  single-thread wall-clock ({}x band)",
-        "phase", "baseline", "current", WALL_CLOCK_BAND
-    );
-    let mut wall_table = Vec::new();
-    failures.extend(check_wall_clock(baseline, &current, &mut wall_table));
-    wall_table.iter().for_each(|l| println!("{l}"));
-
-    let mut speedup_table = Vec::new();
-    if let Some(min) = min_speedup {
-        println!();
-        failures.extend(check_speedup(&current, min, &mut speedup_table));
-        speedup_table.iter().for_each(|l| println!("{l}"));
-    }
-
-    let mut extra_table = Vec::new();
-    if let Some(min) = min_lazy_ratio {
-        println!();
-        failures.extend(check_lazy_ratio(&current, min, &mut extra_table));
-    }
-    if let Some(max) = max_seconds {
-        if min_lazy_ratio.is_none() {
-            println!();
-        }
-        failures.extend(check_max_seconds(&current, max, &mut extra_table));
-    }
-    extra_table.iter().for_each(|l| println!("{l}"));
-
-    failures.extend(check_flags(&current));
-
-    let mut sections: Vec<(&str, &[String])> = vec![
-        ("Deterministic work counters (exact)", &work_table[..]),
-        ("Single-thread wall-clock (3x band)", &wall_table[..]),
-    ];
-    if !speedup_table.is_empty() {
-        sections.push(("Multi-thread speedup", &speedup_table[..]));
-    }
-    if !extra_table.is_empty() {
-        sections.push(("Lazy-planner & wall-clock ceilings", &extra_table[..]));
-    }
-    write_step_summary(&tier, &sections, &failures);
-
-    if failures.is_empty() {
+    if verdict.failures.is_empty() {
         println!("\nperf gate: PASS");
         ExitCode::SUCCESS
     } else {
         println!("\nperf gate: FAIL");
-        for f in &failures {
+        for f in &verdict.failures {
             println!("  - {f}");
         }
         ExitCode::FAILURE
@@ -449,23 +445,268 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::render_step_summary;
+    use super::*;
+
+    /// A well-formed run: 1 s single-thread simulation, 2x on 2 threads of
+    /// 2 cores, a 20x lazy ratio.
+    const RUN: &str = r#"{
+  "scale": "quick",
+  "work": {
+    "placement.candidates_evaluated": 10,
+    "placement.candidates_skipped_lazy": 190,
+    "sim.requests_total": 1000
+  },
+  "work_identical": true,
+  "bit_identical": true,
+  "wall_clock": {
+    "baseline_threads": 1,
+    "parallel_threads": 2,
+    "available_parallelism": 2,
+    "runs": [{"threads": 1, "phases": {"simulation_s": 1.000000}, "total_s": 1.000000}, {"threads": 2, "phases": {"simulation_s": 0.500000}, "total_s": 0.500000}],
+    "speedup_total": 2.0000
+  }
+}
+"#;
+
+    const LIMITS: Limits = Limits {
+        min_speedup: Some(1.5),
+        min_lazy_ratio: Some(10.0),
+        max_seconds: Some(60.0),
+    };
+
+    /// `RUN` with each `(from, to)` replacement applied.
+    fn edited(edits: &[(&str, &str)]) -> Json {
+        let mut doc = RUN.to_string();
+        for (from, to) in edits {
+            assert!(doc.contains(from), "{from}");
+            doc = doc.replace(from, to);
+        }
+        parse(&doc).unwrap()
+    }
+
+    /// The one failure of gating `RUN` edited by `current` against `RUN`
+    /// edited by `baseline`, under `LIMITS`.
+    fn only_failure(baseline: &[(&str, &str)], current: &[(&str, &str)]) -> String {
+        let verdict = gate(&edited(baseline), &edited(current), &LIMITS);
+        assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
+        verdict.failures[0].clone()
+    }
+
+    #[test]
+    fn a_well_formed_run_passes_against_itself() {
+        let verdict = gate(&edited(&[]), &edited(&[]), &LIMITS);
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+        assert_eq!(verdict.sections.len(), 3);
+    }
+
+    #[test]
+    fn a_drifted_counter_fails() {
+        let f = only_failure(
+            &[],
+            &[(
+                "\"sim.requests_total\": 1000",
+                "\"sim.requests_total\": 999",
+            )],
+        );
+        assert!(f.contains("sim.requests_total` DRIFT"), "{f}");
+    }
+
+    #[test]
+    fn an_extra_counter_fails() {
+        let f = only_failure(
+            &[],
+            &[(
+                "\"sim.requests_total\": 1000",
+                "\"sim.requests_total\": 1000, \"sim.new\": 0",
+            )],
+        );
+        assert!(f.contains("sim.new` EXTRA"), "{f}");
+    }
+
+    #[test]
+    fn a_missing_counter_fails() {
+        let f = only_failure(&[], &[(",\n    \"sim.requests_total\": 1000", "")]);
+        assert!(f.contains("sim.requests_total` MISSING"), "{f}");
+    }
+
+    #[test]
+    fn a_phase_outside_the_band_fails_both_ways() {
+        for secs in ["3.100000", "0.320000"] {
+            let edit = format!("\"simulation_s\": {secs}");
+            let f = only_failure(&[], &[("\"simulation_s\": 1.000000", &edit)]);
+            assert!(f.contains("wall-clock phase `simulation_s`"), "{f}");
+        }
+        // Just inside the band on either side.
+        for secs in ["2.900000", "0.340000"] {
+            let edit = format!("\"simulation_s\": {secs}");
+            let verdict = gate(
+                &edited(&[]),
+                &edited(&[("\"simulation_s\": 1.000000", &edit)]),
+                &LIMITS,
+            );
+            assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+        }
+    }
+
+    #[test]
+    fn phases_under_the_noise_floor_are_skipped() {
+        // 40x slower, but both sides under 50 ms.
+        let verdict = gate(
+            &edited(&[("\"simulation_s\": 1.000000", "\"simulation_s\": 0.001000")]),
+            &edited(&[("\"simulation_s\": 1.000000", "\"simulation_s\": 0.040000")]),
+            &LIMITS,
+        );
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+        let wall = &verdict.sections[1].1;
+        assert!(
+            wall.iter().any(|l| l.contains("skip (below noise floor)")),
+            "{wall:?}"
+        );
+    }
+
+    #[test]
+    fn a_broken_identity_fails() {
+        for key in ["bit_identical", "work_identical"] {
+            let f = only_failure(
+                &[],
+                &[(&format!("\"{key}\": true"), &format!("\"{key}\": false"))],
+            );
+            assert!(f.contains(&format!("`{key}: true`")), "{f}");
+        }
+    }
+
+    #[test]
+    fn a_scale_mismatch_fails() {
+        let f = only_failure(&[], &[("\"scale\": \"quick\"", "\"scale\": \"paper\"")]);
+        assert!(f.contains("scale mismatch"), "{f}");
+    }
+
+    #[test]
+    fn a_speedup_under_a_measurable_floor_fails() {
+        let f = only_failure(
+            &[],
+            &[("\"speedup_total\": 2.0000", "\"speedup_total\": 1.4000")],
+        );
+        assert!(f.contains("speedup 1.40x below the 1.50x floor"), "{f}");
+        // Two threads on four cores can still reach 1.5x.
+        let f = only_failure(
+            &[],
+            &[
+                (
+                    "\"available_parallelism\": 2",
+                    "\"available_parallelism\": 4",
+                ),
+                ("\"speedup_total\": 2.0000", "\"speedup_total\": 0.9000"),
+            ],
+        );
+        assert!(f.contains("below the 1.50x floor"), "{f}");
+    }
+
+    #[test]
+    fn a_floor_above_the_usable_parallelism_is_not_measured() {
+        // Four threads on one core: 1.5x is out of reach, so a 0.9x run
+        // neither fails nor passes the floor.
+        let current = edited(&[
+            ("\"parallel_threads\": 2", "\"parallel_threads\": 4"),
+            (
+                "\"available_parallelism\": 2",
+                "\"available_parallelism\": 1",
+            ),
+            ("\"speedup_total\": 2.0000", "\"speedup_total\": 0.9000"),
+        ]);
+        let verdict = gate(&edited(&[]), &current, &LIMITS);
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+        let floors = &verdict.sections[2].1;
+        assert!(
+            floors.iter().any(|l| l.contains("not measured")),
+            "{floors:?}"
+        );
+    }
+
+    #[test]
+    fn a_lazy_ratio_under_its_floor_fails() {
+        let dense = [(
+            "\"placement.candidates_skipped_lazy\": 190",
+            "\"placement.candidates_skipped_lazy\": 80",
+        )];
+        let f = only_failure(&dense, &dense);
+        assert!(f.contains("ratio 9.0x below the 10.0x floor"), "{f}");
+    }
+
+    #[test]
+    fn a_parallel_arm_over_the_ceiling_fails() {
+        let slow = [("\"total_s\": 0.500000", "\"total_s\": 61.000000")];
+        let f = only_failure(&slow, &slow);
+        assert!(f.contains("took 61.0s, above the 60.0s ceiling"), "{f}");
+    }
 
     #[test]
     fn step_summary_renders_verdict_sections_and_failures() {
-        let work = ["  counter  1  1  ok".to_string()];
-        let body = render_step_summary(
-            "quick",
-            &[("Deterministic work counters (exact)", &work[..])],
-            &[],
-        );
+        let pass = Verdict {
+            sections: vec![(
+                "Deterministic work counters (exact)",
+                vec!["  counter  1  1  ok".into()],
+            )],
+            failures: Vec::new(),
+        };
+        let body = render_step_summary("quick", &pass);
         assert!(
             body.contains("### perf gate (`quick` tier): PASS"),
             "{body}"
         );
         assert!(body.contains("```text\n  counter  1  1  ok\n```"), "{body}");
-        let body = render_step_summary("quick", &[], &["counter drifted".to_string()]);
+        let fail = Verdict {
+            sections: Vec::new(),
+            failures: vec!["counter drifted".into()],
+        };
+        let body = render_step_summary("quick", &fail);
         assert!(body.contains("FAIL"), "{body}");
         assert!(body.contains("- counter drifted"), "{body}");
+    }
+
+    /// Every `perf_gate` command line in the CI workflow, continuation
+    /// lines joined, as the arguments after `--`.
+    fn ci_gate_command_lines() -> Vec<Vec<String>> {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
+        let joined = ci.replace("\\\n", " ");
+        joined
+            .lines()
+            .filter(|l| l.contains("--bin perf_gate"))
+            .map(|l| {
+                let args = l.split(" -- ").nth(1).expect("perf_gate flags after --");
+                args.split_whitespace().map(str::to_string).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_baseline_ci_names_exists_and_passes_its_own_gate() {
+        // The CI workflow once gated against a tier its baseline lacked.
+        // Every baseline it names must parse, accept the job's flags and
+        // pass its own gate, which reads every field a run carries.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let lines = ci_gate_command_lines();
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        let mut named = BTreeSet::new();
+        for line in lines {
+            let a = Args::parse(line.clone(), FLAGS).unwrap_or_else(|e| panic!("{line:?}: {e:?}"));
+            let path = a.get("baseline").expect("--baseline");
+            let limits = Limits::from_args(&a).unwrap();
+            let doc = load(root.join(path).to_str().unwrap()).unwrap();
+            let verdict = gate(&doc, &doc, &limits);
+            assert!(
+                verdict.failures.is_empty(),
+                "{path}: {:?}",
+                verdict.failures
+            );
+            named.insert(path.to_string());
+        }
+        let tiers = ["quick", "hybrid-paper", "large-ci", "hybrid-large-ci"];
+        let expected: BTreeSet<String> = tiers
+            .iter()
+            .map(|t| format!("results/baseline/{t}.json"))
+            .collect();
+        assert_eq!(named, expected);
     }
 }

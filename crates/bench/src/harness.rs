@@ -282,8 +282,8 @@ pub fn write_json(name: &str, body: &str) -> PathBuf {
 }
 
 /// Wall-clock timings of named phases at one thread count, rendering to a
-/// JSON object. Used by the `bench_parallel` binary; figure binaries keep
-/// their inline `Instant` pairs.
+/// JSON object. Used by the arms of [`one_vs_n`] and by `bench_trace`;
+/// figure binaries keep their inline `Instant` pairs.
 #[derive(Debug, Clone)]
 pub struct PhaseTimings {
     pub threads: usize,
@@ -325,6 +325,116 @@ impl PhaseTimings {
         let _ = write!(out, "}}, \"total_s\": {:.6}}}", self.total_seconds());
         out
     }
+}
+
+/// Both arms of a [`one_vs_n`] run, the 1-thread arm first: each arm's
+/// phase timings, its output and the work counters it accumulated.
+pub type Arms<T> = [(PhaseTimings, T, Vec<(String, u64)>); 2];
+
+/// Run `arm` on a 1-thread pool and on an `args.threads`-thread pool, with
+/// the registry's counters reset before each, and write `file` under the
+/// results directory: the lines `fields` renders from both arms (the
+/// binary's own keys, each line `  "key": value,`), then the 1-thread
+/// arm's deterministic `"work"` counters, `"work_identical"` and
+/// `"bit_identical"` (`same` on the two outputs), and the
+/// machine-dependent `"wall_clock"` section, which records
+/// `available_parallelism` so a speedup is read against the cores that
+/// produced it. Panics after writing the file when the arms disagree on
+/// either, so a divergent run still leaves its evidence.
+///
+/// At quick and paper scale an untimed pass on the wide pool goes first:
+/// the first run through a fresh address space pays first-touch page
+/// faults and allocator growth that the later runs do not, which skewed
+/// the 1-thread arm by double-digit percentages at quick scale. At the
+/// large tiers that is a sub-percent correction, not worth another pass.
+pub fn one_vs_n<T>(
+    args: &BenchArgs,
+    file: &str,
+    arm: impl Fn(&mut PhaseTimings) -> T,
+    same: impl Fn(&T, &T) -> bool,
+    fields: impl FnOnce(&Arms<T>) -> String,
+) {
+    let n = args.threads;
+    let run = |threads: usize| {
+        telemetry::reset_metrics();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build thread pool");
+        let mut timings = PhaseTimings::new(threads);
+        let out = pool.install(|| arm(&mut timings));
+        (timings, out, telemetry::registry().counter_values())
+    };
+    if matches!(args.scale, Scale::Quick | Scale::Paper) {
+        println!("  warm-up: untimed pass on {n} thread(s)");
+        progress("warm-up pass (untimed)");
+        run(n);
+    }
+    println!("  run 1/2: 1 thread");
+    progress("run 1/2: 1 thread");
+    let base = run(1);
+    println!("  run 2/2: {n} thread(s)");
+    progress(&format!("run 2/2: {n} thread(s)"));
+    let arms = [base, run(n)];
+
+    let [(t1, out1, work1), (tn, outn, workn)] = &arms;
+    let identical = same(out1, outn);
+    let work_identical = work1 == workn;
+    let speedup = t1.total_seconds() / tn.total_seconds().max(1e-12);
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    for t in [t1, tn] {
+        println!(
+            "  [{} thread(s)] total {:.3}s",
+            t.threads,
+            t.total_seconds()
+        );
+        for (name, secs) in &t.phases {
+            println!("      {name:<12} {secs:.3}s");
+        }
+    }
+    println!("  speedup (total): {speedup:.2}x at {n} thread(s) on {cores} core(s)");
+    println!("  bit-identical outputs:       {identical}");
+    println!("  bit-identical work counters: {work_identical}");
+    // Which counter drifted is the debugging lead. The registry only
+    // gains names, so the N-thread arm's list covers the 1-thread arm's.
+    for (name, b) in workn {
+        let a = work1.iter().find(|(k, _)| k == name).map(|e| e.1);
+        if a != Some(*b) {
+            println!("      {name}: 1-thread {a:?} vs {n}-thread {b}");
+        }
+    }
+
+    // `"work"` holds only deterministic counters, identical across
+    // machines and thread counts; everything timing-related lives under
+    // `"wall_clock"`, which `perf_gate` compares within a band.
+    let mut json = String::from("{\n");
+    json.push_str(&fields(&arms));
+    json.push_str("  \"work\": {\n");
+    for (idx, (name, value)) in work1.iter().enumerate() {
+        let comma = if idx + 1 < work1.len() { "," } else { "" };
+        let _ = writeln!(json, "    \"{name}\": {value}{comma}");
+    }
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"work_identical\": {work_identical},");
+    let _ = writeln!(json, "  \"bit_identical\": {identical},");
+    let _ = writeln!(json, "  \"wall_clock\": {{");
+    let _ = writeln!(json, "    \"baseline_threads\": 1,");
+    let _ = writeln!(json, "    \"parallel_threads\": {n},");
+    let _ = writeln!(json, "    \"available_parallelism\": {cores},");
+    let _ = writeln!(json, "    \"runs\": [{}, {}],", t1.to_json(), tn.to_json());
+    let _ = writeln!(json, "    \"speedup_total\": {speedup:.4}");
+    json.push_str("  }\n}\n");
+    write_json(file, &json);
+    flush();
+
+    assert!(
+        identical,
+        "the {n}-thread arm's output diverged from the 1-thread arm's"
+    );
+    assert!(
+        work_identical,
+        "deterministic work counters diverged between thread counts"
+    );
 }
 
 /// Format a CDF as CSV rows (`latency_ms,fraction`), downsampled to at most

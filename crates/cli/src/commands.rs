@@ -475,6 +475,12 @@ pub fn ingest(a: &Args) -> Result<(), String> {
     let sink = Sink::install(Destinations::from_args(a));
     let (events, source) = match a.get("csv") {
         Some(csv) => {
+            let scenario_flags = ["capacity", "lambda", "mode", "scale", "seed"];
+            if let Some(flag) = scenario_flags.into_iter().find(|f| a.has(f)) {
+                return Err(format!(
+                    "--{flag} shapes the synthetic scenario, which --csv replaces"
+                ));
+            }
             let text = std::fs::read_to_string(csv).map_err(|e| format!("reading {csv}: {e}"))?;
             (parse_csv_trace(&text)?, format!("csv {csv}"))
         }
@@ -624,6 +630,26 @@ mod tests {
 
         // Missing --out is a contextful error, not a panic.
         assert!(ingest(&parse(INGEST, "")).unwrap_err().contains("--out"));
+    }
+
+    #[test]
+    fn ingest_rejects_scenario_flags_next_to_csv() {
+        // `ingest --csv ... --capacity 0.5 --seed 9` once exited 0: a CSV
+        // trace replaces the synthetic scenario these flags shape.
+        let dir = std::env::temp_dir().join("cdn-cli-ingest-csv-flags-test");
+        let out = dir.join("never.events");
+        for flag in [
+            "--capacity 0.5",
+            "--lambda 0.1",
+            "--mode expired",
+            "--scale quick",
+            "--seed 9",
+        ] {
+            let line = format!("--csv x.csv --out {} {flag}", out.display());
+            let err = ingest(&parse(INGEST, &line)).unwrap_err();
+            assert!(err.contains(flag.split(' ').next().unwrap()), "{err}");
+            assert!(!out.exists());
+        }
     }
 
     #[test]

@@ -39,7 +39,16 @@ pub fn report(a: &Args) -> Result<(), String> {
     if top == 0 {
         return Err("--top must be at least 1".into());
     }
-    match a.get("format").unwrap_or("text") {
+    let format = a.get("format").unwrap_or("text");
+    if format != "text" {
+        let text_only = ["profile", "samples", "trace", "timeline", "top"];
+        if let Some(flag) = text_only.into_iter().find(|f| a.has(f)) {
+            return Err(format!(
+                "--format {format} renders only --metrics; --{flag} needs --format text"
+            ));
+        }
+    }
+    match format {
         "text" => {}
         "json" => {
             let path = a
@@ -795,6 +804,20 @@ mod tests {
         for f in ["json", "openmetrics"] {
             let err = report(&parse(&["--format", f])).unwrap_err();
             assert!(err.contains("--metrics"), "{f}");
+        }
+    }
+
+    #[test]
+    fn machine_formats_reject_the_text_only_flags() {
+        // `--format json --profile /nonexistent --top 3` once exited 0: the
+        // machine formats render the metrics snapshot and never read these.
+        for f in ["json", "openmetrics"] {
+            for flag in ["--profile", "--samples", "--trace", "--timeline", "--top"] {
+                let value = if flag == "--top" { "3" } else { "/nonexistent" };
+                let args = ["--metrics", "m.json", "--format", f, flag, value];
+                let err = report(&parse(&args)).unwrap_err();
+                assert!(err.contains(flag) && err.contains("--format text"), "{err}");
+            }
         }
     }
 

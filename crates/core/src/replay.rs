@@ -26,7 +26,7 @@
 //!   byte-identical at any thread or shard count (DESIGN.md §9.1:
 //!   per-server state is keyed on the deterministic stream tick).
 
-use crate::scenario::{cache_factory, Scenario};
+use crate::scenario::Scenario;
 use crate::strategy::PlanResult;
 use cdn_sim::{simulate_system_streams, SimReport};
 use cdn_workload::{pack_key, unpack_key, Flavor, Request, TraceEvent};
@@ -254,7 +254,7 @@ pub fn replay_events(scenario: &Scenario, plan: &PlanResult, events: Vec<TraceEv
         &plan.placement,
         &scenario.catalog,
         &scenario.config.sim,
-        cache_factory(plan.strategy),
+        plan.strategy.cache_factory(),
         &lengths,
         |server| streams.stream_for_server(server),
     )

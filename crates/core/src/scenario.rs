@@ -283,7 +283,7 @@ impl Scenario {
             &self.catalog,
             &self.trace,
             &self.config.sim,
-            cache_factory(plan.strategy),
+            plan.strategy.cache_factory(),
         )
     }
 
@@ -307,18 +307,6 @@ impl Scenario {
     pub fn oracle(&self) -> cdn_placement::PaperOracle {
         paper_oracle_for(&self.problem)
     }
-}
-
-/// The cache factory for simulating `strategy`, as [`Scenario::simulate`]
-/// describes: a zero-byte cache when the strategy runs none, else `None`,
-/// the simulator's default LRU.
-pub(crate) fn cache_factory(
-    strategy: Strategy,
-) -> Option<&'static (dyn Fn(u64) -> Box<dyn Cache> + Sync)> {
-    fn no_cache(_: u64) -> Box<dyn Cache> {
-        Box::new(cdn_cache::LruCache::new(0))
-    }
-    (!strategy.uses_cache()).then_some(&no_cache)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! The content-delivery strategies under comparison.
 
+use cdn_cache::Cache;
 use cdn_placement::hybrid::{
     che_oracle_for, closed_form_oracle_for, hybrid_greedy, paper_oracle_for, pure_caching,
 };
@@ -115,6 +116,17 @@ impl Strategy {
     /// Does the simulated system run a cache for this strategy?
     pub fn uses_cache(&self) -> bool {
         !matches!(self, Strategy::Replication | Strategy::Backtrack)
+    }
+
+    /// The cache factory to simulate this strategy's placements with, as
+    /// [`uses_cache`](Self::uses_cache) decides: a zero-byte cache when the
+    /// strategy runs none, else `None`, the simulator's default LRU sized
+    /// to each server's leftover space.
+    pub fn cache_factory(&self) -> Option<&'static (dyn Fn(u64) -> Box<dyn Cache> + Sync)> {
+        fn no_cache(_: u64) -> Box<dyn Cache> {
+            Box::new(cdn_cache::LruCache::new(0))
+        }
+        (!self.uses_cache()).then_some(&no_cache)
     }
 
     /// Execute the strategy against `problem` with the paper's model.

@@ -705,29 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_streams_do_not_change_results() {
-        // Feeding the engine through the bounded-buffer stream adapter
-        // (the large-tier memory ceiling) must not change a bit; the
-        // adapter's own tests pin the peak-residency bound.
-        use cdn_workload::ChunkedStream;
-        let (problem, catalog, trace) = scenario(0.1, LambdaMode::Expired);
-        let pl = cdn_placement::greedy_global(&problem).placement;
-        let cfg = SimConfig {
-            faults: Some(faulty_params()),
-            ..Default::default()
-        };
-        let lengths: Vec<u64> = (0..trace.n_servers())
-            .map(|i| trace.len_for_server(i))
-            .collect();
-        let plain = simulate_system(&problem, &pl, &catalog, &trace, &cfg, None);
-        let chunked =
-            simulate_system_streams(&problem, &pl, &catalog, &cfg, None, &lengths, |server| {
-                ChunkedStream::new(trace.stream_for_server(server), 128)
-            });
-        assert_eq!(plain, chunked);
-    }
-
-    #[test]
     fn zero_fault_config_is_bit_identical_to_fault_free() {
         // The regression guard for the fault layer: enabling fault
         // injection with parameters that can never fire must not perturb a

@@ -17,8 +17,6 @@
 //!   population of server i for site j).
 //! * [`trace`] — deterministic per-server request streams (site via the
 //!   demand row, object via the site-internal Zipf, λ-flagged requests).
-//! * [`stream`] — the chunked streaming adapter that bounds how many
-//!   requests are resident in memory at once (large-tier runs).
 //! * [`trace_file`] — the binary `.events` trace format (real-trace
 //!   ingestion and replay).
 //!
@@ -29,7 +27,6 @@ pub mod config;
 pub mod demand;
 pub mod dist;
 pub mod site;
-pub mod stream;
 pub mod temporal;
 pub mod trace;
 pub mod trace_file;
@@ -39,7 +36,6 @@ pub use analysis::TraceStats;
 pub use config::WorkloadConfig;
 pub use demand::DemandMatrix;
 pub use site::{PopularityClass, Site, SiteCatalog};
-pub use stream::ChunkedStream;
 pub use temporal::{DriftConfig, Drifted};
 pub use trace::{Flavor, LambdaMode, Request, ServerStream, TraceSpec};
 pub use trace_file::{

@@ -10,8 +10,7 @@
 //!
 //! Reading is streaming and allocation-bounded: [`EventsReader`] decodes
 //! through a fixed 64 KiB buffer, so a multi-gigabyte trace never has more
-//! than one chunk resident (the same discipline as
-//! [`crate::stream::ChunkedStream`]). Truncated or corrupt files surface as
+//! than one chunk resident. Truncated or corrupt files surface as
 //! contextful [`TraceFileError`]s — never panics — naming the byte offset
 //! where decoding stopped.
 

@@ -49,22 +49,15 @@ fn main() {
         surged_demand.site_total(hot_site)
     );
 
-    for (name, plan, cacheless) in [
-        ("replication", &replication, true),
-        ("hybrid", &hybrid, false),
-    ] {
-        let factory: &(dyn Fn(u64) -> Box<dyn cdn_core::cache::Cache> + Sync) = if cacheless {
-            &|_| Box::new(cdn_core::cache::LruCache::new(0))
-        } else {
-            &|bytes| Box::new(cdn_core::cache::LruCache::new(bytes))
-        };
+    for (name, plan) in [("replication", &replication), ("hybrid", &hybrid)] {
+        let factory = plan.strategy.cache_factory();
         let normal = simulate_system(
             &scenario.problem,
             &plan.placement,
             &scenario.catalog,
             &scenario.trace,
             &config.sim,
-            Some(factory),
+            factory,
         );
         let surge = simulate_system(
             &scenario.problem,
@@ -72,7 +65,7 @@ fn main() {
             &scenario.catalog,
             &surged_trace,
             &config.sim,
-            Some(factory),
+            factory,
         );
         println!(
             "{name:<12} normal: {:>7.2} ms   flash crowd: {:>7.2} ms   degradation: {:>+6.1}%",
