@@ -97,7 +97,7 @@ fn bench_model(c: &mut Criterion) {
         b.iter(|| black_box(model.top_b_mass(&pops, 5000)))
     });
     group.bench_function("table_lookup_warm", |b| {
-        let table = HitRatioTable::planner_default(LruModel::new(1000, 1.0));
+        let table = HitRatioTable::new(LruModel::new(1000, 1.0));
         table.site_hit_ratio(0.01, 5000.0); // warm the cell
         b.iter(|| black_box(table.site_hit_ratio(0.01, 5000.0)))
     });

@@ -102,12 +102,12 @@ pub struct BenchArgs {
     /// Worker count of the global rayon pool (`--threads <n>`, default all
     /// cores).
     pub threads: usize,
-    /// Sample every Nth simulated request (`--sample-every <n>`).
+    /// Sample every Nth simulated request (`--sample-every <n>`, 0 = off).
     /// Deterministic: keyed on stream index.
-    pub sample_every: Option<u64>,
+    pub sample_every: u64,
     /// Virtual-time window width for the windowed timeline (`--window <n>`,
     /// 0 = off).
-    pub window: Option<u64>,
+    pub window: u64,
     /// Replay a binary `.events` trace file instead of the synthetic
     /// workload (`--trace-in <path>`).
     pub trace_in: Option<PathBuf>,
@@ -157,10 +157,10 @@ impl BenchArgs {
         let mut dest = Destinations::from_args(a);
         dest.metrics
             .insert(0, dir.join(format!("{bin}_metrics.json")));
-        if self.sample_every.is_some() {
+        if self.sample_every > 0 {
             dest.samples = Some(dir.join(format!("{bin}_samples.jsonl")));
         }
-        if self.window.unwrap_or(0) > 0 {
+        if self.window > 0 {
             dest.timeline_json = Some(dir.join(format!("{bin}_timeline.json")));
             dest.timeline_csv = Some(dir.join(format!("{bin}_timeline.csv")));
         }
@@ -689,8 +689,8 @@ mod tests {
     fn empty_args_select_paper_scale() {
         let (a, bench) = parse_with(SIMULATING, "").unwrap();
         assert_eq!(bench.scale, Scale::Paper);
-        assert_eq!(bench.sample_every, None);
-        assert_eq!(bench.window, None);
+        assert_eq!(bench.sample_every, 0);
+        assert_eq!(bench.window, 0);
         assert_eq!(bench.trace_in, None);
         assert!(!a.has("quiet"));
         // Only the metrics snapshot every binary writes.
@@ -715,8 +715,8 @@ mod tests {
         .unwrap();
         assert_eq!(bench.scale, Scale::Quick);
         assert_eq!(bench.threads, 4);
-        assert_eq!(bench.sample_every, Some(1000));
-        assert_eq!(bench.window, Some(256));
+        assert_eq!(bench.sample_every, 1000);
+        assert_eq!(bench.window, 256);
         assert_eq!(bench.trace_in.as_deref(), Some(Path::new("/tmp/t.events")));
         assert!(a.has("quiet"));
         let dest = bench.destinations(&a, Path::new("out"), "bench_trace");
@@ -741,7 +741,7 @@ mod tests {
         // Unlike --sample-every, --window 0 is a documented no-op: no
         // timeline files.
         let (a, bench) = parse_with(SIMULATING, "--window 0").unwrap();
-        assert_eq!(bench.window, Some(0));
+        assert_eq!(bench.window, 0);
         let dest = bench.destinations(&a, Path::new("out"), "fig3");
         assert_eq!(dest.timeline_json, None);
         assert_eq!(dest.timeline_csv, None);
@@ -778,13 +778,13 @@ mod tests {
         let mut a = parse("--quick").unwrap();
         assert_eq!(
             a.config(0.1, 0.0, LambdaMode::Uncacheable).sim.sample_every,
-            None
+            0
         );
-        a.sample_every = Some(64);
-        a.window = Some(128);
+        a.sample_every = 64;
+        a.window = 128;
         let cfg = a.config(0.1, 0.0, LambdaMode::Uncacheable);
-        assert_eq!(cfg.sim.sample_every, Some(64));
-        assert_eq!(cfg.sim.window, Some(128));
+        assert_eq!(cfg.sim.sample_every, 64);
+        assert_eq!(cfg.sim.window, 128);
         // The sampler rides along without touching the scale parameters.
         assert_eq!(
             cfg.hosts.n_servers,

@@ -2,7 +2,7 @@
 //! sliding history window.
 //!
 //! Karlsson & Mahalingam ("Do we need replica placement algorithms in
-//! content delivery networks?", WCW 2002 — reference [15] of the paper)
+//! content delivery networks?", WCW 2002 — reference \[15\] of the paper)
 //! found this simple admission filter makes plain caching competitive with
 //! replica placement; the paper cites that result as motivation, so the
 //! policy is included for the ablation benchmarks.

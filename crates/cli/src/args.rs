@@ -158,16 +158,14 @@ impl Args {
         Ok(rayon::current_num_threads())
     }
 
-    /// `--sample-every`, at least 1.
-    pub fn sample_every(&self) -> Result<Option<u64>, String> {
-        self.at_least_one("sample-every")
+    /// `--sample-every`, at least 1; 0 (no sampling) when absent.
+    pub fn sample_every(&self) -> Result<u64, String> {
+        Ok(self.at_least_one("sample-every")?.unwrap_or(0))
     }
 
-    /// `--window`; 0 is the documented off switch, so it parses cleanly.
-    pub fn window(&self) -> Result<Option<u64>, String> {
-        self.get("window")
-            .map(|_| self.get_u64("window", 0))
-            .transpose()
+    /// `--window`; 0, the default, is the off value, so it parses cleanly.
+    pub fn window(&self) -> Result<u64, String> {
+        self.get_u64("window", 0)
     }
 }
 
@@ -229,8 +227,8 @@ mod tests {
         let a = parse("").unwrap();
         assert_eq!(a.get_f64("capacity", 0.05).unwrap(), 0.05);
         assert!(!a.has("capacity"));
-        assert_eq!(a.sample_every(), Ok(None));
-        assert_eq!(a.window(), Ok(None));
+        assert_eq!(a.sample_every(), Ok(0));
+        assert_eq!(a.window(), Ok(0));
     }
 
     #[test]
@@ -278,10 +276,10 @@ mod tests {
         assert_eq!(value("--threads 3").thread_pool(), Ok(3));
         assert!(value("--sample-every many").sample_every().is_err());
         assert!(value("--sample-every 0").sample_every().is_err());
-        assert_eq!(value("--sample-every 9").sample_every(), Ok(Some(9)));
+        assert_eq!(value("--sample-every 9").sample_every(), Ok(9));
         assert!(value("--window wide").window().is_err());
         // --window 0 is the documented off switch, never an error.
-        assert_eq!(value("--window 0").window(), Ok(Some(0)));
+        assert_eq!(value("--window 0").window(), Ok(0));
     }
 
     #[test]

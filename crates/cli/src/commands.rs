@@ -68,7 +68,7 @@ re-exports the --metrics snapshot in OpenMetrics text format.
 
 STRATEGIES (for --strategy):
   hybrid | replication | caching | popularity | greedy-local | backtrack
-  | hybrid-che | random:<seed> | adhoc:<cache-fraction>";
+  | random:<seed> | adhoc:<cache-fraction>";
 
 const SCALE: Flag = "--scale <tier>  small | paper | large | large-ci (default small)";
 const MODEL: Flag = "--model <name>  hit-ratio model: paper | che | closed-form (default paper)";
@@ -247,7 +247,6 @@ fn parse_strategy(spec: &str) -> Result<Strategy, String> {
         "popularity" => Strategy::Popularity,
         "greedy-local" => Strategy::GreedyLocal,
         "backtrack" => Strategy::Backtrack,
-        "hybrid-che" => Strategy::HybridChe,
         other => return Err(format!("unknown strategy '{other}'")),
     })
 }
@@ -265,10 +264,10 @@ fn parse_model(a: &Args) -> Result<ModelBackend, String> {
 /// `compare`'s outputs. A sampler or a window with no file to write it to
 /// is an error, not work computed and then dropped.
 fn compare_outputs(a: &Args, sim: &cdn_core::sim::SimConfig) -> Result<Destinations, String> {
-    if sim.sample_every.is_some() && !a.has("samples-out") {
+    if sim.sample_every > 0 && !a.has("samples-out") {
         return Err("--sample-every needs --samples-out FILE".into());
     }
-    if sim.window.unwrap_or(0) > 0 && !a.has("timeline-out") {
+    if sim.window > 0 && !a.has("timeline-out") {
         return Err("--window needs --timeline-out FILE (or --window 0 for no timeline)".into());
     }
     Ok(Destinations::from_args(a))
@@ -587,12 +586,12 @@ mod tests {
     #[test]
     fn window_flag_populates_sim_config_and_accepts_zero() {
         let cfg = parse_scenario("--window 512").unwrap();
-        assert_eq!(cfg.sim.window, Some(512));
+        assert_eq!(cfg.sim.window, 512);
         // --window 0 is the documented off switch, never an error.
         let cfg = parse_scenario("--window 0").unwrap();
-        assert_eq!(cfg.sim.window, Some(0));
+        assert_eq!(cfg.sim.window, 0);
         let cfg = parse_scenario("").unwrap();
-        assert_eq!(cfg.sim.window, None);
+        assert_eq!(cfg.sim.window, 0);
         assert!(parse_scenario("--window wide").is_err());
     }
 

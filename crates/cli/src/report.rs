@@ -104,85 +104,136 @@ fn load_json(path: &str) -> Result<Json, String> {
     json::parse(&load_text(path)?).map_err(|e| format!("parsing {path}: {e}"))
 }
 
+/// One row of the latency-attribution table.
+struct CauseRow {
+    cause: &'static str,
+    requests: u64,
+    latency_ms: f64,
+    /// Mean latency of the cause's requests, 0 when it has none.
+    mean_ms: f64,
+}
+
+/// What `report --metrics` shows of a snapshot, read once and rendered by
+/// [`metrics_section`] (text) or [`metrics_json`] (`--format json`).
+struct Attribution {
+    /// Whether the snapshot has any `sim.cause.*` counter at all.
+    has_causes: bool,
+    /// One row per cause, in [`CAUSES`] order.
+    rows: Vec<CauseRow>,
+    /// Requests over every cause, and their summed latency, µs.
+    total: u64,
+    total_latency_us: u64,
+    /// The retry penalty inside the failover row, ms.
+    surcharge_ms: Option<f64>,
+    /// `sim.requests_measured`, which the causes must sum to.
+    measured: Option<u64>,
+    /// Planner candidates `(evaluated, skipped lazily)`.
+    planner: Option<(u64, u64)>,
+    ladder: Option<Ladder>,
+}
+
+impl Attribution {
+    fn of(doc: &Json, path: &str) -> Result<Self, String> {
+        let counters = doc
+            .get("counters")
+            .and_then(Json::as_obj)
+            .ok_or_else(|| format!("{path}: no \"counters\" object — not a metrics snapshot"))?;
+        let get = |name: &str| counters.get(name).and_then(Json::as_u64);
+        let requests = |c: &str| get(&format!("sim.cause.{c}"));
+        let latency_us = |c: &str| get(&format!("sim.cause.{c}_latency_us"));
+        let rows = CAUSES
+            .iter()
+            .map(|&cause| {
+                let requests = requests(cause).unwrap_or(0);
+                let latency_ms = latency_us(cause).unwrap_or(0) as f64 / 1000.0;
+                let mean_ms = if requests > 0 {
+                    latency_ms / requests as f64
+                } else {
+                    0.0
+                };
+                CauseRow {
+                    cause,
+                    requests,
+                    latency_ms,
+                    mean_ms,
+                }
+            })
+            .collect();
+        Ok(Self {
+            has_causes: CAUSES.iter().any(|c| requests(c).is_some()),
+            rows,
+            total: CAUSES.iter().filter_map(|c| requests(c)).sum(),
+            total_latency_us: CAUSES.iter().filter_map(|c| latency_us(c)).sum(),
+            surcharge_ms: get("sim.cause.failover_surcharge_us").map(|us| us as f64 / 1000.0),
+            measured: get("sim.requests_measured"),
+            planner: get("placement.candidates_evaluated").map(|evaluated| {
+                let skipped = get("placement.candidates_skipped_lazy").unwrap_or(0);
+                (evaluated, skipped)
+            }),
+            ladder: doc
+                .get("histograms")
+                .and_then(|hs| hs.get("sim.latency_ms"))
+                .and_then(Ladder::of),
+        })
+    }
+}
+
 /// Latency attribution + percentile ladder from a metrics snapshot
 /// (`results/<bin>_metrics.json` or `--metrics-out`).
 fn metrics_section(doc: &Json, path: &str) -> Result<String, String> {
-    let counters = doc
-        .get("counters")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| format!("{path}: no \"counters\" object — not a metrics snapshot"))?;
-    let get = |name: &str| counters.get(name).and_then(Json::as_u64);
+    let a = Attribution::of(doc, path)?;
     let mut out = String::new();
     let _ = writeln!(out, "== latency attribution ({path}) ==");
-    if CAUSES
-        .iter()
-        .all(|c| get(&format!("sim.cause.{c}")).is_none())
-    {
+    if !a.has_causes {
         let _ = writeln!(
             out,
             "  no sim.cause.* counters — the snapshot predates attribution or no simulation ran"
         );
     } else {
-        let total: u64 = CAUSES
-            .iter()
-            .filter_map(|c| get(&format!("sim.cause.{c}")))
-            .sum();
+        let total = a.total;
         let _ = writeln!(
             out,
             "  {:<16} {:>12} {:>8} {:>14} {:>10}",
             "cause", "requests", "share", "latency_ms", "mean_ms"
         );
-        for c in CAUSES {
-            let requests = get(&format!("sim.cause.{c}")).unwrap_or(0);
-            let ms = get(&format!("sim.cause.{c}_latency_us")).unwrap_or(0) as f64 / 1000.0;
+        for row in &a.rows {
             let share = if total > 0 {
-                100.0 * requests as f64 / total as f64
-            } else {
-                0.0
-            };
-            let mean = if requests > 0 {
-                ms / requests as f64
+                100.0 * row.requests as f64 / total as f64
             } else {
                 0.0
             };
             let _ = writeln!(
                 out,
-                "  {c:<16} {requests:>12} {share:>7.2}% {ms:>14.1} {mean:>10.3}"
+                "  {:<16} {:>12} {share:>7.2}% {:>14.1} {:>10.3}",
+                row.cause, row.requests, row.latency_ms, row.mean_ms
             );
         }
-        let total_ms: f64 = CAUSES
-            .iter()
-            .filter_map(|c| get(&format!("sim.cause.{c}_latency_us")))
-            .sum::<u64>() as f64
-            / 1000.0;
+        let total_ms = a.total_latency_us as f64 / 1000.0;
         let _ = writeln!(
             out,
             "  {:<16} {total:>12} {:>7.2}% {total_ms:>14.1}",
             "total", 100.0
         );
-        if let Some(us) = get("sim.cause.failover_surcharge_us") {
-            let _ = writeln!(
-                out,
-                "  retry penalty inside failover rows: {:.1} ms",
-                us as f64 / 1000.0
-            );
+        if let Some(ms) = a.surcharge_ms {
+            let _ = writeln!(out, "  retry penalty inside failover rows: {ms:.1} ms");
         }
-        if let Some(measured) = get("sim.requests_measured") {
-            if measured == total {
+        match a.measured {
+            Some(measured) if measured == total => {
                 let _ = writeln!(
                     out,
                     "  cross-check: causes sum to sim.requests_measured ({measured}) — OK"
                 );
-            } else {
+            }
+            Some(measured) => {
                 let _ = writeln!(
                     out,
                     "  cross-check: causes sum to {total} but sim.requests_measured is {measured} — MISMATCH"
                 );
             }
+            None => {}
         }
     }
-    if let Some(evaluated) = get("placement.candidates_evaluated") {
-        let skipped = get("placement.candidates_skipped_lazy").unwrap_or(0);
+    if let Some((evaluated, skipped)) = a.planner {
         let dense = evaluated + skipped;
         let ratio = if evaluated > 0 {
             dense as f64 / evaluated as f64
@@ -195,11 +246,25 @@ fn metrics_section(doc: &Json, path: &str) -> Result<String, String> {
              ({ratio:.1}x fewer than a dense scan)"
         );
     }
-    if let Some(h) = doc
-        .get("histograms")
-        .and_then(|hs| hs.get("sim.latency_ms"))
-    {
-        let _ = write!(out, "{}", percentile_ladder(h));
+    if let Some(ladder) = &a.ladder {
+        let _ = writeln!(
+            out,
+            "  request latency percentiles ({} requests):",
+            ladder.total
+        );
+        let _ = write!(out, "   ");
+        for (label, edge) in ladder.rungs {
+            let rendered = edge.map_or("overflow".into(), |ms| format!("{ms:.1} ms"));
+            let _ = write!(out, "  {label} {rendered}");
+        }
+        out.push('\n');
+        if ladder.overflow > 0 {
+            let _ = writeln!(
+                out,
+                "  {} request(s) beyond the last histogram bin ({:.0} ms)",
+                ladder.overflow, ladder.range_ms
+            );
+        }
     }
     Ok(out)
 }
@@ -207,26 +272,12 @@ fn metrics_section(doc: &Json, path: &str) -> Result<String, String> {
 /// Machine-readable twin of [`metrics_section`] (`--format json`): the
 /// cause-attribution table plus the percentile ladder as one JSON object.
 fn metrics_json(doc: &Json, path: &str) -> Result<String, String> {
-    let counters = doc
-        .get("counters")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| format!("{path}: no \"counters\" object — not a metrics snapshot"))?;
-    let get = |name: &str| counters.get(name).and_then(Json::as_u64);
-    let total: u64 = CAUSES
-        .iter()
-        .filter_map(|c| get(&format!("sim.cause.{c}")))
-        .sum();
+    let a = Attribution::of(doc, path)?;
+    let total = a.total;
     let mut out = String::from("{\n\"causes\": [");
-    for (i, c) in CAUSES.iter().enumerate() {
-        let requests = get(&format!("sim.cause.{c}")).unwrap_or(0);
-        let ms = get(&format!("sim.cause.{c}_latency_us")).unwrap_or(0) as f64 / 1000.0;
+    for (i, row) in a.rows.iter().enumerate() {
         let share = if total > 0 {
-            requests as f64 / total as f64
-        } else {
-            0.0
-        };
-        let mean = if requests > 0 {
-            ms / requests as f64
+            row.requests as f64 / total as f64
         } else {
             0.0
         };
@@ -235,117 +286,87 @@ fn metrics_json(doc: &Json, path: &str) -> Result<String, String> {
         }
         let _ = write!(
             out,
-            "\n{{\"cause\": \"{c}\", \"requests\": {requests}, \"share\": {share:.6}, \
-             \"latency_ms\": {ms:.3}, \"mean_ms\": {mean:.3}}}"
+            "\n{{\"cause\": \"{}\", \"requests\": {}, \"share\": {share:.6}, \
+             \"latency_ms\": {:.3}, \"mean_ms\": {:.3}}}",
+            row.cause, row.requests, row.latency_ms, row.mean_ms
         );
     }
     let _ = write!(out, "\n],\n\"causes_total\": {total}");
-    if let Some(us) = get("sim.cause.failover_surcharge_us") {
-        let _ = write!(
-            out,
-            ",\n\"failover_surcharge_ms\": {:.3}",
-            us as f64 / 1000.0
-        );
+    if let Some(ms) = a.surcharge_ms {
+        let _ = write!(out, ",\n\"failover_surcharge_ms\": {ms:.3}");
     }
-    if let Some(measured) = get("sim.requests_measured") {
+    if let Some(measured) = a.measured {
         let _ = write!(
             out,
             ",\n\"requests_measured\": {measured},\n\"cross_check\": \"{}\"",
             if measured == total { "ok" } else { "mismatch" }
         );
     }
-    if let Some(h) = doc
-        .get("histograms")
-        .and_then(|hs| hs.get("sim.latency_ms"))
-    {
-        if let Some(ladder) = percentile_ladder_json(h) {
-            let _ = write!(out, ",\n\"percentiles_ms\": {ladder}");
-        }
+    if let Some(ladder) = &a.ladder {
+        let rungs: Vec<String> = ladder
+            .rungs
+            .iter()
+            .map(|(label, edge)| {
+                let rendered = edge.map_or("null".into(), |ms| format!("{ms:.1}"));
+                format!("\"{label}\": {rendered}")
+            })
+            .collect();
+        let _ = write!(out, ",\n\"percentiles_ms\": {{{}}}", rungs.join(", "));
     }
     out.push_str("\n}\n");
     Ok(out)
 }
 
-/// The percentile ladder as a JSON object (`null` = beyond the last bin).
-fn percentile_ladder_json(h: &Json) -> Option<String> {
-    let bin_width = h.get("bin_width").and_then(Json::as_f64)?;
-    let counts: Vec<u64> = h
-        .get("counts")
-        .and_then(Json::as_arr)?
-        .iter()
-        .filter_map(Json::as_u64)
-        .collect();
-    let overflow = h.get("overflow").and_then(Json::as_u64).unwrap_or(0);
-    let total: u64 = counts.iter().sum::<u64>() + overflow;
-    if total == 0 {
-        return None;
-    }
-    let mut out = String::from("{");
-    for (i, &(label, p)) in [("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99)]
-        .iter()
-        .enumerate()
-    {
-        let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        let mut rendered = String::from("null");
-        for (b, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                rendered = format!("{:.1}", (b as f64 + 1.0) * bin_width);
-                break;
-            }
-        }
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{label}\": {rendered}");
-    }
-    out.push('}');
-    Some(out)
+/// p50/p90/p95/p99 of the `sim.latency_ms` registry histogram
+/// (`{"bin_width": w, "counts": [...], "overflow": o, "count": n}`).
+struct Ladder {
+    /// Requests in the histogram, and those past its last bin.
+    total: u64,
+    overflow: u64,
+    /// Upper edge of the binned range, ms.
+    range_ms: f64,
+    /// Each percentile's value: the upper edge of the bin its rank falls in
+    /// (as `LatencyHistogram::percentile` reads it), `None` past the last
+    /// bin.
+    rungs: [(&'static str, Option<f64>); 4],
 }
 
-/// p50/p90/p95/p99 from the `sim.latency_ms` registry histogram
-/// (`{"bin_width": w, "counts": [...], "overflow": o, "count": n}`).
-fn percentile_ladder(h: &Json) -> String {
-    let mut out = String::new();
-    let (Some(bin_width), Some(counts)) = (
-        h.get("bin_width").and_then(Json::as_f64),
-        h.get("counts").and_then(Json::as_arr),
-    ) else {
-        return out;
-    };
-    let counts: Vec<u64> = counts.iter().filter_map(Json::as_u64).collect();
-    let overflow = h.get("overflow").and_then(Json::as_u64).unwrap_or(0);
-    let total: u64 = counts.iter().sum::<u64>() + overflow;
-    if total == 0 {
-        return out;
-    }
-    let _ = writeln!(out, "  request latency percentiles ({total} requests):");
-    let _ = write!(out, "   ");
-    for &(label, p) in &[("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99)] {
-        // Rank of the requested percentile; the value is the upper edge of
-        // the bin the rank falls in (matches `LatencyHistogram::percentile`).
-        let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        let mut rendered = String::from("overflow");
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                rendered = format!("{:.1} ms", (i as f64 + 1.0) * bin_width);
-                break;
-            }
+impl Ladder {
+    /// `None` when the histogram is malformed or empty.
+    fn of(h: &Json) -> Option<Self> {
+        let bin_width = h.get("bin_width").and_then(Json::as_f64)?;
+        let counts: Vec<u64> = h
+            .get("counts")
+            .and_then(Json::as_arr)?
+            .iter()
+            .filter_map(Json::as_u64)
+            .collect();
+        let overflow = h.get("overflow").and_then(Json::as_u64).unwrap_or(0);
+        let total: u64 = counts.iter().sum::<u64>() + overflow;
+        if total == 0 {
+            return None;
         }
-        let _ = write!(out, "  {label} {rendered}");
+        let rung = |p: f64| {
+            let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
+            let mut seen = 0u64;
+            counts.iter().position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+        };
+        let edge = |p| rung(p).map(|b| (b as f64 + 1.0) * bin_width);
+        Some(Self {
+            total,
+            overflow,
+            range_ms: bin_width * counts.len() as f64,
+            rungs: [
+                ("p50", edge(0.50)),
+                ("p90", edge(0.90)),
+                ("p95", edge(0.95)),
+                ("p99", edge(0.99)),
+            ],
+        })
     }
-    out.push('\n');
-    if overflow > 0 {
-        let _ = writeln!(
-            out,
-            "  {overflow} request(s) beyond the last histogram bin ({:.0} ms)",
-            bin_width * counts.len() as f64
-        );
-    }
-    out
 }
 
 /// Per-phase self-time table from a `--profile-out` Chrome trace (the

@@ -58,7 +58,7 @@ fn mix64(mut x: u64) -> u64 {
 /// ([`ReplayStreams::from_events`] sorts each server's events).
 ///
 /// Each server's stream is seeded on its own and reads no other stream's
-/// state, so blocks of [`EXPORT_BLOCK_TICKS`] ticks are drawn from all
+/// state, so blocks of `EXPORT_BLOCK_TICKS` ticks are drawn from all
 /// streams in parallel and then interleaved; the output is identical at
 /// any thread count.
 pub fn export_events(scenario: &Scenario) -> Vec<TraceEvent> {

@@ -6,7 +6,7 @@ use cdn_placement::hybrid::{
 };
 use cdn_placement::{
     adhoc_split, greedy_backtrack, greedy_global, greedy_local, popularity_placement,
-    predicted_cost, random_placement, BacktrackConfig, HitRatioOracle, HybridConfig, Placement,
+    predict_fixed, predicted_cost, random_placement, HitRatioOracle, HybridConfig, Placement,
     PlacementProblem,
 };
 
@@ -90,9 +90,6 @@ pub enum Strategy {
     /// Greedy-global followed by drop/add interchange, no caching
     /// (replication-only refinement baseline).
     Backtrack,
-    /// The hybrid algorithm driven by Che's approximation instead of the
-    /// paper's model — the oracle ablation.
-    HybridChe,
 }
 
 impl Strategy {
@@ -109,7 +106,6 @@ impl Strategy {
             Strategy::Popularity => "popularity".into(),
             Strategy::GreedyLocal => "greedy-local".into(),
             Strategy::Backtrack => "backtrack".into(),
-            Strategy::HybridChe => "hybrid-che".into(),
         }
     }
 
@@ -136,8 +132,7 @@ impl Strategy {
 
     /// Execute the strategy against `problem`, consulting `model` wherever
     /// a hit-ratio oracle is needed. `Replication` and `Backtrack` never
-    /// cache, so they ignore the backend; `HybridChe` *is* a fixed-backend
-    /// ablation and keeps Che regardless.
+    /// cache, so they ignore the backend.
     pub fn run_with_model(&self, problem: &PlacementProblem, model: ModelBackend) -> PlanResult {
         match *self {
             Strategy::Hybrid => {
@@ -187,22 +182,12 @@ impl Strategy {
                 predicted_with_oracle(*self, problem, placement, model)
             }
             Strategy::Backtrack => {
-                let out = greedy_backtrack(problem, &BacktrackConfig::default());
+                let out = greedy_backtrack(problem);
                 PlanResult {
                     strategy: *self,
                     predicted_cost: out.final_cost,
                     placement: out.placement,
                     hit_ratios: None,
-                }
-            }
-            Strategy::HybridChe => {
-                let che = che_oracle_for(problem);
-                let out = hybrid_greedy(problem, &che, &HybridConfig::default());
-                PlanResult {
-                    strategy: *self,
-                    predicted_cost: out.final_cost,
-                    hit_ratios: Some(out.hit_ratios),
-                    placement: out.placement,
                 }
             }
         }
@@ -211,34 +196,14 @@ impl Strategy {
 
 /// Predict the cost of a fixed placement whose free space runs an LRU, by
 /// evaluating `model`'s oracle at each server's final buffer size.
-///
-/// Servers are independent, so the outer loop fans out over the rayon pool;
-/// the ordered collect keeps `hits` identical to the sequential evaluation.
 fn predicted_with_oracle(
     strategy: Strategy,
     problem: &PlacementProblem,
     placement: Placement,
     model: ModelBackend,
 ) -> PlanResult {
-    use rayon::prelude::*;
     let oracle = model.oracle_for(problem);
-    let hits: Vec<Vec<f64>> = (0..problem.n_servers())
-        .into_par_iter()
-        .map(|i| {
-            let b = problem.buffer_objects(placement.free_bytes(i));
-            (0..problem.m_sites())
-                .map(|j| {
-                    if placement.is_replicated(i, j) {
-                        0.0
-                    } else {
-                        oracle.site_hit_ratio(i, problem.site_popularity(i, j), b)
-                            * (1.0 - problem.lambda[j])
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let cost = predicted_cost(problem, &placement, |i, j| hits[i][j]);
+    let (hits, cost) = predict_fixed(problem, &placement, oracle.as_ref());
     PlanResult {
         strategy,
         placement,
@@ -325,7 +290,6 @@ mod tests {
             Strategy::Popularity,
             Strategy::GreedyLocal,
             Strategy::Backtrack,
-            Strategy::HybridChe,
         ] {
             let out = s.run(&p);
             out.placement.validate(&p);
@@ -364,7 +328,7 @@ mod tests {
     fn hybrid_che_close_to_hybrid_paper() {
         let p = toy_problem();
         let paper = Strategy::Hybrid.run(&p);
-        let che = Strategy::HybridChe.run(&p);
+        let che = Strategy::Hybrid.run_with_model(&p, ModelBackend::Che);
         // Different oracles, same machinery: placements may differ but both
         // must beat the pure strategies and land in the same ballpark.
         let caching = Strategy::Caching.run(&p).predicted_cost;

@@ -34,7 +34,7 @@
 //!   ```
 //!
 //!   with `G` a second universal tabulated function (see
-//!   [`build_excess_table`]) — O(1) arithmetic per query, no per-object
+//!   `build_excess_table`) — O(1) arithmetic per query, no per-object
 //!   series.
 //!
 //! Accuracy versus Eq. (1)/(2) is bounded by the differential suite and
@@ -311,7 +311,7 @@ impl ClosedFormLru {
     }
 
     /// Closed-form site hit ratio given a precomputed characteristic scale
-    /// `τ`: exact Che residency on the top [`TOP_RANKS`] ranks (they carry
+    /// `τ`: exact Che residency on the top `TOP_RANKS` ranks (they carry
     /// most of the mass and the continuum is worst there), then the
     /// step-core + linear-tail continuum with the tabulated excess
     /// correction for every deeper rank. O(1) arithmetic per query.

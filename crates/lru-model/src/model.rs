@@ -200,15 +200,6 @@ impl LruModel {
         mass.min(1.0)
     }
 
-    /// Steady-state residency probability of a single object with request
-    /// probability `p_obj`, for eviction horizon `k`: `1 − (1 − p)^K`.
-    pub fn object_hit_prob(&self, p_obj: f64, k: f64) -> f64 {
-        if k <= 0.0 {
-            return 0.0;
-        }
-        residency(p_obj.clamp(0.0, 1.0), k)
-    }
-
     /// Equation (1): the hit ratio a site with popularity `p_site` (at this
     /// server) achieves, given eviction horizon `k`:
     ///
@@ -248,12 +239,6 @@ impl LruModel {
             h += residency(p, k) * pmf;
         }
         (h.min(1.0), work)
-    }
-
-    /// Hit ratio adjusted for a fraction `lambda` of uncacheable requests —
-    /// the paper's Section 3.3 correction `h · (1 − λ)`.
-    pub fn site_hit_ratio_with_lambda(&self, p_site: f64, k: f64, lambda: f64) -> f64 {
-        self.site_hit_ratio(p_site, k) * (1.0 - lambda.clamp(0.0, 1.0))
     }
 
     /// Buffer size in objects for `cache_bytes` of space and mean request
@@ -393,11 +378,12 @@ mod tests {
 
     #[test]
     fn object_hit_prob_bounds() {
-        let m = model();
-        assert_eq!(m.object_hit_prob(0.5, 0.0), 0.0);
-        assert_eq!(m.object_hit_prob(0.0, 100.0), 0.0);
-        assert!((m.object_hit_prob(1.0, 5.0) - 1.0).abs() < 1e-12);
-        let p = m.object_hit_prob(0.01, 50.0);
+        // `residency` is one object's steady-state hit probability,
+        // `1 − (1 − p)^K`.
+        assert_eq!(residency(0.5, 0.0), 0.0);
+        assert_eq!(residency(0.0, 100.0), 0.0);
+        assert!((residency(1.0, 5.0) - 1.0).abs() < 1e-12);
+        let p = residency(0.01, 50.0);
         assert!(p > 0.0 && p < 1.0);
     }
 
@@ -429,15 +415,6 @@ mod tests {
         let m = model();
         let h = m.site_hit_ratio(1.0, 1e9);
         assert!(h > 0.999, "h = {h}");
-    }
-
-    #[test]
-    fn lambda_adjustment_scales_linearly() {
-        let m = model();
-        let h = m.site_hit_ratio(0.1, 200.0);
-        let adjusted = m.site_hit_ratio_with_lambda(0.1, 200.0, 0.1);
-        assert!((adjusted - 0.9 * h).abs() < 1e-12);
-        assert_eq!(m.site_hit_ratio_with_lambda(0.1, 200.0, 1.0), 0.0);
     }
 
     #[test]

@@ -16,23 +16,10 @@ use crate::greedy_global::greedy_global;
 use crate::problem::PlacementProblem;
 use crate::solution::Placement;
 
-/// Limits for the interchange phase.
-#[derive(Debug, Clone, Copy)]
-pub struct BacktrackConfig {
-    /// Maximum full passes over all placed replicas.
-    pub max_passes: usize,
-    /// Minimum cost improvement for a swap to be committed.
-    pub min_gain: f64,
-}
-
-impl Default for BacktrackConfig {
-    fn default() -> Self {
-        Self {
-            max_passes: 4,
-            min_gain: 1e-9,
-        }
-    }
-}
+/// Maximum full interchange passes over all placed replicas.
+const MAX_PASSES: usize = 4;
+/// Minimum cost improvement for a swap to be committed.
+const MIN_GAIN: f64 = 1e-9;
 
 /// Outcome of the backtracking search.
 #[derive(Debug, Clone)]
@@ -48,13 +35,13 @@ pub struct BacktrackOutcome {
 
 /// Run greedy-global, then interchange replicas (same-server drop/add)
 /// while it strictly improves the replication-only cost.
-pub fn greedy_backtrack(problem: &PlacementProblem, config: &BacktrackConfig) -> BacktrackOutcome {
+pub fn greedy_backtrack(problem: &PlacementProblem) -> BacktrackOutcome {
     let mut placement = greedy_global(problem).placement;
     let greedy_cost = replication_only_cost(problem, &placement);
     let mut cost = greedy_cost;
     let mut swaps = 0;
 
-    for _ in 0..config.max_passes {
+    for _ in 0..MAX_PASSES {
         let mut improved = false;
         for i in 0..problem.n_servers() {
             // Snapshot: sites_at allocates, but the pass is outside any hot
@@ -78,7 +65,7 @@ pub fn greedy_backtrack(problem: &PlacementProblem, config: &BacktrackConfig) ->
                 }
 
                 match best {
-                    Some((c, l)) if c + config.min_gain < cost => {
+                    Some((c, l)) if c + MIN_GAIN < cost => {
                         placement.add_replica(problem, i, l);
                         if l != j {
                             swaps += 1;
@@ -91,7 +78,7 @@ pub fn greedy_backtrack(problem: &PlacementProblem, config: &BacktrackConfig) ->
                         // back if it still helps, otherwise keep the drop
                         // (a pure drop can only help if j had become
                         // redundant through other replicas).
-                        if without + config.min_gain < cost {
+                        if without + MIN_GAIN < cost {
                             cost = without;
                             swaps += 1;
                             improved = true;
@@ -131,7 +118,7 @@ mod tests {
                 2000 + 500 * seed_shift,
                 uniform_demand(4, 6, 10 + seed_shift),
             );
-            let out = greedy_backtrack(&p, &BacktrackConfig::default());
+            let out = greedy_backtrack(&p);
             assert!(
                 out.final_cost <= out.greedy_cost + 1e-9,
                 "backtrack {} worse than greedy {}",
@@ -145,39 +132,7 @@ mod tests {
     #[test]
     fn reported_cost_matches_placement() {
         let p = line_problem(3, 5, 800, 2400, uniform_demand(3, 5, 6));
-        let out = greedy_backtrack(&p, &BacktrackConfig::default());
+        let out = greedy_backtrack(&p);
         assert!((replication_only_cost(&p, &out.placement) - out.final_cost).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_passes_is_plain_greedy() {
-        let p = line_problem(3, 4, 1000, 2000, uniform_demand(3, 4, 10));
-        let cfg = BacktrackConfig {
-            max_passes: 0,
-            ..Default::default()
-        };
-        let out = greedy_backtrack(&p, &cfg);
-        assert_eq!(out.swaps, 0);
-        assert_eq!(out.greedy_cost, out.final_cost);
-    }
-
-    #[test]
-    fn converges_without_max_pass_exhaustion() {
-        let p = line_problem(4, 5, 700, 2100, uniform_demand(4, 5, 3));
-        let a = greedy_backtrack(
-            &p,
-            &BacktrackConfig {
-                max_passes: 50,
-                ..Default::default()
-            },
-        );
-        let b = greedy_backtrack(
-            &p,
-            &BacktrackConfig {
-                max_passes: 51,
-                ..Default::default()
-            },
-        );
-        assert_eq!(a.final_cost, b.final_cost);
     }
 }

@@ -98,7 +98,7 @@ pub fn optimality_gap(cost: f64, lower_bound: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backtrack::{greedy_backtrack, BacktrackConfig};
+    use crate::backtrack::greedy_backtrack;
     use crate::cost::replication_only_cost;
     use crate::greedy_global::greedy_global;
     use crate::problem::testkit::*;
@@ -110,7 +110,7 @@ mod tests {
             let p = line_problem(4, 5, 1000, cap, uniform_demand(4, 5, demand_level));
             let lb = replication_cost_lower_bound(&p);
             let greedy = replication_only_cost(&p, &greedy_global(&p).placement);
-            let bt = greedy_backtrack(&p, &BacktrackConfig::default()).final_cost;
+            let bt = greedy_backtrack(&p).final_cost;
             assert!(lb <= greedy + 1e-9, "LB {lb} > greedy {greedy}");
             assert!(lb <= bt + 1e-9, "LB {lb} > backtrack {bt}");
             assert!(lb >= 0.0);

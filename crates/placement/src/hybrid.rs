@@ -39,14 +39,11 @@ use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Tunables of the hybrid run.
-#[derive(Debug, Clone, Copy)]
+/// Reference paths of the hybrid run, which tests compare the default
+/// planner against. The planner accepts a candidate only while its benefit
+/// is positive, as the paper's Figure 2 does.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HybridConfig {
-    /// Accept a candidate only if its benefit exceeds this (the paper uses
-    /// "positive benefit", i.e. 0).
-    pub min_benefit: f64,
-    /// Safety valve on iterations.
-    pub max_replicas: usize,
     /// Evaluate the cache-shrink penalty exactly per candidate (the
     /// literal Figure 2 inner loop, O(M) oracle queries per candidate)
     /// instead of the memoised decomposition. Slower by ~2 orders of
@@ -58,17 +55,6 @@ pub struct HybridConfig {
     /// reference implementation the lazy planner is tested against — the
     /// two must produce bit-identical replica traces.
     pub dense_scan: bool,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        Self {
-            min_benefit: 0.0,
-            max_replicas: usize::MAX,
-            exact_shrink_scan: false,
-            dense_scan: false,
-        }
-    }
 }
 
 /// Bound on how far the incrementally tracked cost (initial − Σ benefits)
@@ -452,7 +438,7 @@ fn benefit_key(b: f64) -> u64 {
 /// Mutable state of the incremental lazy-greedy planner.
 struct LazyPlanner {
     /// Last evaluated benefit per flat candidate (`NEG_INFINITY` when the
-    /// candidate is infeasible or below `min_benefit`).
+    /// candidate is infeasible or its benefit is not positive).
     benefit: Vec<f64>,
     /// Per-candidate staleness epoch: bumped every re-evaluation. Heap
     /// entries carry the epoch they were pushed under and entries whose
@@ -547,25 +533,9 @@ pub fn hybrid_greedy(
     let m = problem.m_sites();
     let mut placement = Placement::primaries_only(problem);
 
-    // Opt-in heartbeat for internet-scale plans (they can run for many
-    // minutes with no output): set `CDN_PLAN_PROGRESS=<n>` to log every
-    // n-th greedy iteration to stderr. Reads the wall clock, so it stays
-    // strictly outside every deterministic output and counter.
-    let progress_every: usize = std::env::var("CDN_PLAN_PROGRESS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let started = std::time::Instant::now();
-
     // Lines 1–5 of Figure 2: all storage is cache; initial hit ratios and
     // initial cost.
-    let mut hits: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            let b = problem.buffer_objects(placement.free_bytes(i));
-            hit_row(problem, &placement, oracle, i, b)
-        })
-        .collect();
-    let initial_cost = predicted_cost(problem, &placement, |i, j| hits[i][j]);
+    let (mut hits, initial_cost) = predict_fixed(problem, &placement, oracle);
     let mut cost = initial_cost;
     let mut benefits = Vec::new();
     let mut replicas: Vec<(usize, usize)> = Vec::new();
@@ -618,15 +588,7 @@ pub fn hybrid_greedy(
         });
     }
 
-    let mut total_evaluated: u64 = 0;
-    if progress_every > 0 {
-        eprintln!(
-            "  [plan {:>8.1}s] initial state ready ({n} x {m} candidates); entering greedy loop",
-            started.elapsed().as_secs_f64(),
-        );
-    }
-
-    while placement.replica_count() < config.max_replicas {
+    loop {
         memo.refresh_w(problem, &placement, &hits);
 
         let (best, evaluated) = if let Some(l) = &mut lazy {
@@ -674,7 +636,7 @@ pub fn hybrid_greedy(
                         remote_reused += 1;
                     }
                     l.remote[f] = remote;
-                    if b > config.min_benefit {
+                    if b > 0.0 {
                         l.benefit[f] = b;
                         l.heap.push((benefit_key(b), Reverse(flat), l.epoch[f]));
                     }
@@ -707,7 +669,7 @@ pub fn hybrid_greedy(
                         i,
                         j,
                     );
-                    (benefit > config.min_benefit).then_some(Candidate { benefit, flat })
+                    (benefit > 0.0).then_some(Candidate { benefit, flat })
                 })
                 .reduce_with(|a, b| {
                     // Deterministic: larger benefit wins, ties to smaller index.
@@ -747,19 +709,6 @@ pub fn hybrid_greedy(
         cost -= benefit;
         benefits.push(benefit);
         replicas.push((i, j));
-        total_evaluated += evaluated;
-        if progress_every > 0 && benefits.len() % progress_every == 0 {
-            eprintln!(
-                "  [plan {:>8.1}s] iter {:>6}: {} replicas, {} evaluated this iter \
-                 ({} total), benefit {:.3}",
-                started.elapsed().as_secs_f64(),
-                benefits.len(),
-                placement.replica_count(),
-                evaluated,
-                total_evaluated,
-                benefit,
-            );
-        }
         if obs {
             telemetry::registry()
                 .counter("placement.replicas_placed")
@@ -949,17 +898,35 @@ pub fn closed_form_oracle_for(problem: &PlacementProblem) -> ClosedFormOracle {
     ClosedFormOracle::new(model, &pops)
 }
 
+/// Predict a fixed placement whose free space runs an LRU: each server's
+/// λ-adjusted hit-ratio row, evaluated by `oracle` at that server's buffer
+/// size (0 for sites it replicates), and the placement's [`predicted_cost`].
+///
+/// Servers are independent, so the rows fan out over the rayon pool; the
+/// ordered collect keeps them identical to a sequential evaluation, and
+/// every oracle memo value is a pure function of its key, so the memo
+/// contents and work counters are too.
+pub fn predict_fixed(
+    problem: &PlacementProblem,
+    placement: &Placement,
+    oracle: &dyn HitRatioOracle,
+) -> (Vec<Vec<f64>>, f64) {
+    let hits: Vec<Vec<f64>> = (0..problem.n_servers())
+        .into_par_iter()
+        .map(|i| {
+            let b = problem.buffer_objects(placement.free_bytes(i));
+            hit_row(problem, placement, oracle, i, b)
+        })
+        .collect();
+    let cost = predicted_cost(problem, placement, |i, j| hits[i][j]);
+    (hits, cost)
+}
+
 /// Pure caching: no replicas at all, every byte is cache. Included for the
 /// paper's three-way comparison.
 pub fn pure_caching(problem: &PlacementProblem, oracle: &dyn HitRatioOracle) -> HybridOutcome {
     let placement = Placement::primaries_only(problem);
-    let hits: Vec<Vec<f64>> = (0..problem.n_servers())
-        .map(|i| {
-            let b = problem.buffer_objects(placement.free_bytes(i));
-            hit_row(problem, &placement, oracle, i, b)
-        })
-        .collect();
-    let cost = predicted_cost(problem, &placement, |i, j| hits[i][j]);
+    let (hits, cost) = predict_fixed(problem, &placement, oracle);
     HybridOutcome {
         placement,
         hit_ratios: hits,
@@ -1041,17 +1008,6 @@ mod tests {
         let out = run(&p);
         assert_eq!(out.placement.replica_count(), 0);
         assert_eq!(out.initial_cost, out.final_cost);
-    }
-
-    #[test]
-    fn max_replicas_cap_respected() {
-        let p = line_problem(4, 6, 1000, 6000, uniform_demand(4, 6, 50));
-        let cfg = HybridConfig {
-            max_replicas: 3,
-            ..Default::default()
-        };
-        let out = hybrid_greedy_paper(&p, &cfg);
-        assert!(out.placement.replica_count() <= 3);
     }
 
     #[test]
@@ -1232,6 +1188,23 @@ mod tests {
         let claimed: f64 = shifted.benefits.iter().sum();
         let achieved = shifted.initial_cost - shifted.final_cost;
         assert!((claimed - achieved).abs() <= 0.02 * shifted.initial_cost.max(1.0));
+    }
+
+    #[test]
+    fn lambda_adjustment_scales_linearly() {
+        // Every predicted row carries the paper's §3.3 correction h·(1 − λ).
+        let mut p = line_problem(3, 4, 1000, 2500, uniform_demand(3, 4, 20));
+        let placement = Placement::primaries_only(&p);
+        let oracle = paper_oracle_for(&p);
+        let (plain, _) = predict_fixed(&p, &placement, &oracle);
+        assert!(plain.iter().flatten().any(|&h| h > 0.0));
+        p.lambda = vec![0.1, 0.5, 1.0, 0.0];
+        let (adjusted, _) = predict_fixed(&p, &placement, &oracle);
+        for (row, plain_row) in adjusted.iter().zip(&plain) {
+            for (j, (&h, &h0)) in row.iter().zip(plain_row).enumerate() {
+                assert_eq!(h, h0 * (1.0 - p.lambda[j]), "site {j}");
+            }
+        }
     }
 
     #[test]

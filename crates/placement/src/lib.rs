@@ -7,8 +7,8 @@
 //! storage left over for caching. The stand-alone problem (`h ≡ 0`) is
 //! NP-complete, so everything here is heuristic:
 //!
-//! * [`greedy_global`] — the classic greedy-global heuristic the paper uses
-//!   as the stand-alone replication baseline.
+//! * [`greedy_global`](fn@greedy_global) — the classic greedy-global
+//!   heuristic the paper uses as the stand-alone replication baseline.
 //! * [`hybrid`] — the paper's contribution (its Figure 2): greedy with the
 //!   benefit of each candidate replica charged for the cache space it
 //!   steals, as predicted by the analytical LRU model.
@@ -34,7 +34,7 @@ pub mod problem;
 pub mod solution;
 
 pub use adhoc::adhoc_split;
-pub use backtrack::{greedy_backtrack, BacktrackConfig, BacktrackOutcome};
+pub use backtrack::{greedy_backtrack, BacktrackOutcome};
 pub use baselines::{popularity_placement, random_placement};
 pub use bounds::{optimality_gap, replication_cost_lower_bound};
 pub use cost::{
@@ -43,7 +43,7 @@ pub use cost::{
 pub use exhaustive::{exhaustive_optimal, ExhaustiveOutcome};
 pub use greedy_global::greedy_global;
 pub use greedy_local::greedy_local;
-pub use hybrid::{hybrid_greedy, HybridConfig, HybridOutcome};
+pub use hybrid::{hybrid_greedy, predict_fixed, HybridConfig, HybridOutcome};
 pub use oracle::{CheOracle, ClosedFormOracle, HitRatioOracle, PaperOracle};
 pub use problem::PlacementProblem;
 pub use solution::{Nearest, Placement, RankedHolder};

@@ -84,7 +84,7 @@ impl PaperOracle {
             .map(|_| Mutex::new(HashMap::new()))
             .collect();
         Self {
-            table: HitRatioTable::planner_default(model),
+            table: HitRatioTable::new(model),
             p_b,
             horizons,
         }

@@ -17,9 +17,11 @@ type InflightTable = (u64, FxHashMap<ObjectKey, (u64, u32)>);
 /// request stream, routing, and fault schedule are all seed-derived.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteObs {
-    /// Served locally (replica hit, fresh cache hit, or a delayed hit
-    /// riding a pending fetch that lands at this server).
+    /// Served locally: a replica hit or a cache hit.
     pub local_hits: u64,
+    /// Coalesced onto a pending fetch of the same object; kept out of
+    /// `local_hits`, as the run, server and window buckets keep them.
+    pub delayed_hits: u64,
     /// Travelled to a holder with no dead copies skipped.
     pub remote_fetches: u64,
     /// Travelled to a holder after skipping at least one dead copy.
@@ -31,7 +33,8 @@ pub struct SiteObs {
 impl SiteObs {
     fn record(&mut self, cause: Cause) {
         match cause {
-            Cause::ReplicaHit | Cause::CacheHit | Cause::DelayedHit => self.local_hits += 1,
+            Cause::ReplicaHit | Cause::CacheHit => self.local_hits += 1,
+            Cause::DelayedHit => self.delayed_hits += 1,
             Cause::RemoteReplica | Cause::OriginFetch => self.remote_fetches += 1,
             Cause::Failover => self.failovers += 1,
             Cause::Failed => self.failed += 1,
@@ -87,7 +90,7 @@ pub struct ServerReport {
     /// Telemetry tallies; `None` when telemetry is disabled.
     pub obs: Option<EngineObs>,
     /// 1-in-N sampled request paths (empty unless
-    /// [`SimConfig::sample_every`] is set), in stream order.
+    /// [`SimConfig::sample_every`] is positive), in stream order.
     pub samples: Vec<RequestSample>,
     /// Windowed timeline of this server's measured requests (`None` unless
     /// [`SimConfig::window`] is a positive width). Purely observational:
@@ -307,13 +310,8 @@ where
     let mut tally = Tally::default();
     let mut total_requests = 0u64;
     let mut samples = Vec::new();
-    let sample_every = config.sample_every.unwrap_or(0);
-    // `None` and `Some(0)` both disable the timeline (`--window 0` is the
-    // CLI's off switch); the disabled path is bit-identical to a build
-    // without the feature.
-    let window_width = config.window.unwrap_or(0);
     let mut timeline: Option<TimelineAcc> =
-        (window_width > 0).then(|| TimelineAcc::new(window_width));
+        (config.window > 0).then(|| TimelineAcc::new(config.window));
     // Per-site tallies: local to this server's loop, so plain (non-atomic)
     // counts; gated once per run on the global telemetry flag.
     let mut site_obs: Option<Vec<SiteObs>> =
@@ -400,7 +398,7 @@ where
         if cause == Cause::Failover {
             failover_histogram.record(outcome.latency_us);
         }
-        if sample_every > 0 && tick % sample_every == 0 {
+        if config.sample_every > 0 && tick % config.sample_every == 0 {
             samples.push(RequestSample {
                 server: plan.server,
                 index: tick,
@@ -613,7 +611,7 @@ mod tests {
     fn windowed_timeline_mirrors_run_level_accounting() {
         let p = plan(vec![true, false], vec![0, 3], 1000);
         let cfg = SimConfig {
-            window: Some(2),
+            window: 2,
             ..Default::default()
         };
         let stream = vec![
@@ -652,24 +650,17 @@ mod tests {
         assert_eq!(tl.windows[2].1.top_site, Some((0, 1)));
         // The cached object (10 bytes) is resident at every window close.
         assert!(tl.windows.iter().all(|(_, w)| w.cache_used_bytes == 10));
-        // Disabled (None and Some(0) alike) leaves the field empty.
-        for window in [None, Some(0)] {
-            let cfg = SimConfig {
-                window,
-                ..Default::default()
-            };
-            let stream = vec![req(0, 1, Flavor::Normal)];
-            let r = simulate_server_faulted(
-                &p,
-                &cfg,
-                stream.into_iter(),
-                0,
-                |_, _| 10,
-                Box::new(Lru::new(p.cache_bytes)),
-                None,
-            );
-            assert!(r.timeline.is_none());
-        }
+        // Window 0, the default, leaves the field empty.
+        let r = simulate_server_faulted(
+            &p,
+            &SimConfig::default(),
+            vec![req(0, 1, Flavor::Normal)].into_iter(),
+            0,
+            |_, _| 10,
+            Box::new(Lru::new(p.cache_bytes)),
+            None,
+        );
+        assert!(r.timeline.is_none());
     }
 
     #[test]
@@ -679,7 +670,7 @@ mod tests {
         // window 1, and window 0 never materialises.
         let p = plan(vec![false], vec![3], 1000);
         let cfg = SimConfig {
-            window: Some(2),
+            window: 2,
             ..Default::default()
         };
         let stream: Vec<_> = (0..6).map(|o| req(0, o, Flavor::Normal)).collect();
@@ -1090,7 +1081,7 @@ mod tests {
         let p = plan(vec![false], vec![3], 1000);
         let cfg = SimConfig {
             fetch_latency: Some(2),
-            window: Some(2),
+            window: 2,
             ..Default::default()
         };
         let stream = vec![

@@ -10,23 +10,14 @@ use std::fmt::Write as _;
 /// simulator produces is one of a few values (20 ms per hop plus retry
 /// penalties), so storage grows with those values, and sums, maxima and
 /// merges are exact integer arithmetic. The paper's CDF plots are `cdf()`,
-/// read through fixed-width bins plus an overflow bin; the millisecond
-/// accessors convert on the way out.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// read through [`BIN_US`](Self::BIN_US)-wide bins plus an overflow bin;
+/// the millisecond accessors convert on the way out.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    bin_us: u64,
-    n_bins: usize,
     counts: FxHashMap<u64, u64>,
     sum_us: u64,
     n: u64,
     max_us: u64,
-}
-
-/// The simulator's sizing: 1 ms bins up to 4.096 s.
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new(1_000, 4096)
-    }
 }
 
 /// Microseconds to milliseconds, the unit every reported latency is in.
@@ -37,25 +28,12 @@ pub(crate) fn us_to_ms(us: u64) -> f64 {
 }
 
 impl LatencyHistogram {
-    /// `bin_us`-wide bins covering `[0, bin_us * n_bins)` µs, which shape
-    /// the binned views (`cdf`, `bin_counts`, `overflow_count`,
-    /// `percentile`, `fraction_at_or_below`); the counts are exact at any
-    /// shape.
-    ///
-    /// # Panics
-    /// Panics unless `bin_us > 0` and `n_bins > 0`.
-    pub fn new(bin_us: u64, n_bins: usize) -> Self {
-        assert!(bin_us > 0, "invalid bin width");
-        assert!(n_bins > 0, "need at least one bin");
-        Self {
-            bin_us,
-            n_bins,
-            counts: FxHashMap::default(),
-            sum_us: 0,
-            n: 0,
-            max_us: 0,
-        }
-    }
+    /// Width of a bin of the binned views (`cdf`, `bin_counts`,
+    /// `overflow_count`, `percentile`, `fraction_at_or_below`), µs: 1 ms.
+    /// The counts themselves are exact.
+    pub const BIN_US: u64 = 1_000;
+    /// Number of bins, so the binned views cover `[0, 4.096 s)`.
+    pub const N_BINS: usize = 4096;
 
     /// Record one response time, µs.
     pub fn record(&mut self, us: u64) {
@@ -65,14 +43,8 @@ impl LatencyHistogram {
         self.max_us = self.max_us.max(us);
     }
 
-    /// Merge another histogram (must have identical shape). Integer adds
-    /// only, so merges commute.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
+    /// Merge another histogram. Integer adds only, so merges commute.
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.bin_us, other.bin_us, "bin width mismatch");
-        assert_eq!(self.n_bins, other.n_bins, "bin count mismatch");
         for (&us, &c) in &other.counts {
             *self.counts.entry(us).or_insert(0) += c;
         }
@@ -164,18 +136,18 @@ impl LatencyHistogram {
 
     /// Bin width in ms.
     pub fn bin_ms(&self) -> f64 {
-        us_to_ms(self.bin_us)
+        us_to_ms(Self::BIN_US)
     }
 
     /// The bin a value falls in, `None` past the last bin.
     fn bin_of(&self, us: u64) -> Option<usize> {
-        let i = (us / self.bin_us) as usize;
-        (i < self.n_bins).then_some(i)
+        let i = (us / Self::BIN_US) as usize;
+        (i < Self::N_BINS).then_some(i)
     }
 
     /// Per-bin sample counts (bin `i` covers `[i*bin_ms, (i+1)*bin_ms)`).
     pub fn bin_counts(&self) -> Vec<u64> {
-        let mut bins = vec![0; self.n_bins];
+        let mut bins = vec![0; Self::N_BINS];
         for (&us, &c) in &self.counts {
             if let Some(i) = self.bin_of(us) {
                 bins[i] += c;
@@ -202,7 +174,7 @@ impl LatencyHistogram {
         let idx = (ms / self.bin_ms()).floor() as usize;
         // Overflow samples lie somewhere in [bin range end, max]; they are
         // certainly at-or-below `ms` once `ms` reaches the recorded max.
-        let overflow_in = idx >= self.n_bins && ms >= self.max();
+        let overflow_in = idx >= Self::N_BINS && ms >= self.max();
         let acc: u64 = self
             .counts
             .iter()
@@ -680,7 +652,7 @@ mod tests {
 
     #[test]
     fn record_and_mean() {
-        let mut h = LatencyHistogram::new(1_000, 100);
+        let mut h = LatencyHistogram::default();
         h.record(10_000);
         h.record(20_000);
         h.record(30_500);
@@ -694,18 +666,18 @@ mod tests {
 
     #[test]
     fn overflow_counted() {
-        let mut h = LatencyHistogram::new(1_000, 10);
+        let mut h = LatencyHistogram::default();
         h.record(5_000);
-        h.record(500_000);
+        h.record(5_000_000);
         assert_eq!(h.count(), 2);
         let cdf = h.cdf();
         assert_eq!(cdf.last().unwrap().1, 1.0);
-        assert_eq!(cdf.last().unwrap().0, 500.0);
+        assert_eq!(cdf.last().unwrap().0, 5_000.0);
     }
 
     #[test]
     fn cdf_is_monotone_and_ends_at_one() {
-        let mut h = LatencyHistogram::new(2_000, 50);
+        let mut h = LatencyHistogram::default();
         for v in [1_000, 3_000, 3_500, 7_000, 20_000, 20_000] {
             h.record(v);
         }
@@ -719,7 +691,7 @@ mod tests {
 
     #[test]
     fn percentile_bounds() {
-        let mut h = LatencyHistogram::new(1_000, 100);
+        let mut h = LatencyHistogram::default();
         for i in 0..100 {
             h.record(i * 1_000 + 500);
         }
@@ -754,7 +726,7 @@ mod tests {
 
     #[test]
     fn fraction_at_or_below_matches_cdf() {
-        let mut h = LatencyHistogram::new(1_000, 100);
+        let mut h = LatencyHistogram::default();
         h.record(10_000);
         h.record(20_000);
         assert!((h.fraction_at_or_below(10.0) - 0.5).abs() < 1e-12);
@@ -764,30 +736,31 @@ mod tests {
 
     #[test]
     fn overflow_bin_accounting() {
-        // 10 one-ms bins cover [0, 10); half the samples land past the end.
-        let mut h = LatencyHistogram::new(1_000, 10);
-        for v in [2_000, 4_000, 50_000, 500_000] {
+        // 4,096 one-ms bins cover [0, 4096); half the samples land past
+        // the end.
+        let mut h = LatencyHistogram::default();
+        for v in [2_000, 4_000, 5_000_000, 50_000_000] {
             h.record(v);
         }
         assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), 500.0);
+        assert_eq!(h.max(), 50_000.0);
         // Below the bin range end, only binned samples count.
-        assert!((h.fraction_at_or_below(9.0) - 0.5).abs() < 1e-12);
+        assert!((h.fraction_at_or_below(4_000.0) - 0.5).abs() < 1e-12);
         // Between the range end and the max the overflow location is
         // unknown — the conservative answer still excludes it.
-        assert!((h.fraction_at_or_below(100.0) - 0.5).abs() < 1e-12);
+        assert!((h.fraction_at_or_below(10_000.0) - 0.5).abs() < 1e-12);
         // At or past the recorded max, every sample is accounted for.
-        assert!((h.fraction_at_or_below(500.0) - 1.0).abs() < 1e-12);
+        assert!((h.fraction_at_or_below(50_000.0) - 1.0).abs() < 1e-12);
         assert!((h.fraction_at_or_below(1e9) - 1.0).abs() < 1e-12);
         // The top quantile comes from the overflow's recorded max.
-        assert_eq!(h.percentile(1.0), 500.0);
-        assert_eq!(h.mean(), (2.0 + 4.0 + 50.0 + 500.0) / 4.0);
+        assert_eq!(h.percentile(1.0), 50_000.0);
+        assert_eq!(h.mean(), (2.0 + 4.0 + 5_000.0 + 50_000.0) / 4.0);
     }
 
     #[test]
     fn cdf_with_overflow_is_monotone_and_ends_at_one() {
-        let mut h = LatencyHistogram::new(2_000, 8);
-        for v in [1_000, 3_000, 5_000, 15_900, 40_000, 77_000] {
+        let mut h = LatencyHistogram::default();
+        for v in [1_000, 3_000, 5_000, 4_095_900, 5_000_000, 7_700_000] {
             h.record(v);
         }
         let cdf = h.cdf();
@@ -797,16 +770,16 @@ mod tests {
         }
         let &(last_x, last_y) = cdf.last().unwrap();
         assert_eq!(last_y, 1.0, "CDF must end at exactly 1.0");
-        assert_eq!(last_x, 77.0, "final point sits at the recorded max");
+        assert_eq!(last_x, 7_700.0, "final point sits at the recorded max");
         // The pre-overflow prefix accounts for the four binned samples.
         assert!(cdf
             .iter()
-            .any(|&(x, y)| x == 16.0 && (y - 4.0 / 6.0).abs() < 1e-12));
+            .any(|&(x, y)| x == 4_096.0 && (y - 4.0 / 6.0).abs() < 1e-12));
     }
 
     #[test]
     fn zero_request_histogram_is_well_defined() {
-        let h = LatencyHistogram::new(1_000, 16);
+        let h = LatencyHistogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.max(), 0.0);
@@ -820,25 +793,17 @@ mod tests {
 
     #[test]
     fn merge_combines_everything() {
-        let mut a = LatencyHistogram::new(1_000, 10);
-        let mut b = LatencyHistogram::new(1_000, 10);
+        let mut a = LatencyHistogram::default();
+        let mut b = LatencyHistogram::default();
         a.record(1_000);
         b.record(2_000);
-        b.record(100_000);
+        b.record(10_000_000);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.sum_us(), 103_000);
-        assert_eq!(a.max(), 100.0);
+        assert_eq!(a.sum_us(), 10_003_000);
+        assert_eq!(a.max(), 10_000.0);
         assert_eq!(a.overflow_count(), 1);
-        assert_eq!(a.mean(), (1.0 + 2.0 + 100.0) / 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn merge_shape_mismatch_panics() {
-        let mut a = LatencyHistogram::new(1_000, 10);
-        let b = LatencyHistogram::new(2_000, 10);
-        a.merge(&b);
+        assert_eq!(a.mean(), (1.0 + 2.0 + 10_000.0) / 3.0);
     }
 
     #[test]
@@ -971,7 +936,7 @@ mod tests {
     #[test]
     fn empty_report_ratios_are_zero() {
         let r = SimReport {
-            histogram: LatencyHistogram::new(1_000, 1),
+            histogram: LatencyHistogram::default(),
             mean_latency_ms: 0.0,
             mean_cost_hops: 0.0,
             total_requests: 0,
@@ -983,7 +948,7 @@ mod tests {
             origin_fetches: 0,
             peer_fetches: 0,
             failover_fetches: 0,
-            failover_histogram: LatencyHistogram::new(1_000, 1),
+            failover_histogram: LatencyHistogram::default(),
             failed_requests: 0,
             total_bytes: 0,
             origin_bytes: 0,

@@ -59,13 +59,6 @@ impl ServerPlan {
             cache_bytes: placement.free_bytes(i),
         }
     }
-
-    /// Plans for every server.
-    pub fn all_from_placement(problem: &PlacementProblem, placement: &Placement) -> Vec<Self> {
-        (0..problem.n_servers())
-            .map(|i| Self::from_placement(problem, placement, i))
-            .collect()
-    }
 }
 
 /// How stale cached copies are handled (paper §3.3). Replicas are always
@@ -100,20 +93,17 @@ pub struct SimConfig {
     /// parameters give bit-identical reports.
     pub faults: Option<FaultParams>,
     /// Sample every Nth request of each server's stream into
-    /// [`crate::RequestSample`]s (`None` disables sampling). Keyed on the
+    /// [`crate::RequestSample`]s (0 disables sampling). Keyed on the
     /// request's deterministic per-stream index, so the sampled set is
     /// identical at any thread count. Sampling never perturbs the
     /// simulation or its deterministic outputs.
-    pub sample_every: Option<u64>,
+    pub sample_every: u64,
     /// Virtual-time window width, in per-server stream ticks, for the
-    /// windowed timeline ([`crate::timeline::Timeline`]). `None` *and*
-    /// `Some(0)` both disable the timeline entirely — `--window 0` on the
-    /// CLI is the documented off switch, and the disabled path is
-    /// bit-identical to a build without the feature. Windows are keyed by
-    /// `tick / width` on the same deterministic per-stream index the
-    /// sampler uses, so timelines are byte-identical at any thread or
-    /// shard count.
-    pub window: Option<u64>,
+    /// windowed timeline ([`crate::timeline::Timeline`]); 0 disables the
+    /// timeline. Windows are keyed by `tick / width` on the same
+    /// deterministic per-stream index the sampler uses, so timelines are
+    /// byte-identical at any thread or shard count.
+    pub window: u64,
     /// Remote-fetch completion latency, in per-server stream ticks, for
     /// delayed-hit coalescing. With a positive value, a cache miss puts the
     /// object's fetch *in flight* for that many ticks; requests for the
@@ -139,8 +129,8 @@ impl Default for SimConfig {
             warmup_fraction: 0.2,
             consistency: ConsistencyMode::Strong,
             faults: None,
-            sample_every: None,
-            window: None,
+            sample_every: 0,
+            window: 0,
             fetch_latency: None,
             shards: None,
         }
@@ -152,10 +142,6 @@ impl SimConfig {
         assert!(
             (0.0..1.0).contains(&self.warmup_fraction),
             "warm-up fraction must be in [0, 1)"
-        );
-        assert!(
-            self.sample_every != Some(0),
-            "sample_every must be at least 1 (or None to disable)"
         );
         assert!(
             self.shards != Some(0),
@@ -194,8 +180,9 @@ mod tests {
         let p = tiny_problem();
         let mut pl = Placement::primaries_only(&p);
         pl.add_replica(&p, 0, 1);
-        let plans = ServerPlan::all_from_placement(&p, &pl);
-        assert_eq!(plans.len(), 2);
+        let plans: Vec<ServerPlan> = (0..2)
+            .map(|i| ServerPlan::from_placement(&p, &pl, i))
+            .collect();
         assert!(plans[0].replicated[1]);
         assert_eq!(plans[0].cache_bytes, 500);
         assert!(!plans[1].replicated[1]);
@@ -257,10 +244,10 @@ mod tests {
 
     #[test]
     fn zero_window_is_a_valid_off_switch() {
-        // Unlike sample_every/shards, `window: Some(0)` is the documented
-        // way to force the timeline off and must validate cleanly.
+        // Unlike shards, `window: 0` is the timeline's off value and must
+        // validate cleanly.
         let c = SimConfig {
-            window: Some(0),
+            window: 0,
             ..Default::default()
         };
         c.validate();
@@ -272,16 +259,6 @@ mod tests {
         // like `None` — `--fetch-latency 0` must validate cleanly.
         let c = SimConfig {
             fetch_latency: Some(0),
-            ..Default::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "sample_every")]
-    fn zero_sample_every_rejected() {
-        let c = SimConfig {
-            sample_every: Some(0),
             ..Default::default()
         };
         c.validate();

@@ -233,7 +233,7 @@ impl RunAccum {
 
     /// The report, its request buckets read off the run's tally.
     fn into_report(self, config: &SimConfig) -> SimReport {
-        let timeline = match config.window.unwrap_or(0) {
+        let timeline = match config.window {
             0 => None,
             width => Some(Timeline::from_per_server(width, self.timelines)),
         };
@@ -307,6 +307,7 @@ fn server_trace_buffer(report: &ServerReport) -> TraceBuffer {
                 vec![
                     ("site", Value::from(site)),
                     ("local_hits", Value::U64(o.local_hits)),
+                    ("delayed_hits", Value::U64(o.delayed_hits)),
                     ("remote_fetches", Value::U64(o.remote_fetches)),
                     ("failovers", Value::U64(o.failovers)),
                     ("failed", Value::U64(o.failed)),
@@ -677,8 +678,8 @@ mod tests {
         let run = |shards: Option<usize>| {
             let cfg = SimConfig {
                 faults: Some(faulty_params()),
-                sample_every: Some(7),
-                window: Some(64),
+                sample_every: 7,
+                window: 64,
                 shards,
                 ..Default::default()
             };
@@ -859,7 +860,7 @@ mod tests {
             ..Default::default()
         };
         let sampled_cfg = SimConfig {
-            sample_every: Some(7),
+            sample_every: 7,
             ..plain
         };
         let base = simulate_system(&problem, &pl, &catalog, &trace, &plain, None);
@@ -918,7 +919,7 @@ mod tests {
             ..Default::default()
         };
         let windowed_cfg = SimConfig {
-            window: Some(128),
+            window: 128,
             ..plain
         };
         let base = simulate_system(&problem, &pl, &catalog, &trace, &plain, None);
@@ -930,14 +931,6 @@ mod tests {
             ..windowed.clone()
         };
         assert_eq!(unwindowed, base);
-        // `Some(0)` is the off switch and matches `None` bit for bit.
-        let zero_cfg = SimConfig {
-            window: Some(0),
-            ..plain
-        };
-        let zero = simulate_system(&problem, &pl, &catalog, &trace, &zero_cfg, None);
-        assert!(zero.timeline.is_none());
-        assert_eq!(base, zero);
         // Windowed tallies sum to the run-level counters exactly, both
         // globally and per server.
         let tl = windowed.timeline.as_ref().expect("timeline enabled");
@@ -984,8 +977,8 @@ mod tests {
         let run = |fetch_latency, shards| {
             let cfg = SimConfig {
                 fetch_latency,
-                sample_every: Some(7),
-                window: Some(128),
+                sample_every: 7,
+                window: 128,
                 shards,
                 ..Default::default()
             };

@@ -1,28 +1,12 @@
 //! Graph export for visualisation and interchange.
 //!
 //! Generated topologies are easiest to sanity-check visually; this module
-//! renders them as Graphviz DOT (plain graphs or transit-stub graphs with
-//! role-based styling) and as a simple edge-list CSV for downstream tools.
+//! renders transit-stub graphs as Graphviz DOT with role-based styling, and
+//! any graph as a simple edge-list CSV for downstream tools.
 
 use crate::gen::transit_stub::TransitStubTopology;
 use crate::graph::{Graph, NodeId};
 use std::fmt::Write;
-
-/// Render an undirected graph as Graphviz DOT.
-pub fn to_dot(graph: &Graph, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "graph {name} {{");
-    let _ = writeln!(out, "  node [shape=point];");
-    for v in 0..graph.n_nodes() as NodeId {
-        for &w in graph.neighbors(v) {
-            if v < w {
-                let _ = writeln!(out, "  n{v} -- n{w};");
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Render a transit-stub topology as DOT with transit nodes highlighted
 /// and stub domains clustered.
@@ -55,13 +39,14 @@ pub fn transit_stub_to_dot(topo: &TransitStubTopology, name: &str) -> String {
     out
 }
 
-/// Edge list as CSV (`a,b,weight` with a header row).
+/// Edge list as CSV (`a,b,weight` with a header row). Every edge is one
+/// hop, so `weight` is always 1.
 pub fn to_edge_csv(graph: &Graph) -> String {
     let mut out = String::from("a,b,weight\n");
     for v in 0..graph.n_nodes() as NodeId {
-        for (w, weight) in graph.neighbors_weighted(v) {
+        for &w in graph.neighbors(v) {
             if v < w {
-                let _ = writeln!(out, "{v},{w},{weight}");
+                let _ = writeln!(out, "{v},{w},1");
             }
         }
     }
@@ -84,12 +69,20 @@ mod tests {
 
     #[test]
     fn dot_contains_each_edge_once() {
-        let dot = to_dot(&triangle(), "t");
+        let topo = crate::TransitStubTopology::generate(&TransitStubConfig::small(), 3);
+        let dot = transit_stub_to_dot(&topo, "t");
         assert!(dot.starts_with("graph t {"));
         assert!(dot.trim_end().ends_with('}'));
-        assert_eq!(dot.matches(" -- ").count(), 3);
-        assert!(dot.contains("n0 -- n1;"));
-        assert!(!dot.contains("n1 -- n0;"), "edge duplicated");
+        for v in 0..topo.graph.n_nodes() as NodeId {
+            for &w in topo.graph.neighbors(v) {
+                let (lo, hi) = (v.min(w), v.max(w));
+                assert!(dot.contains(&format!("n{lo} -- n{hi};")));
+                assert!(
+                    !dot.contains(&format!("n{hi} -- n{lo};")),
+                    "edge duplicated"
+                );
+            }
+        }
     }
 
     #[test]
@@ -119,7 +112,6 @@ mod tests {
     #[test]
     fn empty_graph_exports_cleanly() {
         let g = GraphBuilder::new(0).build();
-        assert!(to_dot(&g, "e").contains("graph e {"));
         assert_eq!(to_edge_csv(&g).trim(), "a,b,weight");
     }
 }

@@ -2,9 +2,7 @@
 //!
 //! GT-ITM builds each domain as a connected random graph; we reproduce that
 //! with a random spanning tree (guaranteeing connectivity) plus extra edges
-//! added either uniformly with probability `p` (pure random model) or with a
-//! Waxman probability `a * exp(-d / (b * L))` over random unit-square
-//! coordinates (GT-ITM's default edge model).
+//! added uniformly with probability `p` (GT-ITM's pure random model).
 
 use crate::graph::{GraphBuilder, NodeId};
 use rand::Rng;
@@ -30,34 +28,6 @@ pub fn add_uniform_edges<R: Rng>(
     for (i, &a) in nodes.iter().enumerate() {
         for &b in &nodes[i + 1..] {
             if rng.gen_bool(p.clamp(0.0, 1.0)) && builder.add_edge(a, b) {
-                added += 1;
-            }
-        }
-    }
-    added
-}
-
-/// Add extra edges with the Waxman model: nodes get uniform coordinates in
-/// the unit square and each pair is connected with probability
-/// `alpha * exp(-d / (beta * sqrt(2)))` where `d` is Euclidean distance.
-/// Returns the number of edges added.
-pub fn add_waxman_edges<R: Rng>(
-    builder: &mut GraphBuilder,
-    nodes: &[NodeId],
-    alpha: f64,
-    beta: f64,
-    rng: &mut R,
-) -> usize {
-    let coords: Vec<(f64, f64)> = nodes.iter().map(|_| (rng.gen(), rng.gen())).collect();
-    let max_d = std::f64::consts::SQRT_2;
-    let mut added = 0;
-    for i in 0..nodes.len() {
-        for j in i + 1..nodes.len() {
-            let dx = coords[i].0 - coords[j].0;
-            let dy = coords[i].1 - coords[j].1;
-            let d = (dx * dx + dy * dy).sqrt();
-            let p = alpha * (-d / (beta * max_d)).exp();
-            if rng.gen_bool(p.clamp(0.0, 1.0)) && builder.add_edge(nodes[i], nodes[j]) {
                 added += 1;
             }
         }
@@ -112,22 +82,6 @@ mod tests {
         let mut b = GraphBuilder::new(n);
         let added = add_uniform_edges(&mut b, &ids(n), 1.0, &mut rng);
         assert_eq!(added, n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn waxman_alpha_one_beta_huge_is_nearly_complete() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let n = 10usize;
-        let mut b = GraphBuilder::new(n);
-        let added = add_waxman_edges(&mut b, &ids(n), 1.0, 1e9, &mut rng);
-        assert_eq!(added, n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn waxman_alpha_zero_adds_nothing() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut b = GraphBuilder::new(10);
-        assert_eq!(add_waxman_edges(&mut b, &ids(10), 0.0, 0.3, &mut rng), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Random topology generators.
 //!
-//! * [`flat`] — flat random graphs (random tree + extra edges, Waxman-style
-//!   probability), the building block for domains.
+//! * [`flat`] — flat random graphs (random tree + uniform random extra
+//!   edges), the building block for domains.
 //! * [`transit_stub`] — the two-level transit-stub model of GT-ITM, which is
 //!   what the paper generates its evaluation network with.
 

@@ -4,30 +4,19 @@
 //! freeze them into a [`Graph`], whose adjacency is two flat arrays. All
 //! shortest-path work in this workspace iterates neighbour lists in tight
 //! loops, so the CSR layout (one indirection, cache-friendly) matters more
-//! than mutation ergonomics.
-
-use crate::Hops;
+//! than mutation ergonomics. Every edge is one hop, the paper's cost unit.
 
 /// Index of a node. Kept at 32 bits: the largest graphs in the reproduction
 /// are a few thousand nodes, and halving the index size keeps the CSR arrays
 /// and the distance matrices compact.
 pub type NodeId = u32;
 
-/// An undirected edge with a hop weight (always 1 for the paper's graphs,
-/// but kept general so weighted variants can reuse the machinery).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edge {
-    pub a: NodeId,
-    pub b: NodeId,
-    pub weight: Hops,
-}
-
 /// Incremental edge accumulator. Duplicate edges and self-loops are rejected
 /// at insertion time so generators cannot silently double-connect domains.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     n_nodes: usize,
-    edges: Vec<Edge>,
+    edges: Vec<(NodeId, NodeId)>,
     seen: std::collections::HashSet<(NodeId, NodeId)>,
 }
 
@@ -58,17 +47,12 @@ impl GraphBuilder {
         first
     }
 
-    /// Add an undirected unit-weight edge. Returns `false` (and adds
-    /// nothing) if the edge is a self-loop or already present.
-    pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.add_weighted_edge(a, b, 1)
-    }
-
-    /// Add an undirected edge with an explicit weight.
+    /// Add an undirected edge. Returns `false` (and adds nothing) if the
+    /// edge is a self-loop or already present.
     ///
     /// # Panics
     /// Panics if either endpoint is out of range.
-    pub fn add_weighted_edge(&mut self, a: NodeId, b: NodeId, weight: Hops) -> bool {
+    pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         assert!(
             (a as usize) < self.n_nodes && (b as usize) < self.n_nodes,
             "edge ({a}, {b}) out of range for {} nodes",
@@ -81,7 +65,7 @@ impl GraphBuilder {
         if !self.seen.insert(key) {
             return false;
         }
-        self.edges.push(Edge { a, b, weight });
+        self.edges.push((a, b));
         true
     }
 
@@ -95,9 +79,9 @@ impl GraphBuilder {
     pub fn build(self) -> Graph {
         let n = self.n_nodes;
         let mut degree = vec![0usize; n];
-        for e in &self.edges {
-            degree[e.a as usize] += 1;
-            degree[e.b as usize] += 1;
+        for &(a, b) in &self.edges {
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
         }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut acc = 0usize;
@@ -108,21 +92,15 @@ impl GraphBuilder {
         }
         let mut cursor = offsets[..n].to_vec();
         let mut targets = vec![0 as NodeId; acc];
-        let mut weights = vec![0 as Hops; acc];
-        for e in &self.edges {
-            let ca = cursor[e.a as usize];
-            targets[ca] = e.b;
-            weights[ca] = e.weight;
-            cursor[e.a as usize] += 1;
-            let cb = cursor[e.b as usize];
-            targets[cb] = e.a;
-            weights[cb] = e.weight;
-            cursor[e.b as usize] += 1;
+        for &(a, b) in &self.edges {
+            targets[cursor[a as usize]] = b;
+            cursor[a as usize] += 1;
+            targets[cursor[b as usize]] = a;
+            cursor[b as usize] += 1;
         }
         Graph {
             offsets,
             targets,
-            weights,
             n_edges: self.edges.len(),
         }
     }
@@ -131,10 +109,9 @@ impl GraphBuilder {
 /// Immutable undirected graph in CSR form.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    /// `offsets[v]..offsets[v+1]` indexes `targets`/`weights` for node `v`.
+    /// `offsets[v]..offsets[v+1]` indexes `targets` for node `v`.
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
-    weights: Vec<Hops>,
     n_edges: usize,
 }
 
@@ -157,20 +134,6 @@ impl Graph {
     /// Neighbours of `v` (targets only).
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-
-    /// Neighbours of `v` paired with edge weights.
-    pub fn neighbors_weighted(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Hops)> + '_ {
-        let range = self.offsets[v as usize]..self.offsets[v as usize + 1];
-        self.targets[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.weights[range].iter().copied())
-    }
-
-    /// True if every edge has weight 1, enabling the BFS fast path.
-    pub fn is_unit_weight(&self) -> bool {
-        self.weights.iter().all(|&w| w == 1)
     }
 
     /// True if the graph is connected (trivially true for empty graphs).
@@ -232,7 +195,6 @@ mod tests {
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(2), 2);
         assert!(g.is_connected());
-        assert!(g.is_unit_weight());
     }
 
     #[test]
@@ -282,16 +244,6 @@ mod tests {
         assert_eq!(first, 2);
         assert_eq!(b.n_nodes(), 5);
         assert!(b.add_edge(0, 4));
-    }
-
-    #[test]
-    fn weighted_edges_round_trip() {
-        let mut b = GraphBuilder::new(2);
-        b.add_weighted_edge(0, 1, 7);
-        let g = b.build();
-        let (t, w) = g.neighbors_weighted(0).next().unwrap();
-        assert_eq!((t, w), (1, 7));
-        assert!(!g.is_unit_weight());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * [`graph`] — a compact CSR-backed undirected graph.
 //! * [`gen`] — random graph generators: the two-level transit-stub model and
-//!   the Waxman-style flat random graphs it is built from.
-//! * [`shortest_path`] — Dijkstra / BFS and the [`DistanceMatrix`] consumed
+//!   the flat random graphs it is built from.
+//! * [`shortest_path`] — BFS hop counts and the [`DistanceMatrix`] consumed
 //!   by the placement and simulation crates.
 //! * [`placement`] — assignment of CDN servers and primary sites to stub
 //!   domains, mirroring the paper's "placed each server and primary site
@@ -31,7 +31,7 @@ pub use gen::barabasi::{barabasi_albert, BarabasiAlbertConfig};
 pub use gen::transit_stub::{TransitStubConfig, TransitStubTopology};
 pub use graph::{Graph, GraphBuilder, NodeId};
 pub use placement::{HostPlacement, HostPlacementConfig};
-pub use shortest_path::{bfs_hops, dijkstra, DistanceMatrix};
+pub use shortest_path::{bfs_hops, DistanceMatrix};
 
 /// Distance in hops between two nodes. The paper measures communication cost
 /// as "the total number of hops" on the shortest path.

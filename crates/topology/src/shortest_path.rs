@@ -3,16 +3,14 @@
 //! The paper collapses the topology to `C(i, j)`, the hop count of the
 //! shortest path between CDN hosts, computed once up front ("we assume that
 //! the values of C(i, j) are known a priori"). [`DistanceMatrix::compute`]
-//! reproduces that: one single-source search per host node, parallelised with
-//! rayon since the sources are independent.
+//! reproduces that: one BFS per host node (every edge is one hop),
+//! parallelised with rayon since the sources are independent.
 
 use crate::graph::{Graph, NodeId};
 use crate::{Hops, UNREACHABLE};
 use rayon::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Single-source BFS for unit-weight graphs. Returns a distance per node,
+/// Single-source BFS hop counts. Returns a distance per node,
 /// `UNREACHABLE` for nodes not connected to `source`.
 pub fn bfs_hops(graph: &Graph, source: NodeId) -> Vec<Hops> {
     let mut dist = vec![UNREACHABLE; graph.n_nodes()];
@@ -25,27 +23,6 @@ pub fn bfs_hops(graph: &Graph, source: NodeId) -> Vec<Hops> {
             if dist[w as usize] == UNREACHABLE {
                 dist[w as usize] = dv + 1;
                 queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
-/// Single-source Dijkstra for general non-negative weights.
-pub fn dijkstra(graph: &Graph, source: NodeId) -> Vec<Hops> {
-    let mut dist = vec![UNREACHABLE; graph.n_nodes()];
-    let mut heap = BinaryHeap::new();
-    dist[source as usize] = 0;
-    heap.push(Reverse((0 as Hops, source)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue; // stale entry
-        }
-        for (w, weight) in graph.neighbors_weighted(v) {
-            let nd = d.saturating_add(weight);
-            if nd < dist[w as usize] {
-                dist[w as usize] = nd;
-                heap.push(Reverse((nd, w)));
             }
         }
     }
@@ -66,30 +43,17 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Run one single-source search per host (BFS when the graph is
-    /// unit-weight, Dijkstra otherwise), in parallel across hosts.
+    /// Run one BFS per host, in parallel across hosts.
     pub fn compute(graph: &Graph, hosts: &[NodeId]) -> Self {
-        let unit = graph.is_unit_weight();
         let rows: Vec<Hops> = hosts
             .par_iter()
-            .flat_map_iter(|&h| {
-                if unit {
-                    bfs_hops(graph, h)
-                } else {
-                    dijkstra(graph, h)
-                }
-            })
+            .flat_map_iter(|&h| bfs_hops(graph, h))
             .collect();
         Self {
             n_nodes: graph.n_nodes(),
             hosts: hosts.to_vec(),
             rows,
         }
-    }
-
-    /// Number of host rows.
-    pub fn n_hosts(&self) -> usize {
-        self.hosts.len()
     }
 
     /// The node ids of the hosts, in row order.
@@ -151,32 +115,12 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_matches_bfs_on_unit_graph() {
-        let g = cycle_graph(9);
-        for s in 0..9u32 {
-            assert_eq!(bfs_hops(&g, s), dijkstra(&g, s), "source {s}");
-        }
-    }
-
-    #[test]
-    fn dijkstra_prefers_cheap_long_path() {
-        // 0 -5- 1, 0 -1- 2 -1- 1 : the two-hop route is cheaper.
-        let mut b = GraphBuilder::new(3);
-        b.add_weighted_edge(0, 1, 5);
-        b.add_weighted_edge(0, 2, 1);
-        b.add_weighted_edge(2, 1, 1);
-        let d = dijkstra(&b.build(), 0);
-        assert_eq!(d, vec![0, 2, 1]);
-    }
-
-    #[test]
     fn unreachable_nodes_marked() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1);
         let g = b.build();
         let d = bfs_hops(&g, 0);
         assert_eq!(d[2], UNREACHABLE);
-        assert_eq!(dijkstra(&g, 0)[2], UNREACHABLE);
     }
 
     #[test]

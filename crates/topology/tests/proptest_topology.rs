@@ -1,12 +1,36 @@
 //! Property-based tests for the topology substrate.
 
 use cdn_topology::gen::transit_stub::{TransitStubConfig, TransitStubTopology};
-use cdn_topology::shortest_path::{bfs_hops, dijkstra, DistanceMatrix};
-use cdn_topology::{GraphBuilder, NodeId};
+use cdn_topology::shortest_path::{bfs_hops, DistanceMatrix};
+use cdn_topology::{Graph, GraphBuilder, Hops, NodeId, UNREACHABLE};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Single-source Dijkstra with every edge one hop: the independent
+/// reference `bfs_hops` is checked against.
+fn dijkstra(graph: &Graph, source: NodeId) -> Vec<Hops> {
+    let mut dist = vec![UNREACHABLE; graph.n_nodes()];
+    let mut heap = BinaryHeap::new();
+    dist[source as usize] = 0;
+    heap.push(Reverse((0 as Hops, source)));
+    while let Some(Reverse((d, v))) = heap.pop() {
+        if d > dist[v as usize] {
+            continue; // stale entry
+        }
+        for &w in graph.neighbors(v) {
+            let nd = d + 1;
+            if nd < dist[w as usize] {
+                dist[w as usize] = nd;
+                heap.push(Reverse((nd, w)));
+            }
+        }
+    }
+    dist
+}
 
 /// Arbitrary connected graph: a random tree over `n` nodes plus extra edges.
-fn connected_graph() -> impl Strategy<Value = cdn_topology::Graph> {
+fn connected_graph() -> impl Strategy<Value = Graph> {
     (2usize..40, any::<u64>()).prop_map(|(n, seed)| {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};

@@ -155,7 +155,7 @@ const CHUNK_BYTES: usize = 64 * 1024;
 ///
 /// Construction reads and validates the header; iteration yields
 /// `Result<TraceEvent, TraceFileError>` so corruption mid-file is reported
-/// at the record where it happens. At most [`CHUNK_BYTES`] plus one partial
+/// at the record where it happens. At most `CHUNK_BYTES` plus one partial
 /// record are ever buffered.
 pub struct EventsReader<R: Read> {
     src: R,

@@ -372,7 +372,7 @@ proptest! {
         let requests = random_requests(m, REQUESTS, &mut rng);
         let object_bytes = |site: u32, object: u32| 1 + (site as u64 * 131 + object as u64 * 17) % 64;
         let config = SimConfig {
-            window: Some(width),
+            window: width,
             ..Default::default()
         };
         for name in cdn_cache::POLICY_NAMES {
@@ -415,7 +415,7 @@ fn windowed_counters_survive_the_parallel_runner_at_1_and_4_threads() {
     use cdn_core::{Scenario, ScenarioConfig, Strategy};
 
     let mut cfg = ScenarioConfig::small();
-    cfg.sim.window = Some(256);
+    cfg.sim.window = 256;
     let scenario = Scenario::generate(&cfg);
     let plan = scenario.plan(Strategy::Hybrid);
     for name in cdn_cache::POLICY_NAMES {

@@ -39,12 +39,7 @@ struct Observed {
 }
 
 /// Full pipeline pass on a dedicated pool with the requested observers.
-fn run_observed(
-    threads: usize,
-    profiled: bool,
-    sample_every: Option<u64>,
-    window: Option<u64>,
-) -> Observed {
+fn run_observed(threads: usize, profiled: bool, sample_every: u64, window: u64) -> Observed {
     telemetry::reset_metrics();
     telemetry::install_trace();
     if profiled {
@@ -85,8 +80,8 @@ fn run_observed(
 #[test]
 fn trace_and_metrics_bytes_are_thread_count_invariant() {
     let _telemetry = telemetry_lock();
-    let base_1 = run_observed(1, false, None, None);
-    let base_4 = run_observed(4, false, None, None);
+    let base_1 = run_observed(1, false, 0, 0);
+    let base_4 = run_observed(4, false, 0, 0);
     let (trace_1, metrics_1) = (&base_1.trace, &base_1.metrics);
 
     // The streams must be non-trivial before identical means anything.
@@ -130,13 +125,13 @@ fn trace_and_metrics_bytes_are_thread_count_invariant() {
     }
 
     // And a re-run at the same thread count is reproducible outright.
-    let base_1b = run_observed(1, false, None, None);
+    let base_1b = run_observed(1, false, 0, 0);
     assert_eq!(*trace_1, base_1b.trace);
     assert_eq!(*metrics_1, base_1b.metrics);
 
     // -- Profiling + sampling never perturb the deterministic artifacts. --
     assert!(base_1.samples.is_empty(), "sampling off must yield nothing");
-    let probed = run_observed(4, true, Some(97), None);
+    let probed = run_observed(4, true, 97, 0);
     assert_eq!(
         *trace_1, probed.trace,
         "enabling the profiler/sampler changed the deterministic trace"
@@ -158,7 +153,7 @@ fn trace_and_metrics_bytes_are_thread_count_invariant() {
         assert_eq!(index % 97, 0, "sample off the 1-in-97 grid");
         assert!(doc.get("cause").is_some(), "sample without cause");
     }
-    let probed_1 = run_observed(1, true, Some(97), None);
+    let probed_1 = run_observed(1, true, 97, 0);
     assert_eq!(
         probed.samples, probed_1.samples,
         "sampled set differs between thread counts"
@@ -167,7 +162,7 @@ fn trace_and_metrics_bytes_are_thread_count_invariant() {
     // The windowed timeline is purely observational too: with it on, the
     // trace and metrics snapshots stay byte-identical — it feeds nothing
     // into the registry or the event stream.
-    let windowed = run_observed(4, false, None, Some(64));
+    let windowed = run_observed(4, false, 0, 64);
     assert_eq!(
         *trace_1, windowed.trace,
         "enabling the timeline changed the deterministic trace"
@@ -195,11 +190,7 @@ fn trace_and_metrics_bytes_are_thread_count_invariant() {
 /// It installs no trace and resets no metrics, but its simulation still
 /// emits into whatever trace and registry are live, so callers hold
 /// [`TELEMETRY`].
-fn run_timeline(
-    threads: usize,
-    shards: Option<usize>,
-    window: Option<u64>,
-) -> cdn_core::sim::SimReport {
+fn run_timeline(threads: usize, shards: Option<usize>, window: u64) -> cdn_core::sim::SimReport {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -222,7 +213,7 @@ fn run_timeline(
 #[test]
 fn timeline_bytes_are_shard_and_thread_count_invariant() {
     let _telemetry = telemetry_lock();
-    let reference = run_timeline(1, Some(1), Some(128));
+    let reference = run_timeline(1, Some(1), 128);
     let tl = reference.timeline.as_ref().expect("timeline enabled");
     assert!(tl.windows.len() > 1, "scenario too small to window");
     assert!(!tl.per_server.is_empty(), "no per-server timelines");
@@ -234,7 +225,7 @@ fn timeline_bytes_are_shard_and_thread_count_invariant() {
     assert!(json_ref.contains("\"top_site\""), "{json_ref}");
     for shards in [1usize, 2, 4, 8] {
         for threads in [1usize, 4] {
-            let r = run_timeline(threads, Some(shards), Some(128));
+            let r = run_timeline(threads, Some(shards), 128);
             let runs = vec![("hybrid".to_string(), r.timeline.expect("timeline enabled"))];
             assert_eq!(
                 json_ref,
@@ -250,15 +241,71 @@ fn timeline_bytes_are_shard_and_thread_count_invariant() {
     }
 }
 
-/// `--window 0` is the documented off switch: its report is bit-identical
-/// to a run with no window configured at all.
+/// `sim.site` files every measured request under the bucket `sim.server`
+/// does: with delayed hits in play, each server's per-site tallies sum to
+/// its own buckets, delayed hits included and kept out of the local ones.
 #[test]
-fn zero_window_is_bit_identical_to_no_window() {
+fn site_events_sum_to_their_server_buckets() {
+    use std::collections::BTreeMap;
+    use telemetry::json::Json;
+    const SITE_FIELDS: [&str; 5] = [
+        "local_hits",
+        "delayed_hits",
+        "remote_fetches",
+        "failovers",
+        "failed",
+    ];
     let _telemetry = telemetry_lock();
-    let off = run_timeline(2, None, None);
-    let zero = run_timeline(2, None, Some(0));
-    assert!(off.timeline.is_none());
-    assert_eq!(off, zero);
+    telemetry::reset_metrics();
+    telemetry::install_trace();
+    let mut cfg = ScenarioConfig::small();
+    cfg.sim.fetch_latency = Some(16);
+    let scenario = Scenario::generate(&cfg);
+    let report = scenario.simulate(&scenario.plan(Strategy::Hybrid));
+    let trace = telemetry::drain_trace().expect("trace installed");
+    telemetry::uninstall_trace();
+    assert!(report.delayed_hits > 0, "no delayed hits to attribute");
+
+    let field = |doc: &Json, name: &str| {
+        doc.get("fields")
+            .and_then(|f| f.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("event lacks `{name}`: {doc:?}"))
+    };
+    // Keyed by span: a server's `sim.site` events share its span.
+    let mut servers: BTreeMap<u64, [u64; 5]> = BTreeMap::new();
+    let mut sites: BTreeMap<u64, [u64; 5]> = BTreeMap::new();
+    for line in trace.lines() {
+        let doc = telemetry::json::parse(line).expect("valid JSONL line");
+        if doc.get("type").and_then(Json::as_str) != Some("event") {
+            continue;
+        }
+        let span = doc.get("span").and_then(Json::as_u64).expect("span");
+        match doc.get("name").and_then(Json::as_str) {
+            Some("sim.server") => {
+                let buckets = [
+                    field(&doc, "local"),
+                    field(&doc, "delayed_hits"),
+                    field(&doc, "origin_fetches") + field(&doc, "peer_fetches"),
+                    field(&doc, "failover_fetches"),
+                    field(&doc, "failed"),
+                ];
+                servers.insert(span, buckets);
+            }
+            Some("sim.site") => {
+                let sum = sites.entry(span).or_default();
+                for (total, name) in sum.iter_mut().zip(SITE_FIELDS) {
+                    *total += field(&doc, name);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(servers.len(), cfg.hosts.n_servers);
+    for (span, buckets) in &servers {
+        let summed = sites.get(span).copied().unwrap_or_default();
+        assert_eq!(summed, *buckets, "server span {span}: {SITE_FIELDS:?}");
+    }
 }
 
 /// The committed fig3 timeline reports exact window quantiles: in every
