@@ -12,19 +12,16 @@
 //! Run with `cargo run -p cdn-bench --release --bin ablation_consistency -- --quick`;
 //! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{
-    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
-};
+use cdn_bench::harness::{banner, flush, generate_scenario, record, BenchArgs, Table, SIMULATING};
 use cdn_core::Strategy;
 use cdn_sim::ConsistencyMode;
 use cdn_workload::LambdaMode;
 
 fn main() {
     let args = BenchArgs::parse("ablation_consistency", SIMULATING);
-    let scale = args.scale;
     banner(
         "Ablation H: strong vs weak consistency (lambda = 10%)",
-        scale,
+        args.scale,
     );
     let config = args.config(0.05, 0.10, LambdaMode::Expired);
     let scenario = generate_scenario(&config);
@@ -34,11 +31,10 @@ fn main() {
         .map(|&s| (s, scenario.plan(s)))
         .collect();
 
-    println!(
-        "\n  {:<12} {:>14} {:>14} {:>14}",
-        "consistency", "replication", "caching", "hybrid"
+    let mut table = Table::new(
+        "ablation_consistency.csv",
+        "consistency,replication_ms,caching_ms,hybrid_ms",
     );
-    let mut rows = Vec::new();
     for (mode, label) in [
         (ConsistencyMode::Strong, "strong"),
         (ConsistencyMode::Weak, "weak"),
@@ -59,24 +55,16 @@ fn main() {
             record(&format!("{label}:{}", strategy.name()), &report);
             cells.push(report.mean_latency_ms);
         }
-        println!(
-            "  {:<12} {:>14.2} {:>14.2} {:>14.2}",
-            label, cells[0], cells[1], cells[2]
-        );
-        rows.push(format!(
+        table.row(format!(
             "{label},{:.3},{:.3},{:.3}",
             cells[0], cells[1], cells[2]
         ));
     }
+    table.finish();
     println!(
         "\n  replication is identical in both rows (replicas are always fresh);\n\
          \x20 the gap between the caching rows is the price of the freshness\n\
          \x20 guarantee — what a CDN pays to never serve a stale page."
-    );
-    write_csv(
-        "ablation_consistency.csv",
-        "consistency,replication_ms,caching_ms,hybrid_ms",
-        &rows,
     );
     flush();
 }

@@ -11,17 +11,17 @@
 //! Run with `cargo run -p cdn-bench --release --bin ablation_drift -- --quick`;
 //! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{
-    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
-};
+use cdn_bench::harness::{banner, flush, generate_scenario, record, BenchArgs, Table, SIMULATING};
 use cdn_core::Strategy;
 use cdn_sim::simulate_system_streams;
 use cdn_workload::{DriftConfig, Drifted, LambdaMode};
 
 fn main() {
     let args = BenchArgs::parse("ablation_drift", SIMULATING);
-    let scale = args.scale;
-    banner("Ablation E: popularity drift vs delivery mechanism", scale);
+    banner(
+        "Ablation E: popularity drift vs delivery mechanism",
+        args.scale,
+    );
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
     let scenario = generate_scenario(&config);
     let l = scenario.catalog.object_zipf.n() as u32;
@@ -42,11 +42,10 @@ fn main() {
         (1_000, "fast"),
     ];
 
-    println!(
-        "\n  {:<12} {:>14} {:>14} {:>14}",
-        "drift", "replication", "caching", "hybrid"
+    let mut table = Table::new(
+        "ablation_drift.csv",
+        "drift,period_requests,replication_ms,caching_ms,hybrid_ms",
     );
-    let mut rows = Vec::new();
     for &(period, label) in periods {
         let mut cells = Vec::new();
         for (strategy, plan) in &plans {
@@ -70,25 +69,17 @@ fn main() {
             record(&format!("{label}:{}", strategy.name()), &report);
             cells.push(report.mean_latency_ms);
         }
-        println!(
-            "  {:<12} {:>14.2} {:>14.2} {:>14.2}",
-            label, cells[0], cells[1], cells[2]
-        );
-        rows.push(format!(
+        table.row(format!(
             "{label},{period},{:.3},{:.3},{:.3}",
             cells[0], cells[1], cells[2]
         ));
     }
+    table.finish();
     println!(
         "\n  replication is flat by construction (whole-site replicas cover\n\
          \x20 every object); caching and the hybrid's cache component lose hits\n\
          \x20 as rotations outpace the LRU's re-learning, converging toward the\n\
          \x20 replication curve at extreme drift."
-    );
-    write_csv(
-        "ablation_drift.csv",
-        "drift,period_requests,replication_ms,caching_ms,hybrid_ms",
-        &rows,
     );
     flush();
 }

@@ -12,79 +12,47 @@
 //! Run with `cargo run -p cdn-bench --release --bin ablation_failures -- --quick`;
 //! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{
-    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
-};
+use cdn_bench::harness::{banner, flush, generate_scenario, record, BenchArgs, Table, SIMULATING};
 use cdn_core::Strategy;
 use cdn_sim::{FaultParams, SimReport};
 use cdn_workload::LambdaMode;
 
-struct Intensity {
-    label: &'static str,
-    faults: Option<FaultParams>,
-}
+/// MTTF, MTTR and origin-outage fraction.
+type Faults = (f64, f64, f64);
 
-fn intensities(seed: u64) -> Vec<Intensity> {
-    let base = FaultParams {
-        retry_penalty_ms: 200.0,
-        seed,
-        ..Default::default()
-    };
-    vec![
-        Intensity {
-            label: "none",
-            faults: None,
-        },
-        Intensity {
-            label: "light",
-            faults: Some(FaultParams {
-                mttf: 2000.0,
-                mttr: 200.0,
-                origin_outage: 0.05,
-                ..base
-            }),
-        },
-        Intensity {
-            label: "moderate",
-            faults: Some(FaultParams {
-                mttf: 800.0,
-                mttr: 250.0,
-                origin_outage: 0.15,
-                ..base
-            }),
-        },
-        Intensity {
-            label: "severe",
-            faults: Some(FaultParams {
-                mttf: 300.0,
-                mttr: 300.0,
-                origin_outage: 0.30,
-                ..base
-            }),
-        },
-    ]
-}
+/// The fault intensities, from no faults at all to severe.
+const INTENSITIES: [(&str, Option<Faults>); 4] = [
+    ("none", None),
+    ("light", Some((2000.0, 200.0, 0.05))),
+    ("moderate", Some((800.0, 250.0, 0.15))),
+    ("severe", Some((300.0, 300.0, 0.30))),
+];
 
 fn main() {
     let args = BenchArgs::parse("ablation_failures", SIMULATING);
-    let scale = args.scale;
-    banner("Ablation I: availability under failures", scale);
+    banner("Ablation I: availability under failures", args.scale);
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
     let scenario = generate_scenario(&config);
 
     let strategies = [Strategy::Replication, Strategy::Caching, Strategy::Hybrid];
     let plans: Vec<_> = strategies.iter().map(|&s| (s, scenario.plan(s))).collect();
 
-    println!(
-        "\n  {:<10} {:<12} {:>8} {:>9} {:>10} {:>10} {:>17}",
-        "intensity", "strategy", "avail%", "failed", "failover%", "mean_ms", "degraded_p95_ms"
+    let mut table = Table::new(
+        "ablation_failures.csv",
+        "intensity,strategy,availability,failed,failover_ratio,mean_ms,degraded_p95_ms",
     );
-    let mut rows = Vec::new();
     let mut severe: Vec<(Strategy, f64)> = Vec::new();
-    for intensity in intensities(config.seed) {
+    for (label, params) in INTENSITIES {
+        let faults = params.map(|(mttf, mttr, origin_outage)| FaultParams {
+            mttf,
+            mttr,
+            origin_outage,
+            retry_penalty_ms: 200.0,
+            seed: config.seed,
+        });
         for (strategy, plan) in &plans {
             let mut sim = scenario.config.sim;
-            sim.faults = intensity.faults;
+            sim.faults = faults;
             let report: SimReport = cdn_sim::simulate_system(
                 &scenario.problem,
                 &plan.placement,
@@ -93,20 +61,9 @@ fn main() {
                 &sim,
                 strategy.cache_factory(),
             );
-            record(&format!("{}:{}", intensity.label, strategy.name()), &report);
-            println!(
-                "  {:<10} {:<12} {:>8.3} {:>9} {:>9.1}% {:>10.2} {:>17.1}",
-                intensity.label,
-                strategy.name(),
-                100.0 * report.availability(),
-                report.failed_requests,
-                100.0 * report.failover_ratio(),
-                report.mean_latency_ms,
-                report.failover_histogram.percentile(0.95),
-            );
-            rows.push(format!(
-                "{},{},{:.6},{},{:.6},{:.3},{:.1}",
-                intensity.label,
+            record(&format!("{label}:{}", strategy.name()), &report);
+            table.row(format!(
+                "{label},{},{:.6},{},{:.6},{:.3},{:.1}",
                 strategy.name(),
                 report.availability(),
                 report.failed_requests,
@@ -114,11 +71,12 @@ fn main() {
                 report.mean_latency_ms,
                 report.failover_histogram.percentile(0.95),
             ));
-            if intensity.label == "severe" {
+            if label == "severe" {
                 severe.push((*strategy, report.availability()));
             }
         }
     }
+    table.finish();
 
     // The claim this ablation exists to check: replicas are what keep a CDN
     // serving through faults, so under heavy failures the strategies that
@@ -133,17 +91,6 @@ fn main() {
         avail(Strategy::Hybrid),
         avail(Strategy::Caching),
     );
-    println!(
-        "\n  under severe faults: replication {:.2}%, hybrid {:.2}%, caching {:.2}% — \n\
-         \x20 replicated copies ride out origin outages that strand every cache miss.",
-        100.0 * avail(Strategy::Replication),
-        100.0 * avail(Strategy::Hybrid),
-        100.0 * avail(Strategy::Caching),
-    );
-    write_csv(
-        "ablation_failures.csv",
-        "intensity,strategy,availability,failed,failover_ratio,mean_ms,degraded_p95_ms",
-        &rows,
-    );
+    println!("\n  replicated copies ride out origin outages that strand every cache miss.");
     flush();
 }

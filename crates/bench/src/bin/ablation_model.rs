@@ -11,7 +11,7 @@
 //! Run with `cargo run -p cdn-bench --release --bin ablation_model -- --quick`;
 //! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, flush, write_csv, BenchArgs, Scale, PLANNING};
+use cdn_bench::harness::{banner, flush, BenchArgs, Scale, Table, PLANNING};
 use cdn_core::lru_model::validation::monte_carlo_hit_ratio;
 use cdn_core::lru_model::{CheModel, ClosedFormLru, LruModel};
 use cdn_core::workload::ZipfLike;
@@ -38,13 +38,10 @@ fn main() {
     let norm: f64 = pops.iter().sum();
     pops.iter_mut().for_each(|p| *p /= norm);
 
-    println!(
-        "\n  {:>7} {:>9} {:>9} {:>8} {:>9} {:>8} {:>9} {:>8}",
-        "buffer", "mc_hit", "paper", "err", "che", "err", "closed", "err"
+    let mut accuracy = Table::new(
+        "ablation_model_accuracy.csv",
+        "buffer,mc,paper,che,closed_form",
     );
-    let mut rows = Vec::new();
-    let mut worst_paper: f64 = 0.0;
-    let mut worst_closed: f64 = 0.0;
     for exp in 0..8 {
         let buffer = 25usize << exp; // 25 .. 3200
         let mc = monte_carlo_hit_ratio(&pops, &zipf, buffer, requests, requests / 4, 99);
@@ -53,35 +50,20 @@ fn main() {
         let paper: f64 = pops.iter().map(|&p| p * model.site_hit_ratio(p, k)).sum();
         let che_h = che.aggregate_hit_ratio(&pops, buffer);
         let closed_h = closed.aggregate_hit_ratio(&pops, buffer);
-        let perr = paper - mc.aggregate;
-        let cerr = che_h - mc.aggregate;
-        let ferr = closed_h - mc.aggregate;
-        worst_paper = worst_paper.max(perr.abs());
-        worst_closed = worst_closed.max(ferr.abs());
-        println!(
-            "  {buffer:>7} {:>9.4} {paper:>9.4} {perr:>+8.4} {che_h:>9.4} {cerr:>+8.4} {closed_h:>9.4} {ferr:>+8.4}",
-            mc.aggregate
-        );
-        rows.push(format!(
+        accuracy.row(format!(
             "{buffer},{:.5},{paper:.5},{che_h:.5},{closed_h:.5}",
             mc.aggregate
         ));
     }
-    println!(
-        "\n  worst |error| vs Monte-Carlo: paper {worst_paper:.4}, closed-form {worst_closed:.4} absolute hit ratio"
-    );
+    accuracy.finish();
 
     // Part 2: fixed-at-init p_B vs exact per-buffer p_B, as the buffer
     // shrinks (the hybrid run's situation). Fixed p_B uses the initial
     // (largest) buffer's mass throughout.
     println!("\n  fixed-p_B shortcut vs exact recomputation (paper's simplification):");
-    println!(
-        "  {:>7} {:>12} {:>12} {:>8}",
-        "buffer", "h(fixed)", "h(exact)", "diff"
-    );
     let initial_buffer = 3200usize;
     let p_b_fixed = model.top_b_mass(&pops, initial_buffer);
-    let mut rows2 = Vec::new();
+    let mut fixed_pb = Table::new("ablation_model_fixed_pb.csv", "buffer,h_fixed,h_exact");
     for exp in 0..8 {
         let buffer = 25usize << exp;
         let k_fixed = model.eviction_horizon(buffer, p_b_fixed);
@@ -94,26 +76,12 @@ fn main() {
             .iter()
             .map(|&p| p * model.site_hit_ratio(p, k_exact))
             .sum();
-        println!(
-            "  {buffer:>7} {h_fixed:>12.4} {h_exact:>12.4} {:>+8.4}",
-            h_fixed - h_exact
-        );
-        rows2.push(format!("{buffer},{h_fixed:.5},{h_exact:.5}"));
+        fixed_pb.row(format!("{buffer},{h_fixed:.5},{h_exact:.5}"));
     }
+    fixed_pb.finish();
     println!(
         "\n  the shortcut's bias is small but visible at small buffers — the\n\
          \x20 paper's claim that the two agree holds in the regime it operates in."
-    );
-
-    write_csv(
-        "ablation_model_accuracy.csv",
-        "buffer,mc,paper,che,closed_form",
-        &rows,
-    );
-    write_csv(
-        "ablation_model_fixed_pb.csv",
-        "buffer,h_fixed,h_exact",
-        &rows2,
     );
     flush();
 }

@@ -8,19 +8,16 @@
 //! Run with `cargo run -p cdn-bench --release --bin ablation_policy -- --quick`;
 //! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{
-    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
-};
+use cdn_bench::harness::{banner, flush, generate_scenario, record, BenchArgs, Table, SIMULATING};
 use cdn_core::cache;
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
     let args = BenchArgs::parse("ablation_policy", SIMULATING);
-    let scale = args.scale;
     banner(
         "Ablation D: replacement policy inside the hybrid scheme",
-        scale,
+        args.scale,
     );
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
     let scenario = generate_scenario(&config);
@@ -30,11 +27,10 @@ fn main() {
         plan.placement.replica_count()
     );
 
-    println!(
-        "  {:<12} {:>9} {:>9} {:>8} {:>11}",
-        "policy", "mean_ms", "p95_ms", "local%", "cache-hit%"
+    let mut table = Table::new(
+        "ablation_policy.csv",
+        "policy,mean_latency_ms,p95_ms,local_ratio,cache_hit_ratio",
     );
-    let mut rows = Vec::new();
     for policy in ["lru", "delayed-lru", "lfu", "gdsf", "fifo", "clock"] {
         let factory = move |bytes: u64| {
             cache::by_name(policy, bytes).unwrap_or_else(|e| {
@@ -44,15 +40,7 @@ fn main() {
         };
         let report = scenario.simulate_with_cache(&plan.placement, &factory);
         record(policy, &report);
-        println!(
-            "  {:<12} {:>9.2} {:>9.1} {:>8.1} {:>11.1}",
-            policy,
-            report.mean_latency_ms,
-            report.histogram.percentile(0.95),
-            100.0 * report.local_ratio(),
-            100.0 * report.cache_hit_ratio(),
-        );
-        rows.push(format!(
+        table.row(format!(
             "{policy},{:.3},{:.1},{:.4},{:.4}",
             report.mean_latency_ms,
             report.histogram.percentile(0.95),
@@ -60,17 +48,13 @@ fn main() {
             report.cache_hit_ratio()
         ));
     }
+    table.finish();
     println!(
         "\n  LRU and CLOCK should sit within noise of each other; FIFO gives up\n\
          \x20 a little; delayed-LRU trades first-touch misses for admission\n\
          \x20 filtering (it shines when one-hit wonders dominate); LFU can win\n\
          \x20 on static popularity but adapts worst to drift; GDSF exploits the\n\
          \x20 heavy-tailed size distribution that LRU ignores."
-    );
-    write_csv(
-        "ablation_policy.csv",
-        "policy,mean_latency_ms,p95_ms,local_ratio,cache_hit_ratio",
-        &rows,
     );
     flush();
 }

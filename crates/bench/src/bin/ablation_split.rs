@@ -8,17 +8,16 @@
 //! `--help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    banner, flush, generate_scenario, run_strategies, write_csv, BenchArgs, SIMULATING,
+    banner, flush, generate_scenario, run_strategies, BenchArgs, Table, SIMULATING,
 };
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
     let args = BenchArgs::parse("ablation_split", SIMULATING);
-    let scale = args.scale;
     banner(
         "Ablation B: cache-fraction sweep vs the hybrid optimum",
-        scale,
+        args.scale,
     );
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
     let scenario = generate_scenario(&config);
@@ -34,42 +33,19 @@ fn main() {
 
     let results = run_strategies(&scenario, &strategies);
 
-    let mut rows = Vec::new();
-    println!(
-        "\n  {:<18} {:>9} {:>9} {:>9}",
-        "strategy", "mean_ms", "hops/req", "replicas"
+    let mut table = Table::new(
+        "ablation_split.csv",
+        "strategy,mean_latency_ms,mean_cost_hops,replicas",
     );
-    let mut best_fixed = f64::INFINITY;
-    let mut hybrid_ms = f64::INFINITY;
     for r in &results.rows {
-        println!(
-            "  {:<18} {:>9.2} {:>9.3} {:>9}",
-            r.strategy.name(),
-            r.report.mean_latency_ms,
-            r.report.mean_cost_hops,
-            r.plan.placement.replica_count()
-        );
-        rows.push(format!(
+        table.row(format!(
             "{},{:.3},{:.4},{}",
             r.strategy.name(),
             r.report.mean_latency_ms,
             r.report.mean_cost_hops,
             r.plan.placement.replica_count()
         ));
-        match r.strategy {
-            Strategy::Hybrid => hybrid_ms = r.report.mean_latency_ms,
-            _ => best_fixed = best_fixed.min(r.report.mean_latency_ms),
-        }
     }
-    println!(
-        "\n  hybrid {hybrid_ms:.2} ms vs best fixed split {best_fixed:.2} ms \
-         ({:+.1}%) — the hybrid needs no hand-tuned fraction",
-        100.0 * (hybrid_ms - best_fixed) / best_fixed
-    );
-    write_csv(
-        "ablation_split.csv",
-        "strategy,mean_latency_ms,mean_cost_hops,replicas",
-        &rows,
-    );
+    table.finish();
     flush();
 }

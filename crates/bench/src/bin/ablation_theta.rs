@@ -10,65 +10,38 @@
 //! `--help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    banner, flush, generate_scenario, run_strategies, write_csv, BenchArgs, SIMULATING,
+    banner, flush, generate_scenario, run_strategies, BenchArgs, Table, SIMULATING,
 };
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
 fn main() {
     let args = BenchArgs::parse("ablation_theta", SIMULATING);
-    let scale = args.scale;
-    banner("Ablation A: Zipf-theta sensitivity", scale);
-    let strategies = [
-        Strategy::Hybrid,
-        Strategy::AdHoc {
-            cache_fraction: 0.2,
-        },
-        Strategy::AdHoc {
-            cache_fraction: 0.8,
-        },
-    ];
+    banner("Ablation A: Zipf-theta sensitivity", args.scale);
+    let [a20, a80] = [0.2, 0.8].map(|cache_fraction| Strategy::AdHoc { cache_fraction });
+    let strategies = [Strategy::Hybrid, a20, a80];
 
-    let mut rows = Vec::new();
-    println!(
-        "\n  {:>5} {:>12} {:>12} {:>12} {:>16}",
-        "theta", "hybrid_ms", "adhoc20_ms", "adhoc80_ms", "hybrid replicas"
+    let mut table = Table::new(
+        "ablation_theta.csv",
+        "theta,hybrid_ms,adhoc20_ms,adhoc80_ms,hybrid_replicas",
     );
     for theta in [0.6, 0.8, 1.0, 1.2] {
         let mut config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
         config.workload.theta = theta;
-        let scenario = generate_scenario(&config);
-        let results = run_strategies(&scenario, &strategies);
-        let ms = |s: Strategy| {
-            results
-                .row(s)
-                .map(|r| r.report.mean_latency_ms)
-                .unwrap_or(f64::NAN)
-        };
-        let hybrid = ms(Strategy::Hybrid);
-        let a20 = ms(Strategy::AdHoc {
-            cache_fraction: 0.2,
-        });
-        let a80 = ms(Strategy::AdHoc {
-            cache_fraction: 0.8,
-        });
-        let replicas = results
-            .row(Strategy::Hybrid)
-            .map(|r| r.plan.placement.replica_count())
-            .unwrap_or(0);
-        println!("  {theta:>5.1} {hybrid:>12.2} {a20:>12.2} {a80:>12.2} {replicas:>16}");
-        rows.push(format!("{theta},{hybrid:.3},{a20:.3},{a80:.3},{replicas}"));
+        let results = run_strategies(&generate_scenario(&config), &strategies);
+        // Rows come in `strategies` order: hybrid, then the two splits.
+        let [hybrid_ms, a20_ms, a80_ms] = [0, 1, 2].map(|i| results.rows[i].report.mean_latency_ms);
+        let replicas = results.rows[0].plan.placement.replica_count();
+        table.row(format!(
+            "{theta},{hybrid_ms:.3},{a20_ms:.3},{a80_ms:.3},{replicas}"
+        ));
     }
+    table.finish();
     println!(
         "\n  as theta falls (flatter popularity) caching loses power and the\n\
          \x20 80%-cache split suffers; as theta rises the 20%-cache split wastes\n\
          \x20 space on replicas the cache would cover. The hybrid re-balances\n\
          \x20 its replica count with theta and should track the winner at both ends."
-    );
-    write_csv(
-        "ablation_theta.csv",
-        "theta,hybrid_ms,adhoc20_ms,adhoc80_ms,hybrid_replicas",
-        &rows,
     );
     flush();
 }

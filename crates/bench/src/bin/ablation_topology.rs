@@ -10,7 +10,7 @@
 //! `--help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    banner, flush, record, scenario_on_graph, write_csv, BenchArgs, Scale, SIMULATING,
+    banner, flush, record, scenario_on_graph, BenchArgs, Scale, Table, SIMULATING,
 };
 use cdn_core::Strategy;
 use cdn_placement::{greedy_global, hybrid::hybrid_greedy_paper, HybridConfig, Placement};
@@ -34,9 +34,9 @@ fn main() {
     let scale = args.scale;
     banner("Ablation F: topology families", scale);
     let cfg = args.config(0.05, 0.0, LambdaMode::Uncacheable);
-    let n_nodes = match scale {
-        Scale::Paper => 1560,
-        Scale::Quick => 120,
+    let (n_nodes, topo_cfg) = match scale {
+        Scale::Paper => (1560, TransitStubConfig::paper_default()),
+        Scale::Quick => (120, TransitStubConfig::small()),
         Scale::Large | Scale::LargeCi => {
             // Three topology families x a full hybrid plan each: even with
             // the lazy-greedy planner this is several CPU-hours at the
@@ -45,15 +45,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    let transit_stub = {
-        let topo_cfg = match scale {
-            Scale::Paper => TransitStubConfig::paper_default(),
-            Scale::Quick => TransitStubConfig::small(),
-            Scale::Large | Scale::LargeCi => unreachable!(),
-        };
-        TransitStubTopology::generate(&topo_cfg, cfg.seed).graph
-    };
+    let transit_stub = TransitStubTopology::generate(&topo_cfg, cfg.seed).graph;
     let ba = barabasi_albert(
         &BarabasiAlbertConfig {
             n_nodes,
@@ -63,11 +55,10 @@ fn main() {
     );
     let flat_g = flat_random(n_nodes, 2.0 / n_nodes as f64, cfg.seed);
 
-    println!(
-        "\n  {:<14} {:>8} {:>14} {:>11} {:>11} {:>12}",
-        "topology", "diam", "replication_ms", "caching_ms", "hybrid_ms", "hybrid_gain%"
+    let mut table = Table::new(
+        "ablation_topology.csv",
+        "topology,diameter,replication_ms,caching_ms,hybrid_ms,hybrid_gain_pc",
     );
-    let mut rows = Vec::new();
     for (label, graph) in [
         ("transit-stub", &transit_stub),
         ("barabasi", &ba),
@@ -97,16 +88,7 @@ fn main() {
         }
         let gain = 100.0 * (repl.mean_latency_ms - hybrid.mean_latency_ms)
             / repl.mean_latency_ms.max(1e-9);
-        println!(
-            "  {:<14} {:>8} {:>14.2} {:>11.2} {:>11.2} {:>12.1}",
-            label,
-            metrics.diameter,
-            repl.mean_latency_ms,
-            caching.mean_latency_ms,
-            hybrid.mean_latency_ms,
-            gain
-        );
-        rows.push(format!(
+        table.row(format!(
             "{label},{},{:.3},{:.3},{:.3},{gain:.2}",
             metrics.diameter, repl.mean_latency_ms, caching.mean_latency_ms, hybrid.mean_latency_ms
         ));
@@ -121,14 +103,10 @@ fn main() {
             "{label}"
         );
     }
+    table.finish();
     println!(
         "\n  shorter-diameter graphs (hubs) shrink everyone's redirect cost and\n\
          \x20 therefore the absolute gains; the ranking itself is topology-stable."
-    );
-    write_csv(
-        "ablation_topology.csv",
-        "topology,diameter,replication_ms,caching_ms,hybrid_ms,hybrid_gain_pc",
-        &rows,
     );
     flush();
 }

@@ -11,7 +11,7 @@
 //! Run with `cargo run -p cdn-bench --release --bin ablation_updates -- --quick`;
 //! `--help` lists the flags it accepts.
 
-use cdn_bench::harness::{banner, flush, generate_scenario, write_csv, BenchArgs, PLANNING};
+use cdn_bench::harness::{banner, flush, generate_scenario, BenchArgs, Table, PLANNING};
 use cdn_placement::{
     greedy_global, hybrid::hybrid_greedy_paper, mean_hops_per_request, total_cost, HybridConfig,
 };
@@ -19,10 +19,9 @@ use cdn_workload::LambdaMode;
 
 fn main() {
     let args = BenchArgs::parse("ablation_updates", PLANNING);
-    let scale = args.scale;
     banner(
         "Ablation G: update (write) intensity vs replica count",
-        scale,
+        args.scale,
     );
     let config = args.config(0.05, 0.0, LambdaMode::Uncacheable);
     let scenario = generate_scenario(&config);
@@ -32,11 +31,10 @@ fn main() {
     let mean_site_requests =
         scenario.problem.grand_total() as f64 / scenario.problem.m_sites() as f64;
 
-    println!(
-        "\n  {:>11} {:>16} {:>15} {:>15} {:>15}",
-        "write:read", "hybrid replicas", "hybrid hops/req", "greedy replicas", "greedy hops/req"
+    let mut table = Table::new(
+        "ablation_updates.csv",
+        "write_read_ratio,updates_per_site,hybrid_replicas,hybrid_hops,greedy_replicas,greedy_hops",
     );
-    let mut rows = Vec::new();
     for ratio in [0.0, 0.001, 0.01, 0.05, 0.2] {
         let mut problem = scenario.problem.clone();
         let rate = (mean_site_requests * ratio).round() as u64;
@@ -49,29 +47,17 @@ fn main() {
         let greedy_total = total_cost(&problem, &greedy.placement, |_, _| 0.0);
         let greedy_hops = mean_hops_per_request(&problem, greedy_total);
 
-        println!(
-            "  {:>11} {:>16} {:>15.3} {:>15} {:>15.3}",
-            format!("{ratio:.3}"),
-            hybrid.placement.replica_count(),
-            hybrid_hops,
-            greedy.placement.replica_count(),
-            greedy_hops,
-        );
-        rows.push(format!(
+        table.row(format!(
             "{ratio},{rate},{},{hybrid_hops:.4},{},{greedy_hops:.4}",
             hybrid.placement.replica_count(),
             greedy.placement.replica_count()
         ));
     }
+    table.finish();
     println!(
         "\n  both planners shed replicas as writes grow; the hybrid has a\n\
          \x20 second lever — it converts the freed space into cache, so its\n\
          \x20 effective cost rises far more slowly than pure replication's."
-    );
-    write_csv(
-        "ablation_updates.csv",
-        "write_read_ratio,updates_per_site,hybrid_replicas,hybrid_hops,greedy_replicas,greedy_hops",
-        &rows,
     );
     flush();
 }

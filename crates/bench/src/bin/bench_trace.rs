@@ -11,14 +11,15 @@
 //! * **Coalescing accounting** — at positive latency, delayed hits appear
 //!   and every cause bucket still sums to the measured request count.
 //!
-//! Emits `BENCH_trace.json` (replay stats + wall-clock) and
-//! `bench_trace.csv` (one row per fetch latency: delayed hits, origin
-//! fetches, mean latency) under the results directory.
+//! Emits `BENCH_trace.json` (scale, event count, the two invariants and
+//! wall-clock) and `bench_trace.csv` (one row per fetch latency: delayed
+//! hits, origin, peer and cache fetches, mean latency) under the results
+//! directory.
 //!
 //! `bench_trace --help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    banner, flush, progress, record, write_csv, write_json, BenchArgs, PhaseTimings, REPLAYING,
+    banner, flush, progress, record, write_json, BenchArgs, PhaseTimings, Table, REPLAYING,
 };
 use cdn_core::{export_events, replay_events, Scenario, Strategy};
 use cdn_sim::SimReport;
@@ -78,15 +79,21 @@ fn main() {
         replay_at(&mut scenario, &plan, &events, None)
     });
     record("replay_instant", &instant);
-    let mut rows = Vec::new();
-    let mut sweep = Vec::new();
+    let mut table = Table::new(
+        "bench_trace.csv",
+        "fetch_latency,delayed_hits,origin_fetches,peer_fetches,cache_hits,mean_latency_ms",
+    );
+    // Latency 0 is the off switch, bit-identical to instant fetch; a
+    // positive latency produces delayed hits; and at every latency the
+    // cause buckets still account for every measured request.
+    let (mut off_identical, mut coalesced) = (false, false);
     for latency in FETCH_LATENCIES {
         progress(&format!("replay: fetch latency {latency}"));
         let report = timings.time(&format!("replay_l{latency}"), || {
             replay_at(&mut scenario, &plan, &events, Some(latency))
         });
         record(&format!("replay_l{latency}"), &report);
-        rows.push(format!(
+        table.row(format!(
             "{latency},{},{},{},{},{:.3}",
             report.delayed_hits,
             report.origin_fetches,
@@ -94,21 +101,6 @@ fn main() {
             report.cache_hits,
             report.mean_latency_ms
         ));
-        println!(
-            "  fetch latency {latency:>4}: {:>8} delayed hits, {:>8} origin fetches, mean {:.2} ms",
-            report.delayed_hits, report.origin_fetches, report.mean_latency_ms
-        );
-        sweep.push((latency, report));
-    }
-
-    // Invariant 1: latency 0 is the off switch, bit-identical to None.
-    let off_identical = instant == sweep[0].1;
-    println!("  fetch latency 0 bit-identical to instant fetch: {off_identical}");
-
-    // Invariant 2: with a positive latency, delayed hits appear and the
-    // cause buckets still account for every measured request.
-    let mut coalesced = false;
-    for (latency, report) in &sweep {
         let bucket_sum = report.cache_hits
             + report.replica_hits
             + report.delayed_hits
@@ -121,10 +113,13 @@ fn main() {
             "cause buckets must sum to measured requests at latency {latency}"
         );
         assert_eq!(report.cause.total_requests(), report.measured_requests);
-        if *latency > 0 && report.delayed_hits > 0 {
-            coalesced = true;
+        if latency == 0 {
+            off_identical = report == instant;
         }
+        coalesced |= latency > 0 && report.delayed_hits > 0;
     }
+    table.finish();
+    println!("  fetch latency 0 bit-identical to instant fetch: {off_identical}");
     println!("  positive latencies produced delayed hits: {coalesced}");
 
     let mut json = String::from("{\n");
@@ -132,25 +127,9 @@ fn main() {
     let _ = writeln!(json, "  \"events\": {},", events.len());
     let _ = writeln!(json, "  \"off_switch_identical\": {off_identical},");
     let _ = writeln!(json, "  \"coalesced\": {coalesced},");
-    let _ = writeln!(json, "  \"sweep\": [");
-    for (idx, (latency, report)) in sweep.iter().enumerate() {
-        let comma = if idx + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"fetch_latency\": {latency}, \"delayed_hits\": {}, \
-             \"origin_fetches\": {}, \"mean_latency_ms\": {:.6}}}{comma}",
-            report.delayed_hits, report.origin_fetches, report.mean_latency_ms
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"wall_clock\": {}", timings.to_json());
     json.push_str("}\n");
     write_json("BENCH_trace.json", &json);
-    write_csv(
-        "bench_trace.csv",
-        "fetch_latency,delayed_hits,origin_fetches,peer_fetches,cache_hits,mean_latency_ms",
-        &rows,
-    );
     flush();
 
     assert!(off_identical, "fetch latency 0 diverged from instant fetch");

@@ -7,34 +7,40 @@
 //! total cost, especially for large buffer sizes, but the overall error is
 //! less than 7%."
 //!
+//! Writes `fig6_model_accuracy.csv` and `fig6_claims.csv`.
+//!
 //! Run with `cargo run -p cdn-bench --release --bin fig6 -- --quick`;
 //! `--help` lists the flags it accepts.
 
 use cdn_bench::harness::{
-    banner, flush, generate_scenario, record, write_csv, BenchArgs, SIMULATING,
+    banner, claims_table, flush, generate_scenario, record, BenchArgs, Table, SIMULATING,
 };
 use cdn_core::Strategy;
 use cdn_workload::LambdaMode;
 
+/// The settings as (capacity, uncacheable fraction).
+const SETTINGS: [(f64, f64); 6] = [
+    (0.05, 0.0),
+    (0.10, 0.0),
+    (0.20, 0.0),
+    (0.05, 0.10),
+    (0.10, 0.10),
+    (0.20, 0.10),
+];
+
 fn main() {
     let args = BenchArgs::parse("fig6", SIMULATING);
-    let scale = args.scale;
-    banner("Figure 6: predicted vs actual cost per request", scale);
+    banner("Figure 6: predicted vs actual cost per request", args.scale);
 
-    println!(
-        "\n  {:<22} {:>10} {:>10} {:>8}",
-        "setting (cap%, unc%)", "actual", "predicted", "error%"
+    let mut accuracy = Table::new(
+        "fig6_model_accuracy.csv",
+        "capacity_pc,uncacheable_pc,actual_hops,predicted_hops,error_pc",
     );
-    let mut rows = Vec::new();
+    let mut claims = claims_table("fig6");
+    let largest = SETTINGS.iter().map(|s| s.0).fold(0.0, f64::max);
     let mut worst_err: f64 = 0.0;
-    for (capacity, lambda) in [
-        (0.05, 0.0),
-        (0.10, 0.0),
-        (0.20, 0.0),
-        (0.05, 0.10),
-        (0.10, 0.10),
-        (0.20, 0.10),
-    ] {
+    let mut at_largest = Vec::new();
+    for (capacity, lambda) in SETTINGS {
         let config = args.config(capacity, lambda, LambdaMode::Uncacheable);
         let scenario = generate_scenario(&config);
         let plan = scenario.plan(Strategy::Hybrid);
@@ -51,19 +57,34 @@ fn main() {
             0.0
         };
         worst_err = worst_err.max(err.abs());
-        let label = format!("({:.0},{:.0})", capacity * 100.0, lambda * 100.0);
-        println!("  {label:<22} {actual:>10.3} {predicted:>10.3} {err:>+8.2}");
-        rows.push(format!(
+        if capacity == largest {
+            at_largest.push((lambda, err));
+        }
+        accuracy.row(format!(
             "{:.0},{:.0},{actual:.4},{predicted:.4},{err:.3}",
             capacity * 100.0,
             lambda * 100.0
         ));
     }
-    println!("\n  worst |error|: {worst_err:.2}% (paper reports < 7%)");
-    write_csv(
-        "fig6_model_accuracy.csv",
-        "capacity_pc,uncacheable_pc,actual_hops,predicted_hops,error_pc",
-        &rows,
+    claims.claim(
+        "worst absolute error over the six settings",
+        "< 7%",
+        &format!("{worst_err:.2}%"),
+        worst_err < 7.0,
     );
+    for (lambda, err) in at_largest {
+        claims.claim(
+            &format!(
+                "model over-estimates cost ({:.0}% capacity and {:.0}% uncacheable)",
+                largest * 100.0,
+                lambda * 100.0
+            ),
+            "over-estimates",
+            &format!("{err:+.2}%"),
+            err > 0.0,
+        );
+    }
+    accuracy.finish();
+    claims.finish();
     flush();
 }

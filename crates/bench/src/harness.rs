@@ -1,9 +1,9 @@
 //! Shared experiment plumbing: scale selection, the bench flag tables,
-//! CSV output, the process-wide output sink, timing, and the standard
+//! result tables, the process-wide output sink, timing, and the standard
 //! per-figure runner.
 
 use cdn_cli::args::{
-    usage, ArgError, Args, Flag, Table, METRICS_OUT, PROFILE_OUT, SAMPLE_EVERY, THREADS, TRACE_OUT,
+    self, usage, ArgError, Args, Flag, METRICS_OUT, PROFILE_OUT, SAMPLE_EVERY, THREADS, TRACE_OUT,
     WINDOW,
 };
 use cdn_cli::sink::{self, Destinations, Sink};
@@ -88,12 +88,12 @@ const COMMON: &[Flag] = &[
 ];
 
 /// The flag table of a bench binary that never simulates.
-pub const PLANNING: Table = &[COMMON];
+pub const PLANNING: args::Table = &[COMMON];
 /// The flag table of a bench binary that simulates: the request sampler
 /// and the windowed timeline too.
-pub const SIMULATING: Table = &[COMMON, &[SAMPLE_EVERY, WINDOW]];
+pub const SIMULATING: args::Table = &[COMMON, &[SAMPLE_EVERY, WINDOW]];
 /// The flag table of a bench binary that replays a trace file.
-pub const REPLAYING: Table = &[COMMON, &[SAMPLE_EVERY, WINDOW, TRACE_IN]];
+pub const REPLAYING: args::Table = &[COMMON, &[SAMPLE_EVERY, WINDOW, TRACE_IN]];
 
 /// The bench binaries' view of their command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,7 +118,7 @@ impl BenchArgs {
     /// and install the output sink that [`record`] feeds and [`flush`]
     /// writes. `--help` prints the usage generated from `flags` and exits 0;
     /// a bad command line prints why plus that usage and exits 2.
-    pub fn parse(bin: &str, flags: Table) -> Self {
+    pub fn parse(bin: &str, flags: args::Table) -> Self {
         start_instant(); // anchor the heartbeat clock at process setup
         let a = parse_or_exit(bin, flags);
         let args = Self::from_args(&a).unwrap_or_else(|msg| usage_error(bin, flags, &msg));
@@ -180,7 +180,7 @@ impl BenchArgs {
 
 /// Parse the process command line against `flags`, exiting 0 with the
 /// generated usage on `--help` and 2 with the reason on a bad command line.
-pub fn parse_or_exit(bin: &str, flags: Table) -> Args {
+pub fn parse_or_exit(bin: &str, flags: args::Table) -> Args {
     match Args::parse(std::env::args().skip(1), flags) {
         Ok(a) => a,
         Err(ArgError::Help) => {
@@ -192,7 +192,7 @@ pub fn parse_or_exit(bin: &str, flags: Table) -> Args {
 }
 
 /// Print `msg` and the usage generated from `flags`, and exit 2.
-pub fn usage_error(bin: &str, flags: Table, msg: &str) -> ! {
+pub fn usage_error(bin: &str, flags: args::Table, msg: &str) -> ! {
     eprintln!("{bin}: {msg}\n\n{}", usage(bin, flags));
     std::process::exit(2);
 }
@@ -258,9 +258,8 @@ pub fn results_dir() -> PathBuf {
     path
 }
 
-/// Write a CSV file of `(header, rows)` under the results directory and
-/// report the path on stdout.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
+/// Write a CSV file of `(header, rows)` under the results directory.
+fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     let path = results_dir().join(name);
     let mut body = String::with_capacity(rows.len() * 32 + header.len() + 1);
     body.push_str(header);
@@ -273,17 +272,169 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     path
 }
 
-/// Write a pre-rendered JSON body under the results directory and report
-/// the path on stdout — machine-readable sibling of [`write_csv`].
+/// Write a pre-rendered JSON body under the results directory.
 pub fn write_json(name: &str, body: &str) -> PathBuf {
     let path = results_dir().join(name);
     write_file_or_exit(&path, body, "result file");
     path
 }
 
+/// One result file: its name, CSV header and rows, each row formatted
+/// once as CSV. [`Table::finish`] writes the file and prints the same
+/// cells to stdout, aligned.
+#[derive(Debug)]
+pub struct Table {
+    name: String,
+    header: String,
+    rows: Vec<String>,
+}
+
+impl Table {
+    pub fn new(name: impl Into<String>, header: &str) -> Self {
+        Self {
+            name: name.into(),
+            header: header.to_string(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Append one CSV row.
+    ///
+    /// # Panics
+    /// Panics when the row's cell count differs from the header's.
+    pub fn row(&mut self, row: String) {
+        assert_eq!(
+            row.split(',').count(),
+            self.header.split(',').count(),
+            "{}: row `{row}` does not fit header `{}`",
+            self.name,
+            self.header
+        );
+        self.rows.push(row);
+    }
+
+    /// Append a row to a [`claims_table`]: the claim, the paper's value,
+    /// the measured value and whether the claim holds.
+    pub fn claim(&mut self, claim: &str, paper: &str, measured: &str, holds: bool) {
+        let holds = if holds { "yes" } else { "no" };
+        self.row(format!("{claim},{paper},{measured},{holds}"));
+    }
+
+    /// Print the table's name and cells, numeric columns right-aligned and
+    /// the rest left-aligned, then write the CSV under the results
+    /// directory.
+    pub fn finish(self) -> PathBuf {
+        let lines: Vec<Vec<&str>> = std::iter::once(&self.header)
+            .chain(&self.rows)
+            .map(|line| line.split(',').collect())
+            .collect();
+        let mut widths = vec![0; lines[0].len()];
+        for cells in &lines {
+            for (w, cell) in widths.iter_mut().zip(cells) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        let numeric: Vec<bool> = (0..widths.len())
+            .map(|col| {
+                lines[1..]
+                    .iter()
+                    .all(|cells| cells[col].trim_end_matches('%').parse::<f64>().is_ok())
+            })
+            .collect();
+        println!("\n  {}", self.name);
+        for cells in &lines {
+            let mut out = String::from(" ");
+            for ((cell, &w), &right) in cells.iter().zip(&widths).zip(&numeric) {
+                let _ = if right {
+                    write!(out, " {cell:>w$}")
+                } else {
+                    write!(out, " {cell:<w$}")
+                };
+            }
+            println!("{}", out.trim_end());
+        }
+        write_csv(&self.name, &self.header, &self.rows)
+    }
+}
+
+/// How close a measured gain must come to a paper's "≈X%" for the claim
+/// to hold, relative to X: within ±25%. One tolerance for every such
+/// claim, never tuned per claim.
+pub const APPROX_TOLERANCE: f64 = 0.25;
+
+/// `<bin>_claims.csv`: one row per paper claim the binary checks, with
+/// the paper's value, the measured value and whether the claim holds.
+pub fn claims_table(bin: &str) -> Table {
+    Table::new(format!("{bin}_claims.csv"), "claim,paper,measured,holds")
+}
+
+/// One panel of a [`cdf_figure`]: its label, the setting its claims
+/// name, and its scenario.
+pub type Panel = (&'static str, String, ScenarioConfig);
+
+/// Run a CDF figure (Figures 3–5). Per panel, plan and simulate every
+/// strategy, write each one's CDF as `<bin><panel>_<strategy>.csv`, and
+/// add a row per strategy to `<bin>_summary.csv`. Each `(baseline,
+/// approx_pc)` in `claims` adds a row per panel to `<bin>_claims.csv`:
+/// the hybrid beats `baseline` on mean latency, by the paper's "≈X%" when
+/// `approx_pc` is X. Such a magnitude holds only when the hybrid wins and
+/// its gain is within [`APPROX_TOLERANCE`] of X.
+pub fn cdf_figure(
+    bin: &str,
+    panels: &[Panel],
+    strategies: &[Strategy],
+    claims: &[(Strategy, Option<f64>)],
+) {
+    let mut summary = Table::new(
+        format!("{bin}_summary.csv"),
+        "panel,strategy,mean_ms,p50_ms,p95_ms,local_pc,hops_per_req,replicas",
+    );
+    let mut claimed = claims_table(bin);
+    for (panel, setting, config) in panels {
+        let results = run_strategies(&generate_scenario(config), strategies);
+        for r in &results.rows {
+            let (name, report) = (r.strategy.name(), &r.report);
+            assert!(report.measured_requests > 0, "{name}");
+            assert!(report.mean_latency_ms > 0.0, "{name}");
+            let cdf = format!("{bin}{panel}_{}.csv", name.replace('%', "pc"));
+            write_csv(&cdf, "latency_ms,cdf", &cdf_rows(report, 400));
+            summary.row(format!(
+                "{panel},{name},{:.2},{:.1},{:.1},{:.1},{:.3},{}",
+                report.mean_latency_ms,
+                report.histogram.percentile(0.5),
+                report.histogram.percentile(0.95),
+                100.0 * report.local_ratio(),
+                report.mean_cost_hops,
+                r.plan.placement.replica_count(),
+            ));
+        }
+        for &(baseline, approx_pc) in claims {
+            let gain = 100.0
+                * results
+                    .improvement(Strategy::Hybrid, baseline)
+                    .expect("both strategies ran");
+            let (paper, near) = match approx_pc {
+                Some(x) => (
+                    format!("≈{x:.0}%"),
+                    (gain - x).abs() <= APPROX_TOLERANCE * x,
+                ),
+                None => ("wins".to_string(), true),
+            };
+            claimed.claim(
+                &format!("hybrid beats {} ({panel}: {setting})", baseline.name()),
+                &paper,
+                &format!("{gain:+.1}%"),
+                gain > 0.0 && near,
+            );
+        }
+    }
+    summary.finish();
+    claimed.finish();
+    flush();
+}
+
 /// Wall-clock timings of named phases at one thread count, rendering to a
-/// JSON object. Used by the arms of [`one_vs_n`] and by `bench_trace`;
-/// figure binaries keep their inline `Instant` pairs.
+/// JSON object. Used by the arms of [`one_vs_n`] and by `bench_trace`.
 #[derive(Debug, Clone)]
 pub struct PhaseTimings {
     pub threads: usize,
@@ -439,7 +590,7 @@ pub fn one_vs_n<T>(
 
 /// Format a CDF as CSV rows (`latency_ms,fraction`), downsampled to at most
 /// `max_points` points to keep files plottable.
-pub fn cdf_rows(report: &SimReport, max_points: usize) -> Vec<String> {
+fn cdf_rows(report: &SimReport, max_points: usize) -> Vec<String> {
     let cdf = report.histogram.cdf();
     let stride = (cdf.len() / max_points.max(1)).max(1);
     let mut rows: Vec<String> = cdf
@@ -480,29 +631,16 @@ pub fn run_strategies(scenario: &Scenario, strategies: &[Strategy]) -> StrategyC
         .iter()
         .map(|&strategy| {
             progress(&format!("planning {}", strategy.name()));
-            let t0 = Instant::now();
             let plan = {
                 let _prof = telemetry::profile::span(&format!("plan:{}", strategy.name()));
                 scenario.plan(strategy)
             };
-            let plan_seconds = t0.elapsed().as_secs_f64();
             progress(&format!("simulating {}", strategy.name()));
-            let t1 = Instant::now();
             let report = {
                 let _prof = telemetry::profile::span(&format!("sim:{}", strategy.name()));
                 scenario.simulate(&plan)
             };
-            let sim_seconds = t1.elapsed().as_secs_f64();
             record(&format!("r{run}:{}", strategy.name()), &report);
-            println!(
-                "  {:<16} plan {:>6.1}s  sim {:>6.1}s  mean {:>8.2} ms  local {:>5.1}%  replicas {}",
-                strategy.name(),
-                plan_seconds,
-                sim_seconds,
-                report.mean_latency_ms,
-                100.0 * report.local_ratio(),
-                plan.placement.replica_count(),
-            );
             ComparisonRow {
                 strategy,
                 plan,
@@ -513,49 +651,9 @@ pub fn run_strategies(scenario: &Scenario, strategies: &[Strategy]) -> StrategyC
     StrategyComparison { rows }
 }
 
-/// Render the standard per-figure summary block.
-pub fn summary_block(results: &StrategyComparison) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "  {:<16} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9}",
-        "strategy", "mean_ms", "p50_ms", "p95_ms", "local%", "hops/req", "replicas"
-    );
-    for r in &results.rows {
-        let _ = writeln!(
-            out,
-            "  {:<16} {:>9.2} {:>9.1} {:>9.1} {:>8.1} {:>9.3} {:>9}",
-            r.strategy.name(),
-            r.report.mean_latency_ms,
-            r.report.histogram.percentile(0.5),
-            r.report.histogram.percentile(0.95),
-            100.0 * r.report.local_ratio(),
-            r.report.mean_cost_hops,
-            r.plan.placement.replica_count(),
-        );
-    }
-    out
-}
-
 /// Stamp a figure banner.
 pub fn banner(title: &str, scale: Scale) {
     println!("==== {title} [{:?} scale] ====", scale);
-}
-
-/// Helper to append a labelled CSV for every strategy's CDF.
-pub fn write_cdf_csvs(prefix: &str, results: &StrategyComparison) {
-    for r in &results.rows {
-        let name = format!("{prefix}_{}.csv", r.strategy.name().replace('%', "pc"));
-        write_csv(&name, "latency_ms,cdf", &cdf_rows(&r.report, 400));
-    }
-}
-
-/// Sanity guard used by every figure binary: results must be non-trivial.
-pub fn assert_sane(results: &StrategyComparison) {
-    for r in &results.rows {
-        assert!(r.report.measured_requests > 0, "{}", r.strategy.name());
-        assert!(r.report.mean_latency_ms > 0.0, "{}", r.strategy.name());
-    }
 }
 
 /// Build a placement problem + catalog + trace on an **arbitrary graph**
@@ -674,7 +772,7 @@ mod tests {
     }
 
     /// Parse a whitespace-separated command line against `flags`.
-    fn parse_with(flags: Table, line: &str) -> Result<(Args, BenchArgs), String> {
+    fn parse_with(flags: args::Table, line: &str) -> Result<(Args, BenchArgs), String> {
         let a = Args::parse(line.split_whitespace().map(str::to_string), flags)
             .map_err(|e| format!("{e:?}"))?;
         let bench = BenchArgs::from_args(&a)?;
@@ -828,9 +926,18 @@ mod tests {
             "CDN_RESULTS_DIR",
             std::env::temp_dir().join("cdn-test-results"),
         );
-        let path = write_csv("unit_test.csv", "a,b", &["1,2".into(), "3,4".into()]);
-        let body = std::fs::read_to_string(&path).unwrap();
+        let mut table = Table::new("unit_test.csv", "a,b");
+        table.row("1,2".into());
+        table.row("3,4".into());
+        let body = std::fs::read_to_string(table.finish()).unwrap();
         assert_eq!(body, "a,b\n1,2\n3,4\n");
         std::env::remove_var("CDN_RESULTS_DIR");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit header")]
+    fn table_rejects_a_row_of_the_wrong_width() {
+        // A comma inside a cell would shift every later column.
+        Table::new("t.csv", "claim,holds").row("a, b,yes".into());
     }
 }

@@ -159,7 +159,8 @@ fn fault_params(
         retry_penalty_ms: a.get_f64("retry-penalty-ms", defaults.retry_penalty_ms)?,
         seed: scenario_seed,
     };
-    if params.mttf <= 0.0 {
+    // NaN slips past `<= 0.0`, so it is checked apart; `inf` means "never".
+    if params.mttf.is_nan() || params.mttf <= 0.0 {
         return Err(format!("--mttf must be positive, got {}", params.mttf));
     }
     if !(0.0..1.0).contains(&params.origin_outage) {
@@ -419,6 +420,7 @@ pub fn workload(a: &Args) -> Result<(), String> {
     cfg.theta = a.get_f64("theta", 1.0)?;
     cfg.m_sites = a.get_u64("sites", 15)? as usize;
     cfg.objects_per_site = a.get_u64("objects", 200)? as usize;
+    cfg.validate()?;
     let seed = a.get_u64("seed", 1)?;
     let catalog = SiteCatalog::generate(&cfg, seed);
     let demand = DemandMatrix::generate(&catalog, 4, seed ^ 1);
@@ -579,6 +581,14 @@ mod tests {
             .contains("fraction"));
     }
 
+    #[test]
+    fn workload_rejects_invalid_sizes() {
+        // Each of these once panicked inside `SiteCatalog::generate`.
+        for line in ["--sites 0", "--objects 0", "--theta -1", "--theta nan"] {
+            assert!(workload(&parse(WORKLOAD, line)).is_err(), "{line}");
+        }
+    }
+
     fn parse_scenario(line: &str) -> Result<ScenarioConfig, String> {
         scenario_config(&parse(COMPARE, line))
     }
@@ -675,7 +685,13 @@ mod tests {
 
     #[test]
     fn invalid_fault_flags_rejected() {
-        assert!(parse_scenario("--mttf 0").unwrap_err().contains("--mttf"));
+        for mttf in ["0", "nan", "NaN"] {
+            assert!(parse_scenario(&format!("--mttf {mttf}"))
+                .unwrap_err()
+                .contains("--mttf"));
+        }
+        // `inf` is the documented "never fails".
+        assert!(parse_scenario("--mttf inf").is_ok());
         assert!(parse_scenario("--mttr -3").unwrap_err().contains("--mttr"));
         assert!(parse_scenario("--origin-outage 1.0")
             .unwrap_err()

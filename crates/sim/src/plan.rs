@@ -243,28 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_window_is_a_valid_off_switch() {
-        // Unlike shards, `window: 0` is the timeline's off value and must
-        // validate cleanly.
-        let c = SimConfig {
-            window: 0,
-            ..Default::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    fn zero_fetch_latency_is_a_valid_off_switch() {
-        // `fetch_latency: Some(0)` disables delayed-hit coalescing exactly
-        // like `None` — `--fetch-latency 0` must validate cleanly.
-        let c = SimConfig {
-            fetch_latency: Some(0),
-            ..Default::default()
-        };
-        c.validate();
-    }
-
-    #[test]
     #[should_panic]
     fn full_warmup_rejected() {
         let c = SimConfig {

@@ -134,18 +134,27 @@ impl WorkloadConfig {
         }
     }
 
-    pub(crate) fn validate(&self) {
-        assert!(self.m_sites > 0, "need at least one site");
-        assert!(
-            self.objects_per_site > 0,
-            "need at least one object per site"
-        );
-        assert!(self.theta >= 0.0 && self.theta.is_finite());
+    /// Check the configuration: at least one site and one object per
+    /// site, a finite non-negative θ, and class fractions that are
+    /// non-negative and sum to at most 1.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.m_sites == 0 {
+            return Err("need at least one site".into());
+        }
+        if self.objects_per_site == 0 {
+            return Err("need at least one object per site".into());
+        }
+        if !(self.theta >= 0.0 && self.theta.is_finite()) {
+            return Err(format!(
+                "theta must be finite and non-negative, got {}",
+                self.theta
+            ));
+        }
         let mix = &self.class_mix;
-        assert!(
-            mix.low_frac >= 0.0 && mix.medium_frac >= 0.0 && mix.high_frac() >= -1e-12,
-            "class fractions must be non-negative and sum to at most 1"
-        );
+        if !(mix.low_frac >= 0.0 && mix.medium_frac >= 0.0 && mix.high_frac() >= -1e-12) {
+            return Err("class fractions must be non-negative and sum to at most 1".into());
+        }
+        Ok(())
     }
 }
 
@@ -155,7 +164,7 @@ mod tests {
 
     #[test]
     fn paper_default_is_valid() {
-        WorkloadConfig::paper_default().validate();
+        assert_eq!(WorkloadConfig::paper_default().validate(), Ok(()));
     }
 
     #[test]
@@ -171,20 +180,24 @@ mod tests {
         assert_eq!(m.tail_prob, 0.0);
     }
 
+    // `validate` reports the error; `SiteCatalog::generate` still panics
+    // with the same message.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "need at least one site")]
     fn zero_sites_rejected() {
         let mut c = WorkloadConfig::small();
         c.m_sites = 0;
-        c.validate();
+        assert!(c.validate().is_err());
+        crate::SiteCatalog::generate(&c, 1);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "class fractions must be non-negative")]
     fn overfull_class_mix_rejected() {
         let mut c = WorkloadConfig::small();
         c.class_mix.low_frac = 0.9;
         c.class_mix.medium_frac = 0.9;
-        c.validate();
+        assert!(c.validate().is_err());
+        crate::SiteCatalog::generate(&c, 1);
     }
 }

@@ -50,8 +50,14 @@ pub struct SiteCatalog {
 
 impl SiteCatalog {
     /// Generate a catalog from `config` with the given `seed`.
+    ///
+    /// # Panics
+    /// Panics with [`WorkloadConfig::validate`]'s message on an invalid
+    /// config.
     pub fn generate(config: &WorkloadConfig, seed: u64) -> Self {
-        config.validate();
+        if let Err(msg) = config.validate() {
+            panic!("{msg}");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let m = config.m_sites;
 
