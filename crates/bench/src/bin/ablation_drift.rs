@@ -34,12 +34,13 @@ fn main() {
         .map(|&s| (s, scenario.plan(s)))
         .collect();
 
-    // Drift periods in requests-per-rotation; u64::MAX = stationary.
-    let periods: &[(u64, &str)] = &[
-        (u64::MAX, "stationary"),
-        (100_000, "slow"),
-        (10_000, "medium"),
-        (1_000, "fast"),
+    // Drift periods in requests per rotation; the stationary row runs
+    // the plain streams and has no period.
+    let periods: &[(Option<u64>, &str)] = &[
+        (None, "stationary"),
+        (Some(100_000), "slow"),
+        (Some(10_000), "medium"),
+        (Some(1_000), "fast"),
     ];
 
     let mut table = Table::new(
@@ -49,26 +50,30 @@ fn main() {
     for &(period, label) in periods {
         let mut cells = Vec::new();
         for (strategy, plan) in &plans {
-            let report = simulate_system_streams(
-                &scenario.problem,
-                &plan.placement,
-                &scenario.catalog,
-                &scenario.config.sim,
-                strategy.cache_factory(),
-                &lengths,
-                |server| {
-                    Drifted::new(
-                        scenario.trace.stream_for_server(server),
-                        DriftConfig {
-                            rotation_period: period,
-                            objects_per_site: l,
-                        },
-                    )
-                },
-            );
+            let report = match period {
+                None => scenario.simulate(plan),
+                Some(rotation_period) => simulate_system_streams(
+                    &scenario.problem,
+                    &plan.placement,
+                    &scenario.catalog,
+                    &scenario.config.sim,
+                    strategy.cache_factory(),
+                    &lengths,
+                    |server| {
+                        Drifted::new(
+                            scenario.trace.stream_for_server(server),
+                            DriftConfig {
+                                rotation_period,
+                                objects_per_site: l,
+                            },
+                        )
+                    },
+                ),
+            };
             record(&format!("{label}:{}", strategy.name()), &report);
             cells.push(report.mean_latency_ms);
         }
+        let period = period.map_or(String::new(), |p| p.to_string());
         table.row(format!(
             "{label},{period},{:.3},{:.3},{:.3}",
             cells[0], cells[1], cells[2]

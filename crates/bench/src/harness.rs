@@ -117,13 +117,18 @@ impl BenchArgs {
     /// Parse the process command line against `flags`, size the rayon pool
     /// and install the output sink that [`record`] feeds and [`flush`]
     /// writes. `--help` prints the usage generated from `flags` and exits 0;
-    /// a bad command line prints why plus that usage and exits 2.
+    /// a bad command line prints why plus that usage and exits 2; an output
+    /// path that cannot be written exits 1 before any work.
     pub fn parse(bin: &str, flags: args::Table) -> Self {
         start_instant(); // anchor the heartbeat clock at process setup
         let a = parse_or_exit(bin, flags);
         let args = Self::from_args(&a).unwrap_or_else(|msg| usage_error(bin, flags, &msg));
         HEARTBEATS_OFF.store(a.has("quiet"), Ordering::Relaxed);
-        *sink() = Some(Sink::install(args.destinations(&a, &results_dir(), bin)));
+        let outputs = args.destinations(&a, &results_dir(), bin);
+        *sink() = Some(Sink::install(outputs).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }));
         args
     }
 
@@ -658,8 +663,11 @@ pub fn banner(title: &str, scale: Scale) {
 
 /// Build a placement problem + catalog + trace on an **arbitrary graph**
 /// (rather than the transit-stub scenario pipeline): servers and primaries
-/// are placed on randomly chosen distinct nodes. Used by the topology
-/// ablation to re-run the headline comparison on non-hierarchical graphs.
+/// are placed on randomly chosen distinct nodes, and
+/// [`ScenarioConfig::assemble`] builds the problem and trace as
+/// `Scenario::generate` does, from this function's own seeds. Used by the
+/// topology ablation to re-run the headline comparison on
+/// non-hierarchical graphs.
 pub fn scenario_on_graph(
     graph: &cdn_topology::Graph,
     cfg: &ScenarioConfig,
@@ -669,7 +677,7 @@ pub fn scenario_on_graph(
     cdn_workload::TraceSpec,
 ) {
     use cdn_topology::DistanceMatrix;
-    use cdn_workload::{DemandMatrix, SiteCatalog, TraceSpec};
+    use cdn_workload::{DemandMatrix, SiteCatalog};
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
@@ -679,50 +687,11 @@ pub fn scenario_on_graph(
     let mut nodes: Vec<u32> = (0..graph.n_nodes() as u32).collect();
     nodes.shuffle(&mut rng);
     assert!(nodes.len() >= n + m, "graph too small for hosts");
-    let hosts: Vec<u32> = nodes[..n + m].to_vec();
-    let distances = DistanceMatrix::compute(graph, &hosts);
+    let distances = DistanceMatrix::compute(graph, &nodes[..n + m]);
 
     let catalog = SiteCatalog::generate(&cfg.workload, cfg.seed ^ 0x2545_F491);
     let demand = DemandMatrix::generate(&catalog, n, cfg.seed ^ 0x9E37_79B9);
-
-    let mut dist_ss = vec![0u32; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            dist_ss[i * n + k] = distances.host_dist(i, k);
-        }
-    }
-    let mut dist_sp = vec![0u32; n * m];
-    for i in 0..n {
-        for j in 0..m {
-            dist_sp[i * m + j] = distances.host_dist(i, n + j);
-        }
-    }
-    let site_bytes: Vec<u64> = catalog.sites.iter().map(|s| s.total_bytes).collect();
-    let capacity = (catalog.total_bytes() as f64 * cfg.capacity_fraction) as u64;
-    let raw: Vec<u64> = (0..n)
-        .flat_map(|i| (0..m).map(move |j| (i, j)))
-        .map(|(i, j)| demand.requests(i, j))
-        .collect();
-    let problem = cdn_placement::PlacementProblem::new(
-        n,
-        m,
-        dist_ss,
-        dist_sp,
-        site_bytes,
-        vec![capacity; n],
-        raw,
-        vec![cfg.lambda; m],
-        catalog.mean_request_bytes(),
-        cfg.workload.objects_per_site,
-        cfg.workload.theta,
-    );
-    let trace = TraceSpec::new(
-        &demand,
-        catalog.object_zipf.clone(),
-        cfg.lambda,
-        cfg.lambda_mode,
-        cfg.seed ^ 0xBF58_476D,
-    );
+    let (problem, trace) = cfg.assemble(&distances, &catalog, &demand, cfg.seed ^ 0xBF58_476D);
     (problem, catalog, trace)
 }
 

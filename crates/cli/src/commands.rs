@@ -140,7 +140,8 @@ pub const WORKLOAD: Table = &[&[
 /// `--retry-penalty-ms`; `None` when no fault flag was given (nothing is
 /// ever down, and no `fault.*` telemetry is emitted). The schedule seed
 /// follows the scenario seed so `--seed` varies faults and workload
-/// together.
+/// together. [`FaultParams::validate`](cdn_core::sim::FaultParams::validate)
+/// checks the values.
 fn fault_params(
     a: &Args,
     scenario_seed: u64,
@@ -152,33 +153,17 @@ fn fault_params(
         return Ok(None);
     }
     let defaults = cdn_core::sim::FaultParams::default();
-    let params = cdn_core::sim::FaultParams {
+    Ok(Some(cdn_core::sim::FaultParams {
         mttf: a.get_f64("mttf", f64::INFINITY)?,
         mttr: a.get_positive("mttr")?.unwrap_or(defaults.mttr),
         origin_outage: a.get_f64("origin-outage", 0.0)?,
         retry_penalty_ms: a.get_f64("retry-penalty-ms", defaults.retry_penalty_ms)?,
         seed: scenario_seed,
-    };
-    // NaN slips past `<= 0.0`, so it is checked apart; `inf` means "never".
-    if params.mttf.is_nan() || params.mttf <= 0.0 {
-        return Err(format!("--mttf must be positive, got {}", params.mttf));
-    }
-    if !(0.0..1.0).contains(&params.origin_outage) {
-        return Err(format!(
-            "--origin-outage must be in [0, 1), got {}",
-            params.origin_outage
-        ));
-    }
-    if !(0.0..=cdn_core::sim::MAX_RETRY_PENALTY_MS).contains(&params.retry_penalty_ms) {
-        return Err(format!(
-            "--retry-penalty-ms must be in [0, {}], got {}",
-            cdn_core::sim::MAX_RETRY_PENALTY_MS,
-            params.retry_penalty_ms
-        ));
-    }
-    Ok(Some(params))
+    }))
 }
 
+/// The scenario the flags describe, checked by
+/// [`ScenarioConfig::validate`].
 fn scenario_config(a: &Args) -> Result<ScenarioConfig, String> {
     let mode = match a.get("mode").unwrap_or("uncacheable") {
         "uncacheable" => LambdaMode::Uncacheable,
@@ -186,13 +171,7 @@ fn scenario_config(a: &Args) -> Result<ScenarioConfig, String> {
         other => return Err(format!("unknown --mode '{other}'")),
     };
     let capacity = a.get_f64("capacity", 0.05)?;
-    if !(0.0..=1.0).contains(&capacity) || capacity == 0.0 {
-        return Err(format!("--capacity must be in (0, 1], got {capacity}"));
-    }
     let lambda = a.get_f64("lambda", 0.0)?;
-    if !(0.0..=1.0).contains(&lambda) {
-        return Err(format!("--lambda must be in [0, 1], got {lambda}"));
-    }
     let mut cfg = match a.get("scale").unwrap_or("small") {
         "paper" => ScenarioConfig::paper(capacity, lambda, mode),
         "large" => ScenarioConfig::large(capacity, lambda, mode),
@@ -200,13 +179,15 @@ fn scenario_config(a: &Args) -> Result<ScenarioConfig, String> {
         "small" => {
             let mut c = ScenarioConfig::small();
             // Below 5% of the small corpus no site fits anywhere and every
-            // strategy degenerates to pure caching; clamp, but say so.
-            if capacity < 0.05 {
+            // strategy degenerates to pure caching; clamp, but say so. Only
+            // a valid capacity is raised: `validate` rejects the rest.
+            c.capacity_fraction = capacity;
+            if capacity > 0.0 && capacity < 0.05 {
                 eprintln!(
                     "note: --capacity {capacity} raised to 0.05 at small scale (sites are ~7% of the corpus each)"
                 );
+                c.capacity_fraction = 0.05;
             }
-            c.capacity_fraction = capacity.max(0.05);
             c.lambda = lambda;
             c.lambda_mode = mode;
             c
@@ -224,6 +205,7 @@ fn scenario_config(a: &Args) -> Result<ScenarioConfig, String> {
         .get("fetch-latency")
         .map(|_| a.get_u64("fetch-latency", 0));
     cfg.sim.fetch_latency = fetch_latency.transpose()?;
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -278,7 +260,7 @@ pub fn compare(a: &Args) -> Result<(), String> {
     let cfg = scenario_config(a)?;
     let outputs = compare_outputs(a, &cfg.sim)?;
     let threads = a.thread_pool()?;
-    let mut sink = Sink::install(outputs);
+    let mut sink = Sink::install(outputs)?;
     println!(
         "scenario: {} servers, {} sites, capacity {:.1}%, lambda {:.0}%, seed {}, {threads} thread(s)",
         cfg.hosts.n_servers,
@@ -353,7 +335,7 @@ pub fn plan(a: &Args) -> Result<(), String> {
     let strategy = parse_strategy(a.get("strategy").unwrap_or("hybrid"))?;
     let model = parse_model(a)?;
     let threads = a.thread_pool()?;
-    let sink = Sink::install(Destinations::from_args(a));
+    let sink = Sink::install(Destinations::from_args(a))?;
     let scenario = Scenario::generate(&cfg);
     let plan = scenario.plan_with_model(strategy, model);
     if model != ModelBackend::Paper {
@@ -390,6 +372,8 @@ pub fn topology(a: &Args) -> Result<(), String> {
         other => return Err(format!("unknown --scale '{other}'")),
     };
     let seed = a.get_u64("seed", 1)?;
+    let (dot, csv) = (a.get("dot").map(Path::new), a.get("csv").map(Path::new));
+    sink::check_writable(dot.into_iter().chain(csv))?;
     let topo = TransitStubTopology::generate(&topo_cfg, seed);
     let metrics = compute_metrics(&topo.graph, 4);
     println!(
@@ -401,16 +385,12 @@ pub fn topology(a: &Args) -> Result<(), String> {
         metrics.mean_path_hops,
         metrics.mean_degree
     );
-    if let Some(path) = a.get("dot") {
+    if let Some(path) = dot {
         let dot = export::transit_stub_to_dot(&topo, "cdn");
-        sink::write(Path::new(path), &dot, "DOT")?;
+        sink::write(path, &dot, "DOT")?;
     }
-    if let Some(path) = a.get("csv") {
-        sink::write(
-            Path::new(path),
-            &export::to_edge_csv(&topo.graph),
-            "edge CSV",
-        )?;
+    if let Some(path) = csv {
+        sink::write(path, &export::to_edge_csv(&topo.graph), "edge CSV")?;
     }
     Ok(())
 }
@@ -473,7 +453,8 @@ pub fn ingest(a: &Args) -> Result<(), String> {
         .get("out")
         .ok_or("ingest needs --out FILE.events to know where to write")?;
     a.thread_pool()?;
-    let sink = Sink::install(Destinations::from_args(a));
+    sink::check_writable([Path::new(out)])?;
+    let sink = Sink::install(Destinations::from_args(a))?;
     let (events, source) = match a.get("csv") {
         Some(csv) => {
             let scenario_flags = ["capacity", "lambda", "mode", "scale", "seed"];
@@ -573,9 +554,11 @@ mod tests {
     #[test]
     fn out_of_range_numbers_rejected_cleanly() {
         let a = parse(COMPARE, "--capacity 2.0");
-        assert!(scenario_config(&a).unwrap_err().contains("--capacity"));
+        assert!(scenario_config(&a)
+            .unwrap_err()
+            .contains("capacity_fraction"));
         let a = parse(COMPARE, "--lambda -0.2");
-        assert!(scenario_config(&a).unwrap_err().contains("--lambda"));
+        assert!(scenario_config(&a).unwrap_err().contains("lambda"));
         assert!(parse_strategy("adhoc:1.5")
             .unwrap_err()
             .contains("fraction"));
@@ -646,6 +629,7 @@ mod tests {
         // `ingest --csv ... --capacity 0.5 --seed 9` once exited 0: a CSV
         // trace replaces the synthetic scenario these flags shape.
         let dir = std::env::temp_dir().join("cdn-cli-ingest-csv-flags-test");
+        std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("never.events");
         for flag in [
             "--capacity 0.5",
@@ -688,18 +672,18 @@ mod tests {
         for mttf in ["0", "nan", "NaN"] {
             assert!(parse_scenario(&format!("--mttf {mttf}"))
                 .unwrap_err()
-                .contains("--mttf"));
+                .contains("mttf"));
         }
         // `inf` is the documented "never fails".
         assert!(parse_scenario("--mttf inf").is_ok());
         assert!(parse_scenario("--mttr -3").unwrap_err().contains("--mttr"));
         assert!(parse_scenario("--origin-outage 1.0")
             .unwrap_err()
-            .contains("--origin-outage"));
+            .contains("origin_outage"));
         for penalty in ["-1", "1e300", "inf"] {
             assert!(parse_scenario(&format!("--retry-penalty-ms {penalty}"))
                 .unwrap_err()
-                .contains("--retry-penalty-ms"));
+                .contains("retry_penalty_ms"));
         }
     }
 
@@ -721,7 +705,7 @@ mod tests {
         let metrics = dir.join("metrics.json");
         let (t, m) = (trace.display(), metrics.display());
         let a = parse(PLAN, &format!("--trace-out {t} --metrics-out {m}"));
-        let sink = Sink::install(Destinations::from_args(&a));
+        let sink = Sink::install(Destinations::from_args(&a)).unwrap();
         assert!(telemetry::enabled());
         assert!(telemetry::trace_installed());
         sink.flush().unwrap();

@@ -7,6 +7,7 @@
 //! simulation, it only parses files produced by earlier runs.
 
 use cdn_cli::args::{Args, Table};
+use cdn_core::sim::Cause;
 use cdn_telemetry::json::{self, Json};
 use cdn_telemetry::timeline::{render_openmetrics, sparkline};
 use std::fmt::Write as _;
@@ -21,18 +22,6 @@ pub const FLAGS: Table = &[&[
     "--top <n>  rows in each ranked table (default 10)",
     "--format <name>  text | json | openmetrics (default text)",
 ]];
-
-/// Fixed cause order — mirrors `cdn_sim::Cause::ALL` so tables line up
-/// with the simulator's own accounting.
-const CAUSES: &[&str] = &[
-    "replica_hit",
-    "cache_hit",
-    "delayed_hit",
-    "remote_replica",
-    "origin_fetch",
-    "failover",
-    "failed",
-];
 
 pub fn report(a: &Args) -> Result<(), String> {
     let top = a.get_u64("top", 10)? as usize;
@@ -118,7 +107,7 @@ struct CauseRow {
 struct Attribution {
     /// Whether the snapshot has any `sim.cause.*` counter at all.
     has_causes: bool,
-    /// One row per cause, in [`CAUSES`] order.
+    /// One row per cause, in [`Cause::ALL`] order.
     rows: Vec<CauseRow>,
     /// Requests over every cause, and their summed latency, µs.
     total: u64,
@@ -141,7 +130,8 @@ impl Attribution {
         let get = |name: &str| counters.get(name).and_then(Json::as_u64);
         let requests = |c: &str| get(&format!("sim.cause.{c}"));
         let latency_us = |c: &str| get(&format!("sim.cause.{c}_latency_us"));
-        let rows = CAUSES
+        let causes = Cause::ALL.map(Cause::label);
+        let rows = causes
             .iter()
             .map(|&cause| {
                 let requests = requests(cause).unwrap_or(0);
@@ -160,10 +150,10 @@ impl Attribution {
             })
             .collect();
         Ok(Self {
-            has_causes: CAUSES.iter().any(|c| requests(c).is_some()),
+            has_causes: causes.iter().any(|c| requests(c).is_some()),
             rows,
-            total: CAUSES.iter().filter_map(|c| requests(c)).sum(),
-            total_latency_us: CAUSES.iter().filter_map(|c| latency_us(c)).sum(),
+            total: causes.iter().filter_map(|c| requests(c)).sum(),
+            total_latency_us: causes.iter().filter_map(|c| latency_us(c)).sum(),
             surcharge_ms: get("sim.cause.failover_surcharge_us").map(|us| us as f64 / 1000.0),
             measured: get("sim.requests_measured"),
             planner: get("placement.candidates_evaluated").map(|evaluated| {
@@ -796,7 +786,7 @@ mod tests {
         // the text table renders.
         let parsed = json::parse(&body).unwrap();
         let causes = parsed.get("causes").unwrap().as_arr().unwrap();
-        assert_eq!(causes.len(), CAUSES.len());
+        assert_eq!(causes.len(), Cause::ALL.len());
         let replica = causes
             .iter()
             .find(|c| c.get("cause").and_then(Json::as_str) == Some("replica_hit"))

@@ -1,6 +1,9 @@
-//! The one output sink: switches telemetry on for the destinations a
-//! command line asked for, buffers each simulation's sampled requests and
-//! windowed timeline, and writes every output file at the end of the run.
+//! The one output sink: checks that every destination a command line
+//! asked for can be written, switches telemetry on for them, buffers each
+//! simulation's sampled requests and windowed timeline, and writes every
+//! output file at the end of the run. Commands check their other output
+//! paths with [`check_writable`] too, so a bad path fails a run before it
+//! writes anything.
 //!
 //! Every output except the profile is deterministic: no timestamps or
 //! thread ids, byte-identical at any thread and shard count. Wall-clock
@@ -43,6 +46,19 @@ impl Destinations {
             timeline_csv: None,
         }
     }
+
+    /// Every path these destinations write.
+    fn paths(&self) -> impl Iterator<Item = &Path> {
+        let single = [
+            &self.trace,
+            &self.profile,
+            &self.samples,
+            &self.timeline_json,
+            &self.timeline_csv,
+        ];
+        let single = single.into_iter().flatten();
+        self.metrics.iter().chain(single).map(PathBuf::as_path)
+    }
 }
 
 /// Collects a run's outputs and writes them at [`Sink::flush`].
@@ -53,10 +69,12 @@ pub struct Sink {
 }
 
 impl Sink {
-    /// Turn telemetry on (from a reset registry) if and only if a metrics
-    /// or trace destination exists, and install the trace recorder and the
-    /// profiler when their files are wanted.
-    pub fn install(dest: Destinations) -> Self {
+    /// Check that every destination can be written ([`check_writable`]),
+    /// then turn telemetry on (from a reset registry) if and only if a
+    /// metrics or trace destination exists, and install the trace recorder
+    /// and the profiler when their files are wanted.
+    pub fn install(dest: Destinations) -> Result<Self, String> {
+        check_writable(dest.paths())?;
         if !dest.metrics.is_empty() || dest.trace.is_some() {
             telemetry::reset_metrics();
             telemetry::set_enabled(true);
@@ -67,11 +85,11 @@ impl Sink {
         if dest.profile.is_some() {
             telemetry::profile::install();
         }
-        Self {
+        Ok(Self {
             dest,
             samples: String::new(),
             timelines: Vec::new(),
-        }
+        })
     }
 
     /// Buffer `report`'s sampled request paths and windowed timeline under
@@ -117,6 +135,29 @@ impl Sink {
         }
         Ok(())
     }
+}
+
+/// Check, before any work, that each of `paths` can be written: its
+/// parent directory exists and the path is not a directory. A run that
+/// would fail writing one of them then fails before it writes any other.
+pub fn check_writable<'a>(paths: impl IntoIterator<Item = &'a Path>) -> Result<(), String> {
+    for path in paths {
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        if let Some(dir) = parent.filter(|dir| !dir.is_dir()) {
+            return Err(format!(
+                "cannot write {}: no directory {}",
+                path.display(),
+                dir.display()
+            ));
+        }
+        if path.is_dir() {
+            return Err(format!(
+                "cannot write {}: it is a directory",
+                path.display()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Write `body` to `path` and report the path on stdout.

@@ -48,5 +48,5 @@ pub use analysis::{
     compare_strategies, compare_strategies_with_options, ComparisonRow, StrategyComparison,
 };
 pub use replay::{export_events, parse_csv_trace, replay_events, ReplayStreams};
-pub use scenario::{CapacityProfile, Scenario, ScenarioConfig};
+pub use scenario::{Scenario, ScenarioConfig};
 pub use strategy::{ModelBackend, PlanResult, Strategy, MODEL_NAMES};

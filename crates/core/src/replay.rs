@@ -499,4 +499,49 @@ mod tests {
         );
         assert_eq!(report.cause, again.cause);
     }
+
+    mod properties {
+        use crate::replay::parse_csv_trace;
+        use proptest::prelude::*;
+
+        /// Pieces of trace text, well-formed and not, that arbitrary text
+        /// is built from, besides any char at all.
+        const PIECES: [&str; 12] = [
+            "0",
+            "7",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            ",",
+            "\n",
+            "\r\n",
+            " ",
+            "-",
+            "x",
+        ];
+
+        fn arb_text() -> impl proptest::strategy::Strategy<Value = String> {
+            let part = (0..PIECES.len() + 1, any::<u32>());
+            proptest::collection::vec(part, 0..64).prop_map(|parts| {
+                let piece = |(i, c): (usize, u32)| match PIECES.get(i) {
+                    Some(p) => p.to_string(),
+                    None => char::from_u32(c).unwrap_or('\u{fffd}').to_string(),
+                };
+                parts.into_iter().map(piece).collect()
+            })
+        }
+
+        proptest! {
+            /// Arbitrary text parses to timestamp-ordered events or to an
+            /// error, never a panic.
+            #[test]
+            fn csv_reader_returns_ok_or_err_on_any_text(text in arb_text()) {
+                if let Ok(events) = parse_csv_trace(&text) {
+                    let ordered = events.windows(2).all(|w| w[0].timestamp_us <= w[1].timestamp_us);
+                    prop_assert!(ordered, "{events:?}");
+                }
+            }
+        }
+    }
 }

@@ -11,19 +11,6 @@ use cdn_topology::{
 };
 use cdn_workload::{DemandMatrix, LambdaMode, SiteCatalog, TraceSpec, WorkloadConfig};
 
-/// How total storage is spread across servers. The paper assumes
-/// homogeneous servers; `Skewed` models a fleet where a few big POPs hold
-/// most of the disk (capacity of server i ∝ `ratio^(i/(N−1))`, normalised
-/// so the fleet total matches the homogeneous case).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CapacityProfile {
-    Uniform,
-    Skewed {
-        /// Largest-to-smallest server capacity ratio (> 1).
-        ratio: f64,
-    },
-}
-
 /// Everything that defines one experiment, with the paper's defaults.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
@@ -33,15 +20,9 @@ pub struct ScenarioConfig {
     /// Per-server storage as a fraction of the cumulative size of all web
     /// sites (the paper's x-axis parameter: 5%, 10%, 20%).
     pub capacity_fraction: f64,
-    /// Distribution of that storage across the fleet.
-    pub capacity_profile: CapacityProfile,
-    /// Mean fraction of requests that are uncacheable / expired.
+    /// Fraction of requests that are uncacheable / expired, the same at
+    /// every site as in the paper's figures.
     pub lambda: f64,
-    /// Half-width of the per-site λ spread: site j's λ is drawn uniformly
-    /// from `lambda ± lambda_spread` (clamped to [0, 1]). The paper's §3.3
-    /// has every site provide its own λ_j; 0 recovers the homogeneous
-    /// setting used in its figures.
-    pub lambda_spread: f64,
     /// Whether λ-requests bypass the cache (uncacheable) or force a refresh
     /// (expired under strong consistency).
     pub lambda_mode: LambdaMode,
@@ -60,9 +41,7 @@ impl ScenarioConfig {
             hosts: HostPlacementConfig::paper_default(),
             workload: WorkloadConfig::paper_default(),
             capacity_fraction,
-            capacity_profile: CapacityProfile::Uniform,
             lambda,
-            lambda_spread: 0.0,
             lambda_mode,
             sim: SimConfig::default(),
             seed: 20050404, // IPDPS 2005 — any fixed value works
@@ -79,9 +58,7 @@ impl ScenarioConfig {
             hosts: HostPlacementConfig::large(),
             workload: WorkloadConfig::large(),
             capacity_fraction,
-            capacity_profile: CapacityProfile::Uniform,
             lambda,
-            lambda_spread: 0.0,
             lambda_mode,
             sim: SimConfig::default(),
             seed: 20050404,
@@ -104,58 +81,91 @@ impl ScenarioConfig {
             hosts: HostPlacementConfig::small(),
             workload: WorkloadConfig::small(),
             capacity_fraction: 0.15,
-            capacity_profile: CapacityProfile::Uniform,
             lambda: 0.0,
-            lambda_spread: 0.0,
             lambda_mode: LambdaMode::Uncacheable,
             sim: SimConfig::default(),
             seed: 7,
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            self.capacity_fraction > 0.0 && self.capacity_fraction <= 1.0,
-            "capacity fraction {} out of (0, 1]",
-            self.capacity_fraction
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.lambda),
-            "lambda {} out of [0, 1]",
-            self.lambda
-        );
-        assert!(
-            self.lambda_spread >= 0.0 && self.lambda_spread.is_finite(),
-            "lambda spread must be non-negative"
-        );
-        if let CapacityProfile::Skewed { ratio } = self.capacity_profile {
-            assert!(ratio >= 1.0 && ratio.is_finite(), "skew ratio must be >= 1");
+    /// Check every rule of this configuration: a capacity fraction in
+    /// `(0, 1]`, a λ in `[0, 1]`, one primary per workload site, and then
+    /// the workload ([`WorkloadConfig::validate`]) and simulator
+    /// ([`SimConfig::validate`]) rules. The error names the field and its
+    /// value.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.capacity_fraction > 0.0 && self.capacity_fraction <= 1.0) {
+            return Err(format!(
+                "capacity_fraction must be in (0, 1], got {}",
+                self.capacity_fraction
+            ));
         }
+        if !(0.0..=1.0).contains(&self.lambda) {
+            return Err(format!("lambda must be in [0, 1], got {}", self.lambda));
+        }
+        if self.workload.m_sites != self.hosts.m_primaries {
+            return Err(format!(
+                "workload.m_sites must equal hosts.m_primaries ({}), got {}",
+                self.hosts.m_primaries, self.workload.m_sites
+            ));
+        }
+        self.workload.validate()?;
+        self.sim.validate()
     }
 
-    /// Per-server capacities implied by the profile, preserving the fleet
-    /// total `n · capacity_fraction · corpus`.
-    fn capacities(&self, n: usize, corpus_bytes: u64) -> Vec<u64> {
-        let per_server = corpus_bytes as f64 * self.capacity_fraction;
-        match self.capacity_profile {
-            CapacityProfile::Uniform => vec![per_server as u64; n],
-            CapacityProfile::Skewed { ratio } => {
-                let weights: Vec<f64> = (0..n)
-                    .map(|i| {
-                        if n == 1 {
-                            1.0
-                        } else {
-                            ratio.powf(i as f64 / (n as f64 - 1.0))
-                        }
-                    })
-                    .collect();
-                let total_weight: f64 = weights.iter().sum();
-                weights
-                    .iter()
-                    .map(|w| (per_server * n as f64 * w / total_weight) as u64)
-                    .collect()
+    /// The placement problem and request trace of this configuration over
+    /// `distances`, whose rows are the `n` servers and then the `m`
+    /// primaries. Every server gets `capacity_fraction` of the corpus and
+    /// every site the configured λ; the trace draws its streams from
+    /// `trace_seed`.
+    pub fn assemble(
+        &self,
+        distances: &DistanceMatrix,
+        catalog: &SiteCatalog,
+        demand: &DemandMatrix,
+        trace_seed: u64,
+    ) -> (PlacementProblem, TraceSpec) {
+        let n = self.hosts.n_servers;
+        let m = self.workload.m_sites;
+        let mut dist_ss = vec![0u32; n * n];
+        for i in 0..n {
+            for k in 0..n {
+                dist_ss[i * n + k] = distances.host_dist(i, k);
             }
         }
+        let mut dist_sp = vec![0u32; n * m];
+        for i in 0..n {
+            for j in 0..m {
+                dist_sp[i * m + j] = distances.host_dist(i, n + j);
+            }
+        }
+        let site_bytes = catalog.sites.iter().map(|s| s.total_bytes).collect();
+        let capacity = (catalog.total_bytes() as f64 * self.capacity_fraction) as u64;
+        let raw_demand = (0..n)
+            .flat_map(|i| (0..m).map(move |j| (i, j)))
+            .map(|(i, j)| demand.requests(i, j))
+            .collect();
+        let problem = PlacementProblem::new(
+            n,
+            m,
+            dist_ss,
+            dist_sp,
+            site_bytes,
+            vec![capacity; n],
+            raw_demand,
+            vec![self.lambda; m],
+            catalog.mean_request_bytes(),
+            self.workload.objects_per_site,
+            self.workload.theta,
+        );
+        let trace = TraceSpec::new(
+            demand,
+            catalog.object_zipf.clone(),
+            self.lambda,
+            self.lambda_mode,
+            trace_seed,
+        );
+        (problem, trace)
     }
 }
 
@@ -172,9 +182,13 @@ pub struct Scenario {
 
 impl Scenario {
     /// Generate the whole instance deterministically from `config`.
+    ///
+    /// # Panics
+    /// Panics with [`ScenarioConfig::validate`]'s message on an invalid
+    /// config.
     pub fn generate(config: &ScenarioConfig) -> Self {
         let _prof = cdn_telemetry::profile::span("scenario.generate");
-        config.validate();
+        config.validate().unwrap_or_else(|msg| panic!("{msg}"));
         let topology = TransitStubTopology::generate(&config.topology, config.seed);
         let hosts = HostPlacement::place(
             &topology,
@@ -183,73 +197,17 @@ impl Scenario {
         );
         let distances = DistanceMatrix::compute(&topology.graph, &hosts.host_rows());
         let catalog = SiteCatalog::generate(&config.workload, config.seed ^ 0x2545_f491_4f6c_dd1d);
-        let n = config.hosts.n_servers;
-        let m = config.workload.m_sites;
-        assert_eq!(
-            m, config.hosts.m_primaries,
-            "workload sites must match primary count"
+        let demand = DemandMatrix::generate(
+            &catalog,
+            config.hosts.n_servers,
+            config.seed ^ 0x9e37_79b9_7f4a_7c15,
         );
-        let demand = DemandMatrix::generate(&catalog, n, config.seed ^ 0x9e37_79b9_7f4a_7c15);
-
-        // Per-site λ_j (paper §3.3): uniform around the configured mean.
-        let lambdas: Vec<f64> = if config.lambda_spread == 0.0 {
-            vec![config.lambda; m]
-        } else {
-            use rand::rngs::StdRng;
-            use rand::{Rng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(config.seed ^ 0x94d0_49bb_1331_11eb);
-            (0..m)
-                .map(|_| {
-                    (config.lambda + rng.gen_range(-config.lambda_spread..=config.lambda_spread))
-                        .clamp(0.0, 1.0)
-                })
-                .collect()
-        };
-
-        // Flatten host-to-host distances: servers are rows 0..n, primaries
-        // rows n..n+m of the distance matrix.
-        let mut dist_ss = vec![0u32; n * n];
-        for i in 0..n {
-            for k in 0..n {
-                dist_ss[i * n + k] = distances.host_dist(i, k);
-            }
-        }
-        let mut dist_sp = vec![0u32; n * m];
-        for i in 0..n {
-            for j in 0..m {
-                dist_sp[i * m + j] = distances.host_dist(i, n + j);
-            }
-        }
-
-        let site_bytes: Vec<u64> = catalog.sites.iter().map(|s| s.total_bytes).collect();
-        let capacities = config.capacities(n, catalog.total_bytes());
-        let raw_demand: Vec<u64> = (0..n)
-            .flat_map(|i| (0..m).map(move |j| (i, j)))
-            .map(|(i, j)| demand.requests(i, j))
-            .collect();
-
-        let problem = PlacementProblem::new(
-            n,
-            m,
-            dist_ss,
-            dist_sp,
-            site_bytes,
-            capacities,
-            raw_demand,
-            lambdas.clone(),
-            catalog.mean_request_bytes(),
-            config.workload.objects_per_site,
-            config.workload.theta,
-        );
-
-        let trace = TraceSpec::with_per_site_lambda(
+        let (problem, trace) = config.assemble(
+            &distances,
+            &catalog,
             &demand,
-            catalog.object_zipf.clone(),
-            lambdas,
-            config.lambda_mode,
             config.seed ^ 0xbf58_476d_1ce4_e5b9,
         );
-
         Self {
             config: config.clone(),
             topology,
@@ -380,31 +338,25 @@ mod tests {
         assert_eq!(a.problem.dist_primary(0, 0), b.problem.dist_primary(0, 0));
     }
 
-    #[test]
-    fn lambda_spread_produces_heterogeneous_sites() {
-        let mut cfg = ScenarioConfig::small();
-        cfg.lambda = 0.2;
-        cfg.lambda_spread = 0.15;
-        let s = Scenario::generate(&cfg);
-        let lambdas = &s.problem.lambda;
-        assert!(lambdas.iter().all(|l| (0.05..=0.35).contains(l)));
-        let min = lambdas.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = lambdas.iter().cloned().fold(0.0f64, f64::max);
-        assert!(max - min > 0.05, "spread too small: {min}..{max}");
-        let mean = lambdas.iter().sum::<f64>() / lambdas.len() as f64;
-        assert!((mean - 0.2).abs() < 0.07, "mean {mean}");
-        // Trace carries the same per-site values.
-        for (j, &l) in lambdas.iter().enumerate() {
-            assert_eq!(s.trace.lambda_for_site(j), l);
-        }
+    /// `s` with per-site λs from 0 to 0.3, set on the problem and the
+    /// trace directly (paper §3.3: every site has its own λ_j).
+    fn with_site_lambdas(mut s: Scenario) -> Scenario {
+        let m = s.problem.m_sites();
+        let lambdas: Vec<f64> = (0..m).map(|j| 0.3 * j as f64 / (m - 1) as f64).collect();
+        s.problem.lambda = lambdas.clone();
+        s.trace = TraceSpec::with_per_site_lambda(
+            &s.demand,
+            s.catalog.object_zipf.clone(),
+            lambdas,
+            s.config.lambda_mode,
+            s.config.seed ^ 0xbf58_476d_1ce4_e5b9,
+        );
+        s
     }
 
     #[test]
     fn heterogeneous_lambda_prediction_still_tracks_simulation() {
-        let mut cfg = ScenarioConfig::small();
-        cfg.lambda = 0.15;
-        cfg.lambda_spread = 0.15;
-        let s = Scenario::generate(&cfg);
+        let s = with_site_lambdas(Scenario::generate(&ScenarioConfig::small()));
         let plan = s.plan(crate::Strategy::Hybrid);
         let predicted = plan.predicted_mean_hops(&s.problem);
         let actual = s.simulate(&plan).mean_cost_hops;
@@ -413,29 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn skewed_capacities_preserve_fleet_total() {
-        let mut cfg = ScenarioConfig::small();
-        cfg.capacity_profile = CapacityProfile::Skewed { ratio: 8.0 };
-        let s = Scenario::generate(&cfg);
-        let uniform_total = (s.catalog.total_bytes() as f64 * cfg.capacity_fraction) as u64
-            * s.problem.n_servers() as u64;
-        let skewed_total: u64 = s.problem.capacities.iter().sum();
-        let rel = (skewed_total as f64 - uniform_total as f64).abs() / uniform_total as f64;
-        assert!(rel < 0.001, "fleet total drifted by {rel}");
-        // Monotone ramp with the configured extremes.
-        let first = s.problem.capacities[0] as f64;
-        let last = *s.problem.capacities.last().unwrap() as f64;
-        assert!((last / first - 8.0).abs() < 0.1, "ratio {}", last / first);
-        for w in s.problem.capacities.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-    }
-
-    #[test]
     fn hybrid_handles_heterogeneous_fleet() {
-        let mut cfg = ScenarioConfig::small();
-        cfg.capacity_profile = CapacityProfile::Skewed { ratio: 10.0 };
-        let s = Scenario::generate(&cfg);
+        // Server i gets a share of the fleet's storage growing tenfold from
+        // the first server to the last.
+        let mut s = Scenario::generate(&ScenarioConfig::small());
+        let n = s.problem.n_servers();
+        let total: u64 = s.problem.capacities.iter().sum();
+        let weights: Vec<f64> = (0..n)
+            .map(|i| 10f64.powf(i as f64 / (n - 1) as f64))
+            .collect();
+        let sum: f64 = weights.iter().sum();
+        s.problem.capacities = weights
+            .iter()
+            .map(|w| (total as f64 * w / sum) as u64)
+            .collect();
         let plan = s.plan(crate::Strategy::Hybrid);
         plan.placement.validate(&s.problem);
         let report = s.simulate(&plan);
@@ -443,7 +386,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    fn every_field_rule_names_its_field() {
+        let err = |edit: fn(&mut ScenarioConfig)| {
+            let mut cfg = ScenarioConfig::small();
+            edit(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        assert_eq!(
+            err(|c| c.capacity_fraction = 2.0),
+            "capacity_fraction must be in (0, 1], got 2"
+        );
+        assert!(err(|c| c.capacity_fraction = f64::NAN).starts_with("capacity_fraction"));
+        assert_eq!(
+            err(|c| c.lambda = -0.5),
+            "lambda must be in [0, 1], got -0.5"
+        );
+        assert!(err(|c| c.hosts.m_primaries += 1).starts_with("workload.m_sites"));
+        let no_sites = |c: &mut ScenarioConfig| {
+            c.workload.m_sites = 0;
+            c.hosts.m_primaries = 0;
+        };
+        assert_eq!(err(no_sites), "m_sites must be at least 1, got 0");
+        assert!(err(|c| c.sim.warmup_fraction = 1.0).starts_with("warmup_fraction"));
+        assert_eq!(ScenarioConfig::small().validate(), Ok(()));
+    }
+
+    // `validate` reports the error; `Scenario::generate` panics with the
+    // same message.
+    #[test]
+    #[should_panic(expected = "capacity_fraction must be in (0, 1], got 0")]
     fn zero_capacity_rejected() {
         let mut cfg = ScenarioConfig::small();
         cfg.capacity_fraction = 0.0;
@@ -451,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "workload.m_sites must equal hosts.m_primaries")]
     fn mismatched_sites_and_primaries_rejected() {
         let mut cfg = ScenarioConfig::small();
         cfg.hosts.m_primaries = cfg.workload.m_sites + 1;

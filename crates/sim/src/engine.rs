@@ -12,42 +12,15 @@ use cdn_workload::{Flavor, Request};
 /// latency plus a map of object -> (tick the fetch completes, fetch hops).
 type InflightTable = (u64, FxHashMap<ObjectKey, (u64, u32)>);
 
-/// Per-site tallies over one server's *measured* requests, gathered only
-/// when telemetry is enabled. Everything here is deterministic: the
-/// request stream, routing, and fault schedule are all seed-derived.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SiteObs {
-    /// Served locally: a replica hit or a cache hit.
-    pub local_hits: u64,
-    /// Coalesced onto a pending fetch of the same object; kept out of
-    /// `local_hits`, as the run, server and window buckets keep them.
-    pub delayed_hits: u64,
-    /// Travelled to a holder with no dead copies skipped.
-    pub remote_fetches: u64,
-    /// Travelled to a holder after skipping at least one dead copy.
-    pub failovers: u64,
-    /// No live copy existed anywhere.
-    pub failed: u64,
-}
-
-impl SiteObs {
-    fn record(&mut self, cause: Cause) {
-        match cause {
-            Cause::ReplicaHit | Cause::CacheHit => self.local_hits += 1,
-            Cause::DelayedHit => self.delayed_hits += 1,
-            Cause::RemoteReplica | Cause::OriginFetch => self.remote_fetches += 1,
-            Cause::Failover => self.failovers += 1,
-            Cause::Failed => self.failed += 1,
-        }
-    }
-}
-
-/// Deterministic per-server observability: per-site tallies plus a
-/// whole-stream (warm-up included) snapshot of the cache's own counters —
-/// the eviction/insertion/rejection totals the trace reports.
+/// Deterministic per-server observability, gathered only when telemetry
+/// is enabled: one [`Tally`] per site over the server's *measured*
+/// requests, plus a whole-stream (warm-up included) snapshot of the
+/// cache's own counters — the eviction/insertion/rejection totals the
+/// trace reports. Everything here is deterministic: the request stream,
+/// routing, and fault schedule are all seed-derived.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineObs {
-    pub per_site: Vec<SiteObs>,
+    pub per_site: Vec<Tally>,
     pub cache: CacheStats,
 }
 
@@ -289,6 +262,9 @@ pub fn resolve(
 /// the stream start (warm-up included). Every latency is accounted in
 /// whole microseconds: `HOP_DELAY_US × (1 + hops)` plus one retry penalty
 /// per dead holder skipped.
+///
+/// # Panics
+/// Panics with [`SimConfig::validate`]'s message on an invalid `config`.
 pub fn simulate_server_faulted<I>(
     plan: &ServerPlan,
     config: &SimConfig,
@@ -301,7 +277,7 @@ pub fn simulate_server_faulted<I>(
 where
     I: Iterator<Item = Request>,
 {
-    config.validate();
+    config.validate().unwrap_or_else(|msg| panic!("{msg}"));
     let no_faults = FaultSchedule::default();
     let schedule = schedule.unwrap_or(&no_faults);
     let retry_penalty_us = config.faults.map_or(0, |f| f.retry_penalty_us());
@@ -314,8 +290,8 @@ where
         (config.window > 0).then(|| TimelineAcc::new(config.window));
     // Per-site tallies: local to this server's loop, so plain (non-atomic)
     // counts; gated once per run on the global telemetry flag.
-    let mut site_obs: Option<Vec<SiteObs>> =
-        telemetry::enabled().then(|| vec![SiteObs::default(); plan.replicated.len()]);
+    let mut site_tallies: Option<Vec<Tally>> =
+        telemetry::enabled().then(|| vec![Tally::default(); plan.replicated.len()]);
     // In-flight fetch table for delayed-hit coalescing: object -> (tick
     // the pending fetch completes, hops that fetch travels). Allocated
     // only for a positive fetch latency; `None` and `Some(0)` take the
@@ -369,7 +345,10 @@ where
                     Some(&(ready, fetch_hops)) if tick < ready => Some(fetch_hops),
                     _ => {
                         if routed.resolution == Resolution::CacheMiss {
-                            table.insert(key, (tick + *fetch_ticks, routed.hops));
+                            // A fetch that would land past the last tick
+                            // never completes within the stream.
+                            let ready = tick.saturating_add(*fetch_ticks);
+                            table.insert(key, (ready, routed.hops));
                         } else {
                             table.remove(&key);
                         }
@@ -389,8 +368,8 @@ where
         if let Some(tl) = timeline.as_mut() {
             tl.record(req.site, &outcome);
         }
-        if let Some(obs) = site_obs.as_mut() {
-            obs[req.site as usize].record(cause);
+        if let Some(sites) = site_tallies.as_mut() {
+            sites[req.site as usize].record(&outcome);
         }
         if cause != Cause::Failed {
             histogram.record(outcome.latency_us);
@@ -439,7 +418,7 @@ where
         total_bytes: tally.total_bytes,
         origin_bytes: tally.origin_bytes,
         tally,
-        obs: site_obs.map(|per_site| EngineObs {
+        obs: site_tallies.map(|per_site| EngineObs {
             per_site,
             cache: *cache.stats(),
         }),
@@ -1074,6 +1053,37 @@ mod tests {
         assert_eq!(off.cache_hits, zero.cache_hits);
         assert_eq!(off.histogram.bin_counts(), zero.histogram.bin_counts());
         assert_eq!(off.tally, zero.tally);
+    }
+
+    #[test]
+    fn a_fetch_latency_past_the_stream_never_completes() {
+        // `tick + u64::MAX` once overflowed at the first miss past tick 0:
+        // a panic in debug builds, and in release a completion tick that
+        // wrapped into the past, so the fetch had already landed. It now
+        // stays in flight for the whole stream.
+        let p = plan(vec![false], vec![3], 1000);
+        let cfg = SimConfig {
+            fetch_latency: Some(u64::MAX),
+            ..Default::default()
+        };
+        let stream = vec![
+            req(0, 2, Flavor::Normal), // tick 0: miss, fetch in flight
+            req(0, 1, Flavor::Normal), // tick 1: miss, fetch in flight
+            req(0, 1, Flavor::Normal), // tick 2: delayed hit
+            req(0, 1, Flavor::Normal), // tick 3: delayed hit
+        ];
+        let report = simulate_server_faulted(
+            &p,
+            &cfg,
+            stream.into_iter(),
+            0,
+            |_, _| 10,
+            Box::new(Lru::new(p.cache_bytes)),
+            None,
+        );
+        assert_eq!(report.origin_fetches, 2);
+        assert_eq!(report.delayed_hits, 2);
+        assert_eq!(report.cache_hits, 0);
     }
 
     #[test]

@@ -53,23 +53,33 @@ impl Default for FaultParams {
 }
 
 impl FaultParams {
-    /// # Panics
-    /// Panics on non-positive MTTF/MTTR, an outage fraction outside
-    /// `[0, 1)`, or a retry penalty outside `[0, MAX_RETRY_PENALTY_MS]`.
-    pub fn validate(&self) {
-        assert!(self.mttf > 0.0, "MTTF must be positive");
-        assert!(
-            self.mttr > 0.0 && self.mttr.is_finite(),
-            "MTTR must be positive and finite"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.origin_outage),
-            "origin outage fraction must be in [0, 1)"
-        );
-        assert!(
-            (0.0..=MAX_RETRY_PENALTY_MS).contains(&self.retry_penalty_ms),
-            "retry penalty must be in [0, {MAX_RETRY_PENALTY_MS}] ms"
-        );
+    /// Check every rule of these parameters: a positive MTTF (`inf`, the
+    /// default, means "never fails"; NaN is rejected), a positive, finite
+    /// MTTR, an origin-outage fraction in `[0, 1)`, and a retry penalty in
+    /// `[0, MAX_RETRY_PENALTY_MS]`. The error names the field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.mttf.is_nan() || self.mttf <= 0.0 {
+            return Err(format!("mttf must be positive, got {}", self.mttf));
+        }
+        if !(self.mttr > 0.0 && self.mttr.is_finite()) {
+            return Err(format!(
+                "mttr must be positive and finite, got {}",
+                self.mttr
+            ));
+        }
+        if !(0.0..1.0).contains(&self.origin_outage) {
+            return Err(format!(
+                "origin_outage must be in [0, 1), got {}",
+                self.origin_outage
+            ));
+        }
+        if !(0.0..=MAX_RETRY_PENALTY_MS).contains(&self.retry_penalty_ms) {
+            return Err(format!(
+                "retry_penalty_ms must be in [0, {MAX_RETRY_PENALTY_MS}], got {}",
+                self.retry_penalty_ms
+            ));
+        }
+        Ok(())
     }
 
     /// The retry penalty in whole microseconds, the unit the engine
@@ -163,8 +173,12 @@ impl FaultSchedule {
 
     /// Generate the full schedule for `n_servers` streams of up to
     /// `horizon` ticks each.
+    ///
+    /// # Panics
+    /// Panics with [`FaultParams::validate`]'s message on invalid
+    /// parameters.
     pub fn generate(params: &FaultParams, n_servers: usize, horizon: u64) -> Self {
-        params.validate();
+        params.validate().unwrap_or_else(|msg| panic!("{msg}"));
         let down = (0..n_servers)
             .map(|i| {
                 // Per-server sub-seed: `seed_from_u64` runs SplitMix64, so
@@ -352,7 +366,7 @@ mod tests {
         // At the bound, a request skipping every holder it could still has
         // a latency that fits in u64 µs.
         let max = penalty(MAX_RETRY_PENALTY_MS);
-        max.validate();
+        assert_eq!(max.validate(), Ok(()));
         let skips = u64::from(u32::MAX);
         let worst = max
             .retry_penalty_us()
@@ -361,23 +375,45 @@ mod tests {
         assert!(worst.is_some());
     }
 
+    // `validate` reports each rule; `FaultSchedule::generate` panics with
+    // the same message.
     #[test]
-    #[should_panic(expected = "retry penalty")]
+    #[should_panic(expected = "retry_penalty_ms must be in [0, 3600000], got 7200000")]
     fn oversized_retry_penalty_rejected() {
-        FaultParams {
+        let p = FaultParams {
             retry_penalty_ms: 2.0 * MAX_RETRY_PENALTY_MS,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert!(p.validate().is_err());
+        FaultSchedule::generate(&p, 1, 10);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "origin_outage must be in [0, 1), got 1")]
     fn invalid_outage_fraction_rejected() {
-        FaultParams {
+        let p = FaultParams {
             origin_outage: 1.0,
             ..Default::default()
+        };
+        assert!(p.validate().is_err());
+        FaultSchedule::generate(&p, 1, 10);
+    }
+
+    #[test]
+    fn mttf_must_be_positive_and_may_be_infinite() {
+        let mttf = |mttf| FaultParams {
+            mttf,
+            ..Default::default()
+        };
+        for bad in [0.0, -1.0, f64::NAN, f64::NEG_INFINITY] {
+            let err = mttf(bad).validate().unwrap_err();
+            assert!(err.starts_with("mttf must be positive, got"), "{err}");
         }
-        .validate();
+        assert_eq!(mttf(f64::INFINITY).validate(), Ok(()), "never fails");
+        let mttr = FaultParams {
+            mttr: f64::INFINITY,
+            ..Default::default()
+        };
+        assert!(mttr.validate().unwrap_err().contains("mttr"));
     }
 }

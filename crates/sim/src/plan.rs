@@ -138,18 +138,21 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    pub(crate) fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.warmup_fraction),
-            "warm-up fraction must be in [0, 1)"
-        );
-        assert!(
-            self.shards != Some(0),
-            "shards must be at least 1 (or None for the default)"
-        );
-        if let Some(faults) = &self.faults {
-            faults.validate();
+    /// Check every rule of this configuration: a warm-up fraction in
+    /// `[0, 1)`, a shard count of at least 1 when one is given, and valid
+    /// fault parameters ([`FaultParams::validate`]). The error names the
+    /// field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..1.0).contains(&self.warmup_fraction) {
+            return Err(format!(
+                "warmup_fraction must be in [0, 1), got {}",
+                self.warmup_fraction
+            ));
         }
+        if self.shards == Some(0) {
+            return Err("shards must be at least 1 (or None for the default), got 0".into());
+        }
+        self.faults.as_ref().map_or(Ok(()), FaultParams::validate)
     }
 }
 
@@ -239,16 +242,45 @@ mod tests {
     #[test]
     fn default_config_is_papers() {
         assert_eq!(HOP_DELAY_US, 20_000);
-        SimConfig::default().validate();
+        assert_eq!(SimConfig::default().validate(), Ok(()));
     }
 
+    // `validate` reports the error; the engine panics with the same
+    // message.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "warmup_fraction must be in [0, 1), got 1")]
     fn full_warmup_rejected() {
         let c = SimConfig {
             warmup_fraction: 1.0,
             ..Default::default()
         };
-        c.validate();
+        assert!(c.validate().is_err());
+        let p = tiny_problem();
+        let plan = ServerPlan::from_placement(&p, &Placement::primaries_only(&p), 0);
+        let cache = Box::new(cdn_cache::LruCache::new(plan.cache_bytes));
+        crate::simulate_server_faulted(&plan, &c, std::iter::empty(), 0, |_, _| 1, cache, None);
+    }
+
+    #[test]
+    fn every_field_rule_names_its_field() {
+        let err = |c: SimConfig| c.validate().unwrap_err();
+        let shards = SimConfig {
+            shards: Some(0),
+            ..Default::default()
+        };
+        assert!(err(shards).starts_with("shards"));
+        let warmup = SimConfig {
+            warmup_fraction: f64::NAN,
+            ..Default::default()
+        };
+        assert!(err(warmup).starts_with("warmup_fraction"));
+        let faults = SimConfig {
+            faults: Some(FaultParams {
+                origin_outage: -0.5,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        assert_eq!(err(faults), "origin_outage must be in [0, 1), got -0.5");
     }
 }

@@ -7,7 +7,7 @@
 //! buckets are read off the run's tally once. See the [`crate::shard`]
 //! module for the determinism contract.
 
-use crate::engine::{simulate_server_faulted, ServerReport, SiteObs};
+use crate::engine::{simulate_server_faulted, ServerReport};
 use crate::fault::FaultSchedule;
 use crate::metrics::{Cause, LatencyHistogram, RequestSample, ServerSummary, SimReport, Tally};
 use crate::plan::{ServerPlan, SimConfig};
@@ -56,6 +56,9 @@ pub fn simulate_system(
 /// the entry point for non-stationary workloads (e.g. popularity drift via
 /// `cdn_workload::Drifted`). `lengths[i]` must be stream `i`'s length (used
 /// to size the warm-up window).
+///
+/// # Panics
+/// Panics with [`SimConfig::validate`]'s message on an invalid `config`.
 pub fn simulate_system_streams<F, I>(
     problem: &PlacementProblem,
     placement: &Placement,
@@ -69,7 +72,7 @@ where
     F: Fn(usize) -> I + Sync,
     I: Iterator<Item = Request>,
 {
-    config.validate();
+    config.validate().unwrap_or_else(|msg| panic!("{msg}"));
     assert_eq!(
         catalog.m(),
         problem.m_sites(),
@@ -297,20 +300,23 @@ fn server_trace_buffer(report: &ServerReport) -> TraceBuffer {
     }
     buf.event("sim.server", fields);
     if let Some(obs) = &report.obs {
-        let quiet = SiteObs::default();
-        for (site, o) in obs.per_site.iter().enumerate() {
-            if *o == quiet {
+        for (site, t) in obs.per_site.iter().enumerate() {
+            if t.requests() == 0 {
                 continue;
             }
+            let c = &t.cause;
             buf.event(
                 "sim.site",
                 vec![
                     ("site", Value::from(site)),
-                    ("local_hits", Value::U64(o.local_hits)),
-                    ("delayed_hits", Value::U64(o.delayed_hits)),
-                    ("remote_fetches", Value::U64(o.remote_fetches)),
-                    ("failovers", Value::U64(o.failovers)),
-                    ("failed", Value::U64(o.failed)),
+                    ("local_hits", Value::U64(t.local_requests())),
+                    ("delayed_hits", Value::U64(c.delayed_hit.requests)),
+                    (
+                        "remote_fetches",
+                        Value::U64(c.remote_replica.requests + c.origin_fetch.requests),
+                    ),
+                    ("failovers", Value::U64(c.failover.requests)),
+                    ("failed", Value::U64(c.failed.requests)),
                 ],
             );
         }

@@ -136,13 +136,14 @@ impl WorkloadConfig {
 
     /// Check the configuration: at least one site and one object per
     /// site, a finite non-negative θ, and class fractions that are
-    /// non-negative and sum to at most 1.
+    /// non-negative and sum to at most 1. The error names the field and
+    /// its value.
     pub fn validate(&self) -> Result<(), String> {
         if self.m_sites == 0 {
-            return Err("need at least one site".into());
+            return Err("m_sites must be at least 1, got 0".into());
         }
         if self.objects_per_site == 0 {
-            return Err("need at least one object per site".into());
+            return Err("objects_per_site must be at least 1, got 0".into());
         }
         if !(self.theta >= 0.0 && self.theta.is_finite()) {
             return Err(format!(
@@ -152,7 +153,11 @@ impl WorkloadConfig {
         }
         let mix = &self.class_mix;
         if !(mix.low_frac >= 0.0 && mix.medium_frac >= 0.0 && mix.high_frac() >= -1e-12) {
-            return Err("class fractions must be non-negative and sum to at most 1".into());
+            return Err(format!(
+                "class_mix fractions must be non-negative and sum to at most 1, \
+                 got low {} and medium {}",
+                mix.low_frac, mix.medium_frac
+            ));
         }
         Ok(())
     }
@@ -183,7 +188,7 @@ mod tests {
     // `validate` reports the error; `SiteCatalog::generate` still panics
     // with the same message.
     #[test]
-    #[should_panic(expected = "need at least one site")]
+    #[should_panic(expected = "m_sites must be at least 1, got 0")]
     fn zero_sites_rejected() {
         let mut c = WorkloadConfig::small();
         c.m_sites = 0;
@@ -192,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "class fractions must be non-negative")]
+    #[should_panic(expected = "class_mix fractions must be non-negative")]
     fn overfull_class_mix_rejected() {
         let mut c = WorkloadConfig::small();
         c.class_mix.low_frac = 0.9;

@@ -16,21 +16,10 @@ use crate::trace::Request;
 /// Drift parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DriftConfig {
-    /// Requests between rotations of the rank map. `u64::MAX` disables
-    /// drift entirely.
+    /// Requests between rotations of the rank map.
     pub rotation_period: u64,
     /// Objects per site (the modulus of the rotation).
     pub objects_per_site: u32,
-}
-
-impl DriftConfig {
-    /// No drift: the identity transform.
-    pub fn stationary(objects_per_site: u32) -> Self {
-        Self {
-            rotation_period: u64::MAX,
-            objects_per_site,
-        }
-    }
 }
 
 /// Iterator adaptor applying popularity drift to a request stream.
@@ -61,11 +50,7 @@ impl<I> Drifted<I> {
 
     /// Current rotation epoch.
     fn epoch(&self) -> u64 {
-        if self.config.rotation_period == u64::MAX {
-            0
-        } else {
-            self.emitted / self.config.rotation_period
-        }
+        self.emitted / self.config.rotation_period
     }
 }
 
@@ -104,9 +89,13 @@ mod tests {
 
     #[test]
     fn stationary_config_is_identity() {
+        // A period no shorter than the stream never rotates.
         let input = reqs(&[0, 1, 2, 3, 4]);
-        let out: Vec<Request> =
-            Drifted::new(input.clone().into_iter(), DriftConfig::stationary(10)).collect();
+        let cfg = DriftConfig {
+            rotation_period: input.len() as u64,
+            objects_per_site: 10,
+        };
+        let out: Vec<Request> = Drifted::new(input.clone().into_iter(), cfg).collect();
         assert_eq!(out, input);
     }
 
@@ -179,7 +168,11 @@ mod tests {
     #[test]
     fn size_hint_passthrough() {
         let input = reqs(&[1, 2, 3]);
-        let d = Drifted::new(input.into_iter(), DriftConfig::stationary(5));
+        let cfg = DriftConfig {
+            rotation_period: 1,
+            objects_per_site: 5,
+        };
+        let d = Drifted::new(input.into_iter(), cfg);
         assert_eq!(d.size_hint(), (3, Some(3)));
     }
 
