@@ -16,7 +16,11 @@
 //! The hybrid placement algorithm evaluates that hit ratio thousands of
 //! times per iteration, so — exactly as the paper prescribes — we memoise it
 //! on a quantised `(p, K)` grid ([`table::HitRatioTable`]), making each
-//! evaluation O(1) after the first.
+//! evaluation O(1) after the first. The grid is filled a row at a time:
+//! Equation 1's series for one popularity at many horizons computes each
+//! object's `ln(1 − p_k)` once and shares it across the row, so a cell
+//! costs L `exp_m1` calls and its row L `ln_1p` calls in all. A
+//! single-cell query is the one-horizon row.
 //!
 //! [`che`] implements Che's approximation as an independent oracle for the
 //! model-accuracy ablation, and [`validation`] measures ground truth by

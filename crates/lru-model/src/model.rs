@@ -7,11 +7,10 @@ use std::sync::{Arc, OnceLock};
 
 /// Cached registry handles for the Eq. (1) hot loop. Handles survive
 /// `telemetry::reset_metrics()` (values are zeroed in place), so caching
-/// them once per process is safe and keeps the instrumented path at one
-/// relaxed atomic add per evaluation.
+/// them once per process is safe and keeps the instrumented path at two
+/// relaxed atomic adds per accounted batch of evaluations.
 struct SeriesCounters {
     terms: Arc<telemetry::Counter>,
-    cutoffs: Arc<telemetry::Counter>,
     evals: Arc<telemetry::Counter>,
 }
 
@@ -21,43 +20,19 @@ fn series_counters() -> &'static SeriesCounters {
         let reg = telemetry::registry();
         SeriesCounters {
             terms: reg.counter("lru_model.series_terms"),
-            cutoffs: reg.counter("lru_model.tail_cutoffs"),
             evals: reg.counter("lru_model.evaluations"),
         }
     })
 }
 
-/// The work of one Eq. (1) query, in the units of the `lru_model.*`
-/// counters. A degenerate query (`K ≤ 0` or `p ≤ 0`) sums no series and
-/// does no work.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SeriesWork {
-    evaluations: u64,
-    terms: u64,
-    cutoffs: u64,
-}
-
-impl SeriesWork {
-    /// Flush into the registry as commutative atomic adds: totals are exact
-    /// for any thread schedule.
-    pub(crate) fn account(self) {
-        if self.evaluations > 0 && telemetry::enabled() {
-            let c = series_counters();
-            c.evals.add(self.evaluations);
-            c.terms.add(self.terms);
-            c.cutoffs.add(self.cutoffs);
-        }
-    }
-}
-
-/// `1 − (1 − p)^K` for `p ∈ [0, 1]`, `K > 0`, evaluated as
-/// `−expm1(K·ln_1p(−p))`: one log/exp pair instead of `powf`, and
-/// better-conditioned where the Zipf tail lives (`p → 0` would round
-/// inside the naive `1 − p`). The endpoints fall out exactly: `p = 0`
-/// gives 0 and `p = 1` gives `−expm1(−∞) = 1`.
+/// `1 − (1 − p)^K` for `p ∈ [0, 1]`, `K > 0`, given `ln_miss = ln(1 − p)`,
+/// evaluated as `−expm1(K·ln_miss)`: one exp per (object, horizon) instead
+/// of `powf`, and better-conditioned where the Zipf tail lives (`p → 0`
+/// would round inside the naive `1 − p`). The endpoints fall out exactly:
+/// `p = 0` gives 0 and `p = 1` gives `−expm1(−∞) = 1`.
 #[inline]
-fn residency(p: f64, k: f64) -> f64 {
-    -(k * (-p).ln_1p()).exp_m1()
+fn residency(ln_miss: f64, k: f64) -> f64 {
+    -(k * ln_miss).exp_m1()
 }
 
 /// The analytical LRU model for one population of sites that all share a
@@ -204,41 +179,53 @@ impl LruModel {
     /// server) achieves, given eviction horizon `k`:
     ///
     /// `h = Σ_{rank=1..L} [1 − (1 − p_site·α/rank^θ)^K] · α/rank^θ`
+    ///
+    /// A degenerate query (`K ≤ 0` or `p_site ≤ 0`) is 0 and sums no series.
     pub fn site_hit_ratio(&self, p_site: f64, k: f64) -> f64 {
-        let (h, work) = self.evaluate(p_site, k);
-        work.account();
-        h
+        if k <= 0.0 || p_site <= 0.0 {
+            return 0.0;
+        }
+        let mut h = [0.0];
+        self.hit_ratios(p_site, &[k], &mut h);
+        self.account_series(1);
+        h[0]
     }
 
-    /// [`Self::site_hit_ratio`] with its series work returned instead of
-    /// accounted. A memo table evaluates with no lock held and accounts
-    /// only the fill whose insert wins, so the counters count each cell
-    /// once whatever the thread schedule.
-    pub(crate) fn evaluate(&self, p_site: f64, k: f64) -> (f64, SeriesWork) {
-        let mut work = SeriesWork::default();
-        if k <= 0.0 || p_site <= 0.0 {
-            return (0.0, work);
-        }
-        work.evaluations = 1;
-        let mut h = 0.0;
-        // Hot loop (memo-table fills): iterate the precomputed pmf directly,
-        // with `residency` replacing the old per-entry `powf`.
+    /// Equation (1) at every horizon of `ks`, into `out`: one row of the
+    /// `(p, K)` grid, summed in one pass over the ranks. Each rank's
+    /// `ln(1 − p_site·pmf)` depends on the popularity alone, so the row
+    /// pays L `ln_1p` calls and `ks.len()·L` `exp_m1` calls, and each
+    /// horizon's terms are summed in rank order, exactly as a one-horizon
+    /// row sums them. The work is the caller's to account (see
+    /// [`Self::account_series`]): a memo table accounts only the cells
+    /// whose insert wins.
+    ///
+    /// `p_site` and every horizon must be positive; degenerate queries sum
+    /// no series and are the caller's to answer.
+    pub(crate) fn hit_ratios(&self, p_site: f64, ks: &[f64], out: &mut [f64]) {
+        assert_eq!(ks.len(), out.len(), "one output per horizon");
+        out.fill(0.0);
         for &pmf in self.zipf.pmf_slice() {
-            let p = (p_site * pmf).clamp(0.0, 1.0);
-            // Tail cut-off. The pmf is non-increasing, so from here on every
-            // term obeys 1 − (1−p)^K ≤ K·p/(1−p) ≤ 2·K·p (valid for any
-            // K > 0 once p < ½), and the whole remaining tail sums to at
-            // most Σ 2K·p_site·pmf² ≤ 2K·p_site·pmf·Σpmf ≤ 2K·p_site·pmf
-            // < 1e-14 — two orders inside the 1e-12 accuracy the regression
-            // test asserts against the naive sum.
-            if p < 0.5 && 2.0 * k * p < 1e-14 {
-                work.cutoffs = 1;
-                break;
+            let ln_miss = (-(p_site * pmf).clamp(0.0, 1.0)).ln_1p();
+            for (h, &k) in out.iter_mut().zip(ks) {
+                *h += residency(ln_miss, k) * pmf;
             }
-            work.terms += 1;
-            h += residency(p, k) * pmf;
         }
-        (h.min(1.0), work)
+        for h in out {
+            *h = h.min(1.0);
+        }
+    }
+
+    /// Add `evaluations` Eq. (1) series, of L terms each, to the
+    /// `lru_model.*` counters. The adds are commutative atomics, so totals
+    /// are exact for any thread schedule.
+    pub(crate) fn account_series(&self, evaluations: u64) {
+        if evaluations > 0 && telemetry::enabled() {
+            let c = series_counters();
+            c.evals.add(evaluations);
+            c.terms
+                .add(evaluations * self.zipf.pmf_slice().len() as u64);
+        }
     }
 
     /// Buffer size in objects for `cache_bytes` of space and mean request
@@ -380,6 +367,7 @@ mod tests {
     fn object_hit_prob_bounds() {
         // `residency` is one object's steady-state hit probability,
         // `1 − (1 − p)^K`.
+        let residency = |p: f64, k: f64| residency((-p).ln_1p(), k);
         assert_eq!(residency(0.5, 0.0), 0.0);
         assert_eq!(residency(0.0, 100.0), 0.0);
         assert!((residency(1.0, 5.0) - 1.0).abs() < 1e-12);
@@ -428,7 +416,7 @@ mod tests {
 
     #[test]
     fn site_hit_ratio_matches_naive_powf_sum() {
-        // The optimised path (expm1/ln_1p + tail cut-off) must agree with
+        // The optimised path (expm1/ln_1p) must agree with
         // the literal Equation (1) powf sum to 1e-12 across the whole
         // operating envelope: Zipf skews spanning the paper's range, site
         // popularities from negligible to total, and eviction horizons

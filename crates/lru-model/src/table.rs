@@ -7,6 +7,13 @@
 //! the grid lazily (the planner only ever visits a tiny corner of it)
 //! behind a read-write lock so rayon workers can share one table. The lock
 //! is never held across a model evaluation.
+//!
+//! A query names one popularity and any number of horizons: one row of the
+//! grid ([`HitRatioTable::site_hit_ratios`]). Its missing cells are summed
+//! together, sharing each rank's logarithm, so a caller that needs one
+//! site at many buffer sizes (the hybrid planner's shrink memo) pays the
+//! popularity's L logarithms once. A single-cell query is the one-horizon
+//! row.
 
 use crate::model::LruModel;
 use parking_lot::RwLock;
@@ -66,31 +73,82 @@ impl HitRatioTable {
         Self::quantise_k(k.max(0.0)).0
     }
 
-    /// Quantised, memoised `h(p, K)`.
-    ///
-    /// A miss evaluates the model with no lock held, so workers filling
-    /// different cells run in parallel, then inserts unless a racing worker
-    /// got there first. A cell's value is a pure function of its key, so the
-    /// loser's copy is bit-identical and dropped; only the winning insert
-    /// accounts its series work. The model's work counters thus stay a pure
-    /// function of the query set, as the telemetry determinism contract
-    /// requires.
+    /// Quantised, memoised `h(p, K)`: the one-horizon case of
+    /// [`Self::site_hit_ratios`].
     pub fn site_hit_ratio(&self, p: f64, k: f64) -> f64 {
+        let mut h = [0.0];
+        self.site_hit_ratios(p, &[k], &mut h);
+        h[0]
+    }
+
+    /// Quantised, memoised `h(p, K)` at every horizon of `ks`, into `out`.
+    ///
+    /// The row's cells are looked up under the read lock. The missing ones
+    /// are evaluated with no lock held, each distinct cell once and all of
+    /// them from one pass over the ranks, so workers filling different rows
+    /// run in parallel. Each is then inserted unless a racing worker (or an
+    /// earlier horizon of the same row in the same cell) got there first.
+    /// A cell's value is a pure function of its key, so a loser's copy is
+    /// bit-identical and dropped; only winning inserts account their series
+    /// work. The model's work counters thus stay a pure function of the
+    /// set of cells queried, as the telemetry determinism contract
+    /// requires.
+    pub fn site_hit_ratios(&self, p: f64, ks: &[f64], out: &mut [f64]) {
+        let won = self.fill(p, ks, out);
+        self.model.account_series(won);
+    }
+
+    /// [`Self::site_hit_ratios`] without the accounting: returns how many
+    /// series its winning inserts evaluated, for the caller to account.
+    fn fill(&self, p: f64, ks: &[f64], out: &mut [f64]) -> u64 {
+        assert_eq!(ks.len(), out.len(), "one output per horizon");
         let pi = (p.max(0.0) / Self::P_STEP).round() as u64;
-        let (ki, k_q) = Self::quantise_k(k.max(0.0));
-        let key = (pi, ki);
-        if let Some(&h) = self.cells.read().get(&key) {
-            return h;
-        }
-        let (h, work) = self.model.evaluate(pi as f64 * Self::P_STEP, k_q);
-        match self.cells.write().entry(key) {
-            Entry::Occupied(cell) => *cell.get(),
-            Entry::Vacant(cell) => {
-                cell.insert(h);
-                work.account();
-                h
+        // (position in `ks`, K cell, K grid point) of each missed horizon.
+        let mut missed = Vec::new();
+        {
+            let cells = self.cells.read();
+            for (x, (&k, h)) in ks.iter().zip(out.iter_mut()).enumerate() {
+                let (ki, k_q) = Self::quantise_k(k.max(0.0));
+                match cells.get(&(pi, ki)) {
+                    Some(&v) => *h = v,
+                    None => missed.push((x, ki, k_q)),
+                }
             }
         }
+        if missed.is_empty() {
+            return 0;
+        }
+        // The distinct missed cells that sum a series: p cell 0 and K cell
+        // 0 are identically 0.
+        let mut live: Vec<(u64, f64)> = missed
+            .iter()
+            .filter(|&&(_, ki, _)| pi > 0 && ki > 0)
+            .map(|&(_, ki, k_q)| (ki, k_q))
+            .collect();
+        live.sort_unstable_by_key(|&(ki, _)| ki);
+        live.dedup_by_key(|&mut (ki, _)| ki);
+        let mut values = vec![0.0; live.len()];
+        if !live.is_empty() {
+            let horizons: Vec<f64> = live.iter().map(|&(_, k_q)| k_q).collect();
+            self.model
+                .hit_ratios(pi as f64 * Self::P_STEP, &horizons, &mut values);
+        }
+        let mut won = 0;
+        let mut cells = self.cells.write();
+        for (x, ki, _) in missed {
+            let (h, series) = match live.binary_search_by_key(&ki, |&(ki, _)| ki) {
+                Ok(at) => (values[at], 1),
+                Err(_) => (0.0, 0),
+            };
+            out[x] = match cells.entry((pi, ki)) {
+                Entry::Occupied(cell) => *cell.get(),
+                Entry::Vacant(cell) => {
+                    won += series;
+                    *cell.insert(h)
+                }
+            };
+        }
+        won
     }
 
     /// Number of distinct grid cells materialised.
@@ -201,6 +259,54 @@ mod tests {
             "values differ: {bits:?}"
         );
         assert_eq!(t.cells_filled(), 1);
+    }
+
+    #[test]
+    fn row_query_matches_single_queries_bit_for_bit_and_counts_each_cell_once() {
+        // K = 0.5 lands in the K ≈ 0 cell, p = 0 in the zero-popularity
+        // cell, and 10,000 and 10,030 share one 1% cell, so the row query
+        // meets its own earlier insert there.
+        const KS: [f64; 8] = [
+            0.5,
+            1.0,
+            57.0,
+            1234.0,
+            10_000.0,
+            10_030.0,
+            98_765.0,
+            5_000_000.0,
+        ];
+        let model = LruModel::new(500, 1.0);
+        for p in [0.0, HitRatioTable::P_STEP, 0.0123, 0.5, 1.0] {
+            let rows = HitRatioTable::new(model.clone());
+            let singles = HitRatioTable::new(model.clone());
+            let mut row = [0.0; KS.len()];
+            // `fill` returns the series each query accounts to the
+            // `lru_model.*` counters (`evaluations` += n, `series_terms`
+            // += n·L), compared here directly: the crate's other tests
+            // evaluate the model concurrently, so registry deltas would
+            // mix in their work.
+            let row_series = rows.fill(p, &KS, &mut row);
+            let mut single_series = 0;
+            for (&k, &h) in KS.iter().zip(&row) {
+                let mut one = [0.0];
+                single_series += singles.fill(p, &[k], &mut one);
+                assert_eq!(h.to_bits(), one[0].to_bits(), "p={p} K={k}");
+                // Both equal Eq. (1) summed forward over the ranks at the
+                // cell's grid point.
+                let p_q = (p / HitRatioTable::P_STEP).round() as u64 as f64 * HitRatioTable::P_STEP;
+                let (_, k_q) = HitRatioTable::quantise_k(k);
+                let mut want = 0.0;
+                if p_q > 0.0 && k_q > 0.0 {
+                    for &pmf in model.zipf().pmf_slice() {
+                        want += -(k_q * (-(p_q * pmf).clamp(0.0, 1.0)).ln_1p()).exp_m1() * pmf;
+                    }
+                }
+                assert_eq!(h.to_bits(), want.min(1.0).to_bits(), "p={p} K={k}");
+            }
+            assert_eq!(row_series, single_series, "p={p}");
+            assert_eq!(rows.cells_filled(), singles.cells_filled(), "p={p}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! scan ([`HybridConfig::dense_scan`]) at any thread count.
 
 use crate::cost::predicted_cost;
-use crate::oracle::{memoised, CheOracle, ClosedFormOracle, HitRatioOracle, PaperOracle};
+use crate::oracle::{CheOracle, ClosedFormOracle, HitRatioOracle, PaperOracle};
 use crate::problem::PlacementProblem;
 use crate::solution::Placement;
 use crate::Hops;
@@ -37,7 +37,7 @@ use cdn_lru_model::{CheModel, ClosedFormLru, LruModel};
 use cdn_telemetry::{self as telemetry, Value};
 use rayon::prelude::*;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Reference paths of the hybrid run, which tests compare the default
 /// planner against. The planner accepts a candidate only while its benefit
@@ -153,23 +153,23 @@ struct Candidate {
 /// changes and `S(B') = Σ_k h_k(B')·r_k·C_k` depends only on the shrunken
 /// buffer size. `S` is memoised per 0.5%-relative buffer bucket (the hit
 /// ratio varies smoothly in B, and the oracle already quantises K at 1%),
-/// so each candidate costs O(1) amortised. When a replica lands, cached
-/// entries are updated in place by the one term the placement changed
-/// (see [`ShrinkMemo::apply_replica`]) rather than invalidated wholesale.
+/// so each candidate costs O(1) amortised. Before each scan,
+/// [`ShrinkMemo::fill_missing`] fills every bucket the scan will read, so
+/// the scan itself only looks sums up. When a replica lands, cached entries
+/// are updated in place by the one term the placement changed (see
+/// [`ShrinkMemo::apply_replica`]) rather than invalidated wholesale.
 struct ShrinkMemo {
     /// `W` per server; `None` = needs recomputation.
     cur_w: Vec<Option<f64>>,
-    /// `S(bucket)` per server, behind a lock for the parallel scan.
-    s: Vec<parking_lot::Mutex<std::collections::HashMap<u32, f64>>>,
+    /// `S(bucket)` per server. Written only between scans.
+    s: Vec<HashMap<u32, f64>>,
 }
 
 impl ShrinkMemo {
     fn new(n: usize) -> Self {
         Self {
             cur_w: vec![None; n],
-            s: (0..n)
-                .map(|_| parking_lot::Mutex::new(std::collections::HashMap::new()))
-                .collect(),
+            s: vec![HashMap::new(); n],
         }
     }
 
@@ -234,7 +234,7 @@ impl ShrinkMemo {
         let r_ij = problem.requests(i, j) as f64;
         let c_old_i = old_col[i] as f64;
         if r_ij > 0.0 && c_old_i > 0.0 {
-            for (&bucket, s) in self.s[i].get_mut().iter_mut() {
+            for (&bucket, s) in self.s[i].iter_mut() {
                 let rep = Self::representative(bucket);
                 *s -= adjusted_hit(problem, oracle, i, j, rep) * r_ij * c_old_i;
             }
@@ -251,7 +251,7 @@ impl ShrinkMemo {
             if let Some(w) = self.cur_w[k] {
                 self.cur_w[k] = Some(w + hits[k][j] * r * delta);
             }
-            for (&bucket, s) in self.s[k].get_mut().iter_mut() {
+            for (&bucket, s) in self.s[k].iter_mut() {
                 let rep = Self::representative(bucket);
                 *s += adjusted_hit(problem, oracle, k, j, rep) * r * delta;
             }
@@ -269,26 +269,95 @@ impl ShrinkMemo {
         }
     }
 
-    /// `S_i(B')`, filling the bucket on first use.
-    fn shrunken_sum(
-        &self,
+    /// Fill every bucket that scoring `candidates` (flat indices; the
+    /// infeasible ones are skipped, as the scan skips them) will read and
+    /// the memo lacks, from the current placement.
+    ///
+    /// A bucket is filled in the first scan that reads it: `apply_replica`
+    /// then keeps it current in place, and a bucket filled from a later
+    /// placement would differ in its last bits. Servers go one at a time,
+    /// in order, so only one server's rows are held at once. For each
+    /// server, one [`HitRatioOracle::hit_ratio_rows`] query evaluates the
+    /// sites [`weighted_hit_sum`] reads at every missing bucket's
+    /// representative, the sites in parallel; each bucket then sums its
+    /// sites in site order, with `adjusted_hit`'s λ correction. So every
+    /// value is bit-identical to `weighted_hit_sum` over single
+    /// `adjusted_hit` queries at the bucket's representative.
+    fn fill_missing(
+        &mut self,
         problem: &PlacementProblem,
         placement: &Placement,
         oracle: &dyn HitRatioOracle,
-        i: usize,
-        new_buf: usize,
-    ) -> f64 {
-        // The sum is evaluated at the bucket's canonical representative and
-        // the placement is fixed during a scan, so the value is a pure
-        // function of the bucket and racing workers may both compute it.
-        let bucket = Self::bucket(new_buf);
-        memoised(&self.s[i], bucket, || {
-            let rep = Self::representative(bucket);
-            weighted_hit_sum(problem, placement, i, |k| {
-                adjusted_hit(problem, oracle, i, k, rep)
-            })
-        })
+        candidates: impl IntoIterator<Item = usize>,
+    ) {
+        let m = problem.m_sites();
+        let mut missing: Vec<Vec<u32>> = vec![Vec::new(); problem.n_servers()];
+        for flat in candidates {
+            let (i, j) = (flat / m, flat % m);
+            if placement.fits(problem, i, j) {
+                let bucket = Self::bucket(shrunken_buffer(problem, placement, i, j));
+                if !self.s[i].contains_key(&bucket) {
+                    missing[i].push(bucket);
+                }
+            }
+        }
+        for (i, mut buckets) in missing.into_iter().enumerate() {
+            if buckets.is_empty() {
+                continue;
+            }
+            buckets.sort_unstable();
+            buckets.dedup();
+            let reps: Vec<usize> = buckets.iter().map(|&b| Self::representative(b)).collect();
+            let read: Vec<usize> = (0..m)
+                .filter(|&k| cache_weight(problem, placement, i, k).is_some())
+                .collect();
+            let pops: Vec<f64> = read
+                .iter()
+                .map(|&k| problem.site_popularity(i, k))
+                .collect();
+            let rows = oracle.hit_ratio_rows(i, &pops, &reps);
+            for (x, bucket) in buckets.into_iter().enumerate() {
+                let s = weighted_hit_sum(problem, placement, i, |k| {
+                    let at = read.binary_search(&k).expect("the sum reads only `read`");
+                    rows[at][x] * (1.0 - problem.lambda[k])
+                });
+                self.s[i].insert(bucket, s);
+            }
+        }
     }
+
+    /// `S_i(B')`, from the bucket [`Self::fill_missing`] filled before the
+    /// scan.
+    fn shrunken_sum(&self, i: usize, new_buf: usize) -> f64 {
+        *self.s[i]
+            .get(&Self::bucket(new_buf))
+            .expect("fill_missing filled every bucket the scan reads")
+    }
+}
+
+/// Server `i`'s buffer size after it replicates site `j`.
+fn shrunken_buffer(problem: &PlacementProblem, placement: &Placement, i: usize, j: usize) -> usize {
+    problem.buffer_objects(placement.free_bytes(i) - problem.site_bytes[j])
+}
+
+/// `(r_ik, C(i, SN_ik))` of a site whose cached traffic at server `i`
+/// weighs in [`weighted_hit_sum`]; `None` for a site `i` replicates, never
+/// requests, or reaches at distance 0.
+fn cache_weight(
+    problem: &PlacementProblem,
+    placement: &Placement,
+    i: usize,
+    k: usize,
+) -> Option<(f64, f64)> {
+    if placement.is_replicated(i, k) {
+        return None;
+    }
+    let r = problem.requests(i, k) as f64;
+    if r == 0.0 {
+        return None;
+    }
+    let c = placement.nearest_dist(problem, i, k) as f64;
+    (c != 0.0).then_some((r, c))
 }
 
 /// `Σ_{k: !x_ik} h(k)·r_ik·C(i, SN_ik)` for an arbitrary hit function.
@@ -300,18 +369,9 @@ fn weighted_hit_sum(
 ) -> f64 {
     let mut w = 0.0;
     for k in 0..problem.m_sites() {
-        if placement.is_replicated(i, k) {
-            continue;
+        if let Some((r, c)) = cache_weight(problem, placement, i, k) {
+            w += hit(k) * r * c;
         }
-        let r = problem.requests(i, k) as f64;
-        if r == 0.0 {
-            continue;
-        }
-        let c = placement.nearest_dist(problem, i, k) as f64;
-        if c == 0.0 {
-            continue;
-        }
-        w += hit(k) * r * c;
     }
     w
 }
@@ -353,7 +413,7 @@ fn evaluate_candidate(
     let mut b = (1.0 - hits[i][j]) * r_ij * c_ij - problem.replica_update_cost(i, j);
 
     // Cache-shrink penalty at server i.
-    let new_buf = problem.buffer_objects(placement.free_bytes(i) - problem.site_bytes[j]);
+    let new_buf = shrunken_buffer(problem, placement, i, j);
     if exact {
         // Literal Figure 2, lines 10–13: recompute every remaining site's
         // hit ratio at the shrunken buffer.
@@ -375,7 +435,7 @@ fn evaluate_candidate(
     } else {
         // Memoised decomposition (see ShrinkMemo).
         let w_cur = memo.cur_w[i].expect("refresh_w ran before the scan");
-        let s_new = memo.shrunken_sum(problem, placement, oracle, i, new_buf);
+        let s_new = memo.shrunken_sum(i, new_buf);
         let h_j_new = adjusted_hit(problem, oracle, i, j, new_buf);
         let j_term = (hits[i][j] - h_j_new) * r_ij * c_ij;
         b -= (w_cur - s_new) - j_term;
@@ -598,6 +658,14 @@ pub fn hybrid_greedy(
             // (and all counters) bit-identical at any thread count.
             l.stale.sort_unstable();
             l.stale.dedup();
+            if !config.exact_shrink_scan {
+                memo.fill_missing(
+                    problem,
+                    &placement,
+                    oracle,
+                    l.stale.iter().map(|&flat| flat as usize),
+                );
+            }
             let remote_cache: &[i64] = &l.remote;
             let scores: Vec<(u32, Option<(f64, i64)>)> = l
                 .stale
@@ -650,6 +718,9 @@ pub fn hybrid_greedy(
             l.compact(n * m);
             (l.pop_best(), evaluated)
         } else {
+            if !config.exact_shrink_scan {
+                memo.fill_missing(problem, &placement, oracle, 0..n * m);
+            }
             let best = (0..n * m)
                 .into_par_iter()
                 .filter_map(|flat| {
@@ -1118,6 +1189,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn batched_bucket_fill_matches_the_per_bucket_sum_bit_for_bit() {
+        // Every skip in `weighted_hit_sum` is taken: site 1 is replicated at
+        // server 0, server 1 never requests site 4, and server 2 sits on
+        // site 3's primary (distance 0). λ > 0 on sites 1, 3 and 5. Site
+        // sizes differ, so each server's candidates read several buckets,
+        // and server 3's whole capacity is site 0, so one of its shrunken
+        // buffers is 0 (bucket 0).
+        let (n, m) = (4, 6);
+        let mut demand: Vec<u64> = (0..n * m).map(|x| 20 + (x as u64 * 7) % 13).collect();
+        demand[m + 4] = 0;
+        let line = line_problem(n, m, 1, 1, demand.clone());
+        let mut dist_sp: Vec<Hops> = (0..n * m)
+            .map(|x| line.dist_primary(x / m, x % m))
+            .collect();
+        dist_sp[2 * m + 3] = 0;
+        let p = PlacementProblem::new(
+            n,
+            m,
+            (0..n * n)
+                .map(|x| line.dist_servers(x / n, x % n))
+                .collect(),
+            dist_sp,
+            vec![2500, 1000, 1500, 2000, 3000, 500],
+            vec![12_000, 12_000, 12_000, 2500],
+            demand,
+            vec![0.0, 0.3, 0.0, 0.5, 0.0, 0.1],
+            100.0,
+            50,
+            1.0,
+        );
+        let mut placement = Placement::primaries_only(&p);
+        placement.add_replica(&p, 0, 1);
+        let oracle = paper_oracle_for(&p);
+        let mut memo = ShrinkMemo::new(n);
+        memo.fill_missing(&p, &placement, &oracle, 0..n * m);
+        // The single queries run on a fresh oracle, so none of them reads a
+        // cell the batch's row queries filled.
+        let fresh = paper_oracle_for(&p);
+        for i in 0..n {
+            for j in (0..m).filter(|&j| placement.fits(&p, i, j)) {
+                let bucket = ShrinkMemo::bucket(shrunken_buffer(&p, &placement, i, j));
+                assert!(memo.s[i].contains_key(&bucket), "({i}, {j})");
+            }
+            for (&bucket, &s) in &memo.s[i] {
+                let rep = ShrinkMemo::representative(bucket);
+                let want =
+                    weighted_hit_sum(&p, &placement, i, |k| adjusted_hit(&p, &fresh, i, k, rep));
+                assert_eq!(s.to_bits(), want.to_bits(), "server {i} bucket {bucket}");
+            }
+        }
+        assert!(memo.s[3].contains_key(&0));
+        assert!(memo.s.iter().all(|s| s.len() >= 3));
+        assert!(memo.s.iter().flat_map(|s| s.values()).any(|&s| s > 0.0));
     }
 
     #[test]

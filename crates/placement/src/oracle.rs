@@ -10,6 +10,7 @@
 
 use cdn_lru_model::{CheModel, ClosedFormLru, DemandScale, HitRatioTable, LruModel};
 use parking_lot::Mutex;
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -18,6 +19,23 @@ pub trait HitRatioOracle: Sync + Send {
     /// Hit ratio of a site with popularity `p` (relative to all requests of
     /// server `server`) when that server's cache holds `b` objects.
     fn site_hit_ratio(&self, server: usize, p: f64, b: usize) -> f64;
+
+    /// [`Self::site_hit_ratio`] of every popularity of `pops` (one row
+    /// each) at every buffer size of `buffers` (one column each): one
+    /// server's sites at the buffer sizes the hybrid planner's shrink memo
+    /// is about to fill. Rows are evaluated in parallel. An oracle that can
+    /// share work across the batch overrides this; every value must equal
+    /// the single query's bit for bit.
+    fn hit_ratio_rows(&self, server: usize, pops: &[f64], buffers: &[usize]) -> Vec<Vec<f64>> {
+        pops.par_iter()
+            .map(|&p| {
+                buffers
+                    .iter()
+                    .map(|&b| self.site_hit_ratio(server, p, b))
+                    .collect()
+            })
+            .collect()
+    }
 
     /// Opaque fingerprint of the oracle's whole response surface at
     /// `(server, b)`: if two buffer sizes return equal `Some` fingerprints,
@@ -116,6 +134,31 @@ impl HitRatioOracle for PaperOracle {
         }
         let k = self.horizon(server, b);
         self.table.site_hit_ratio(p, k)
+    }
+
+    /// One horizon per buffer for the whole batch, then one table row
+    /// query per popularity, whose missing cells share the popularity's L
+    /// logarithms. Entries at `b == 0`, and rows at `p ≤ 0`, are 0 without
+    /// touching the table, as in [`Self::site_hit_ratio`].
+    fn hit_ratio_rows(&self, server: usize, pops: &[f64], buffers: &[usize]) -> Vec<Vec<f64>> {
+        let live: Vec<usize> = (0..buffers.len()).filter(|&x| buffers[x] > 0).collect();
+        let horizons: Vec<f64> = live
+            .iter()
+            .map(|&x| self.horizon(server, buffers[x]))
+            .collect();
+        pops.par_iter()
+            .map(|&p| {
+                let mut row = vec![0.0; buffers.len()];
+                if p > 0.0 {
+                    let mut hits = vec![0.0; live.len()];
+                    self.table.site_hit_ratios(p, &horizons, &mut hits);
+                    for (&x, h) in live.iter().zip(hits) {
+                        row[x] = h;
+                    }
+                }
+                row
+            })
+            .collect()
     }
 
     fn buffer_signature(&self, server: usize, b: usize) -> Option<u64> {
