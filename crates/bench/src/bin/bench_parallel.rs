@@ -8,9 +8,11 @@
 //! only the simulation, and the `"work"` section holds only `sim.*`
 //! counters. Planner time is `bench_placement`'s question.
 //!
-//! `bench_parallel --help` lists the flags it accepts.
+//! `bench_parallel --help` lists the flags it accepts, among them the
+//! `--baseline` tier file the run gates itself against
+//! (`cdn_bench::harness::Gate`).
 
-use cdn_bench::harness::{banner, one_vs_n, progress, record, BenchArgs, SIMULATING};
+use cdn_bench::harness::{banner, one_vs_n, progress, record, BenchArgs, GATED_SIMULATING};
 use cdn_core::{Scenario, Strategy};
 use cdn_placement::greedy_local;
 use cdn_sim::simulate_system;
@@ -18,7 +20,7 @@ use cdn_workload::LambdaMode;
 use std::fmt::Write as _;
 
 fn main() {
-    let args = BenchArgs::parse("bench_parallel", SIMULATING);
+    let args = BenchArgs::parse("bench_parallel", GATED_SIMULATING);
     let scale = args.scale;
     banner(
         "bench_parallel: simulation wall-clock, 1 thread vs N",
@@ -68,7 +70,7 @@ fn main() {
             let _ = writeln!(json, "  \"strategy\": \"{}\",", strategy.name());
             let _ = writeln!(json, "  \"replicas\": {},", placement.replica_count());
             let _ = writeln!(json, "  \"shards\": {shards},");
-            json
+            (json, Vec::new())
         },
     );
 }

@@ -8,22 +8,24 @@
 //! bit-identical work counters. Simulator scaling is `bench_parallel`'s
 //! question.
 //!
-//! Two derived numbers ride along:
+//! Three derived results ride along:
 //!
 //! * `"lazy_ratio"` — (candidates evaluated + lazily skipped) / evaluated,
 //!   i.e. how many times fewer score evaluations the stale-set planner
 //!   performs than a dense whole-matrix rescan per iteration. This is the
-//!   headline of the incremental planner; `perf_gate --min-lazy-ratio`
-//!   gates it.
+//!   headline of the incremental planner.
 //! * `"models"` — a small ablation re-planning the same instance under
 //!   each hit-ratio model backend (paper, plus closed-form at quick and
 //!   paper scale and che at quick scale, where their re-plans are
-//!   affordable), recording replica counts, predicted mean hops, and plan
-//!   seconds side by side.
+//!   affordable), recording replica counts and predicted mean hops side
+//!   by side; `"strategies"` does the same for greedy-local. Their plan
+//!   seconds go under `"wall_clock"` as `"plan_s"`.
 //!
-//! `bench_placement --help` lists the flags it accepts.
+//! `bench_placement --help` lists the flags it accepts, among them the
+//! `--baseline` tier file the run gates itself against
+//! (`cdn_bench::harness::Gate`).
 
-use cdn_bench::harness::{banner, one_vs_n, progress, BenchArgs, Scale, PLANNING};
+use cdn_bench::harness::{banner, one_vs_n, progress, BenchArgs, Scale, GATED_PLANNING};
 use cdn_core::{ModelBackend, PlanResult, Scenario, Strategy};
 use cdn_workload::LambdaMode;
 use std::fmt::Write as _;
@@ -49,7 +51,7 @@ fn lazy_ratio(work: &[(String, u64)]) -> Option<f64> {
 }
 
 fn main() {
-    let args = BenchArgs::parse("bench_placement", PLANNING);
+    let args = BenchArgs::parse("bench_placement", GATED_PLANNING);
     let scale = args.scale;
     banner(
         "bench_placement: lazy-greedy hybrid planner, 1 thread vs N",
@@ -79,6 +81,27 @@ fn main() {
                 None => println!("  lazy ratio: unavailable (no planner counters)"),
             }
 
+            // One row per plan: printed with its seconds, and rendered for
+            // the file without them. A re-plan's seconds go under
+            // `"wall_clock"` as `"plan_s"`; the paper model's are the arm's.
+            let mut plan_s = Vec::new();
+            let mut row = |key: &str, name: &str, plan: &PlanResult, secs: f64, replan: bool| {
+                let replicas = plan.placement.replica_count();
+                let hops = plan.predicted_mean_hops(&scenario.problem);
+                let note = if replan { "" } else { " (reused run 2/2)" };
+                let label = format!("{key} {name}");
+                println!(
+                    "  {label:<21} {replicas:>5} replicas  predicted {hops:.4} hops  plan {secs:.3}s{note}"
+                );
+                if replan {
+                    plan_s.push(format!("\"{name}\": {secs:.6}"));
+                }
+                format!(
+                    "    {{\"{key}\": \"{name}\", \"replicas\": {replicas}, \
+                     \"predicted_mean_hops\": {hops:.6}}}"
+                )
+            };
+
             // Model-backend ablation on the same instance (N threads). The
             // paper backend's entry reuses the N-thread arm instead of
             // re-planning. Each other backend re-plans the whole instance:
@@ -86,19 +109,13 @@ fn main() {
             // cores, longer than the gated plan itself, so only the quick
             // and paper tiers run it; Che's per-object fixed point is only
             // affordable at quick scale.
-            let mut models: Vec<(ModelBackend, usize, f64, f64)> = vec![(
-                ModelBackend::Paper,
-                multi.placement.replica_count(),
-                multi.predicted_mean_hops(&scenario.problem),
-                multi_timings.total_seconds(),
-            )];
-            println!(
-                "  model {:<12} {:>5} replicas  predicted {:.4} hops  plan {:.3}s (reused run 2/2)",
+            let mut models = vec![row(
+                "model",
                 ModelBackend::Paper.name(),
-                models[0].1,
-                models[0].2,
-                models[0].3,
-            );
+                multi,
+                multi_timings.total_seconds(),
+                false,
+            )];
             let backends = match scale {
                 Scale::Quick => vec![ModelBackend::ClosedForm, ModelBackend::Che],
                 Scale::Paper => vec![ModelBackend::ClosedForm],
@@ -113,19 +130,7 @@ fn main() {
                 let t0 = Instant::now();
                 let plan = pool.install(|| scenario.plan_with_model(Strategy::Hybrid, backend));
                 let secs = t0.elapsed().as_secs_f64();
-                println!(
-                    "  model {:<12} {:>5} replicas  predicted {:.4} hops  plan {:.3}s",
-                    backend.name(),
-                    plan.placement.replica_count(),
-                    plan.predicted_mean_hops(&scenario.problem),
-                    secs,
-                );
-                models.push((
-                    backend,
-                    plan.placement.replica_count(),
-                    plan.predicted_mean_hops(&scenario.problem),
-                    secs,
-                ));
+                models.push(row("model", backend.name(), &plan, secs, true));
             }
 
             // The cheap per-server knapsack, for a strategy dimension next
@@ -134,13 +139,9 @@ fn main() {
             progress("baseline strategy: greedy-local");
             let t0 = Instant::now();
             let greedy = pool.install(|| scenario.plan(Strategy::GreedyLocal));
-            let greedy_secs = t0.elapsed().as_secs_f64();
-            println!(
-                "  strategy greedy-local {:>5} replicas  predicted {:.4} hops  plan {:.3}s",
-                greedy.placement.replica_count(),
-                greedy.predicted_mean_hops(&scenario.problem),
-                greedy_secs,
-            );
+            let secs = t0.elapsed().as_secs_f64();
+            let local = Strategy::GreedyLocal.name();
+            let strategies = [row("strategy", &local, &greedy, secs, true)];
 
             let mut json = String::new();
             let _ = writeln!(json, "  \"scale\": \"{}\",", scale.label());
@@ -149,35 +150,13 @@ fn main() {
             if let Some(r) = ratio {
                 let _ = writeln!(json, "  \"lazy_ratio\": {r:.4},");
             }
-            let _ = writeln!(json, "  \"models\": [");
-            for (idx, (backend, replicas, hops, secs)) in models.iter().enumerate() {
-                let comma = if idx + 1 < models.len() { "," } else { "" };
-                let _ = writeln!(
-                    json,
-                    "    {{\"model\": \"{}\", \"replicas\": {replicas}, \
-                     \"predicted_mean_hops\": {hops:.6}, \"plan_s\": {secs:.6}}}{comma}",
-                    backend.name(),
-                );
-            }
-            let _ = writeln!(json, "  ],");
-            let _ = writeln!(json, "  \"strategies\": [");
+            let _ = writeln!(json, "  \"models\": [\n{}\n  ],", models.join(",\n"));
             let _ = writeln!(
                 json,
-                "    {{\"strategy\": \"hybrid\", \"replicas\": {}, \
-                 \"predicted_mean_hops\": {:.6}, \"plan_s\": {:.6}}},",
-                multi.placement.replica_count(),
-                multi.predicted_mean_hops(&scenario.problem),
-                multi_timings.total_seconds(),
+                "  \"strategies\": [\n{}\n  ],",
+                strategies.join(",\n")
             );
-            let _ = writeln!(
-                json,
-                "    {{\"strategy\": \"greedy-local\", \"replicas\": {}, \
-                 \"predicted_mean_hops\": {:.6}, \"plan_s\": {greedy_secs:.6}}}",
-                greedy.placement.replica_count(),
-                greedy.predicted_mean_hops(&scenario.problem),
-            );
-            let _ = writeln!(json, "  ],");
-            json
+            (json, vec![format!("\"plan_s\": {{{}}}", plan_s.join(", "))])
         },
     );
 }

@@ -1,6 +1,6 @@
 //! Shared experiment plumbing: scale selection, the bench flag tables,
-//! result tables, the process-wide output sink, timing, and the standard
-//! per-figure runner.
+//! result tables, the process-wide output sink, timing, the 1-vs-N runner
+//! and its gate, and the standard per-figure runner.
 
 use cdn_cli::args::{
     self, usage, ArgError, Args, Flag, METRICS_OUT, PROFILE_OUT, SAMPLE_EVERY, THREADS, TRACE_OUT,
@@ -10,7 +10,9 @@ use cdn_cli::sink::{self, Destinations, Sink};
 use cdn_core::{ComparisonRow, Scenario, ScenarioConfig, Strategy, StrategyComparison};
 use cdn_sim::SimReport;
 use cdn_telemetry as telemetry;
+use cdn_telemetry::json::{self, Json};
 use cdn_workload::LambdaMode;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,6 +77,12 @@ const QUICK: Flag = "--quick  shorthand for --scale quick";
 const QUIET: Flag = "--quiet  suppress the stderr progress heartbeats";
 const TRACE_IN: Flag =
     "--trace-in <path>  replay this binary .events trace, not the synthetic workload";
+/// The flags of a [`Gate`].
+const GATE: &[Flag] = &[
+    "--baseline <path>  tier file whose every field outside \"wall_clock\" the run must equal",
+    "--min-speedup <x>  fail below this speedup (not measured above min(threads, cores))",
+    "--max-seconds <x>  fail if the N-thread arm takes longer",
+];
 
 /// The flags every bench binary reads.
 const COMMON: &[Flag] = &[
@@ -94,9 +102,13 @@ pub const PLANNING: args::Table = &[COMMON];
 pub const SIMULATING: args::Table = &[COMMON, &[SAMPLE_EVERY, WINDOW]];
 /// The flag table of a bench binary that replays a trace file.
 pub const REPLAYING: args::Table = &[COMMON, &[SAMPLE_EVERY, WINDOW, TRACE_IN]];
+/// [`PLANNING`] plus the [`Gate`] of a [`one_vs_n`] binary.
+pub const GATED_PLANNING: args::Table = &[COMMON, GATE];
+/// [`SIMULATING`] plus the [`Gate`] of a [`one_vs_n`] binary.
+pub const GATED_SIMULATING: args::Table = &[COMMON, &[SAMPLE_EVERY, WINDOW], GATE];
 
 /// The bench binaries' view of their command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchArgs {
     pub scale: Scale,
     /// Worker count of the global rayon pool (`--threads <n>`, default all
@@ -111,6 +123,8 @@ pub struct BenchArgs {
     /// Replay a binary `.events` trace file instead of the synthetic
     /// workload (`--trace-in <path>`).
     pub trace_in: Option<PathBuf>,
+    /// What [`one_vs_n`] checks its run against.
+    pub gate: Gate,
 }
 
 impl BenchArgs {
@@ -151,6 +165,7 @@ impl BenchArgs {
             sample_every: a.sample_every()?,
             window: a.window()?,
             trace_in: a.get("trace-in").map(PathBuf::from),
+            gate: Gate::from_args(a)?,
         })
     }
 
@@ -185,7 +200,7 @@ impl BenchArgs {
 
 /// Parse the process command line against `flags`, exiting 0 with the
 /// generated usage on `--help` and 2 with the reason on a bad command line.
-pub fn parse_or_exit(bin: &str, flags: args::Table) -> Args {
+fn parse_or_exit(bin: &str, flags: args::Table) -> Args {
     match Args::parse(std::env::args().skip(1), flags) {
         Ok(a) => a,
         Err(ArgError::Help) => {
@@ -197,7 +212,7 @@ pub fn parse_or_exit(bin: &str, flags: args::Table) -> Args {
 }
 
 /// Print `msg` and the usage generated from `flags`, and exit 2.
-pub fn usage_error(bin: &str, flags: args::Table, msg: &str) -> ! {
+fn usage_error(bin: &str, flags: args::Table, msg: &str) -> ! {
     eprintln!("{bin}: {msg}\n\n{}", usage(bin, flags));
     std::process::exit(2);
 }
@@ -489,14 +504,16 @@ pub type Arms<T> = [(PhaseTimings, T, Vec<(String, u64)>); 2];
 
 /// Run `arm` on a 1-thread pool and on an `args.threads`-thread pool, with
 /// the registry's counters reset before each, and write `file` under the
-/// results directory: the lines `fields` renders from both arms (the
-/// binary's own keys, each line `  "key": value,`), then the 1-thread
+/// results directory: the binary's own deterministic keys, which `fields`
+/// renders from both arms as lines `  "key": value,`, then the 1-thread
 /// arm's deterministic `"work"` counters, `"work_identical"` and
 /// `"bit_identical"` (`same` on the two outputs), and the
-/// machine-dependent `"wall_clock"` section, which records
-/// `available_parallelism` so a speedup is read against the cores that
-/// produced it. Panics after writing the file when the arms disagree on
-/// either, so a divergent run still leaves its evidence.
+/// machine-dependent `"wall_clock"` section, which holds every timing
+/// (ending with the binary's own entries `"key": value`, the second part
+/// of `fields`) and records `available_parallelism` so a speedup is read
+/// against the cores that produced it. Panics after writing the file when the arms disagree
+/// on either identity, so a divergent run still leaves its evidence. Then
+/// checks the file against `args.gate` and exits 1 when it fails.
 ///
 /// At quick and paper scale an untimed pass on the wide pool goes first:
 /// the first run through a fresh address space pays first-touch page
@@ -508,7 +525,7 @@ pub fn one_vs_n<T>(
     file: &str,
     arm: impl Fn(&mut PhaseTimings) -> T,
     same: impl Fn(&T, &T) -> bool,
-    fields: impl FnOnce(&Arms<T>) -> String,
+    fields: impl FnOnce(&Arms<T>) -> (String, Vec<String>),
 ) {
     let n = args.threads;
     let run = |threads: usize| {
@@ -560,11 +577,12 @@ pub fn one_vs_n<T>(
         }
     }
 
-    // `"work"` holds only deterministic counters, identical across
-    // machines and thread counts; everything timing-related lives under
-    // `"wall_clock"`, which `perf_gate` compares within a band.
+    // `"work"` and every key outside `"wall_clock"` are deterministic,
+    // identical across machines and thread counts, so the gate compares
+    // them exactly; everything timing-related lives under `"wall_clock"`.
+    let (own, own_wall_clock) = fields(&arms);
     let mut json = String::from("{\n");
-    json.push_str(&fields(&arms));
+    json.push_str(&own);
     json.push_str("  \"work\": {\n");
     for (idx, (name, value)) in work1.iter().enumerate() {
         let comma = if idx + 1 < work1.len() { "," } else { "" };
@@ -578,8 +596,11 @@ pub fn one_vs_n<T>(
     let _ = writeln!(json, "    \"parallel_threads\": {n},");
     let _ = writeln!(json, "    \"available_parallelism\": {cores},");
     let _ = writeln!(json, "    \"runs\": [{}, {}],", t1.to_json(), tn.to_json());
-    let _ = writeln!(json, "    \"speedup_total\": {speedup:.4}");
-    json.push_str("  }\n}\n");
+    let _ = write!(json, "    \"speedup_total\": {speedup:.4}");
+    for entry in own_wall_clock {
+        let _ = write!(json, ",\n    {entry}");
+    }
+    json.push_str("\n  }\n}\n");
     write_json(file, &json);
     flush();
 
@@ -591,6 +612,145 @@ pub fn one_vs_n<T>(
         work_identical,
         "deterministic work counters diverged between thread counts"
     );
+    let verdict = args
+        .gate
+        .check(&json::parse(&json).expect("a BENCH file parses"));
+    for (ok, line) in &verdict {
+        println!("  gate: {} {line}", if *ok { "ok  " } else { "FAIL" });
+    }
+    if verdict.iter().any(|(ok, _)| !ok) {
+        eprintln!("error: {file} fails its gate");
+        std::process::exit(1);
+    }
+}
+
+/// What [`one_vs_n`] checks its run against once the run's file is
+/// written: the tier file, and two limits on the run's own wall clock.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// `--baseline`: the tier file's path and its parsed body, read before
+    /// any work. Every field of the run outside `"wall_clock"` must equal
+    /// the tier file's.
+    tier: Option<(String, Json)>,
+    /// `--min-speedup`: the least `wall_clock.speedup_total` the run may
+    /// report. A floor above min(`parallel_threads`,
+    /// `available_parallelism`) cannot be reached on the run's host, so it
+    /// is reported as not measured instead.
+    min_speedup: Option<f64>,
+    /// `--max-seconds`: the most the N-thread arm may take.
+    max_seconds: Option<f64>,
+}
+
+impl Gate {
+    fn from_args(a: &Args) -> Result<Self, String> {
+        let tier = match a.get("baseline") {
+            None => None,
+            Some(path) => {
+                let body = std::fs::read_to_string(path)
+                    .map_err(|e| format!("--baseline: reading {path}: {e}"))?;
+                let doc =
+                    json::parse(&body).map_err(|e| format!("--baseline: parsing {path}: {e}"))?;
+                Some((path.to_string(), doc))
+            }
+        };
+        Ok(Self {
+            tier,
+            min_speedup: a.get_positive("min-speedup")?,
+            max_seconds: a.get_positive("max-seconds")?,
+        })
+    }
+
+    /// Check `run`, a parsed `BENCH_*.json`: one line per finding, with
+    /// whether the run passes it. A failing line names the field, work
+    /// counter or limit the run broke; a wall-clock number the run lacks
+    /// fails its limit.
+    fn check(&self, run: &Json) -> Vec<(bool, String)> {
+        let mut verdict = Vec::new();
+        if let Some((path, tier)) = &self.tier {
+            mismatches("", Some(tier), Some(run), &mut verdict);
+            if verdict.is_empty() {
+                verdict.push((
+                    true,
+                    format!("every field outside wall_clock equals {path}"),
+                ));
+            }
+        }
+        let wall = |key: &str| run.get("wall_clock").and_then(|w| w.get(key));
+        let number = |key| wall(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        if let Some(min) = self.min_speedup {
+            let (s, threads, cores) = (
+                number("speedup_total"),
+                number("parallel_threads"),
+                number("available_parallelism"),
+            );
+            let at = format!("speedup {s:.2}x at {threads} thread(s) on {cores} core(s)");
+            verdict.push(if min > threads.min(cores) {
+                (
+                    true,
+                    format!("{at}: not measured, the {min:.2}x floor is out of reach"),
+                )
+            } else {
+                (s >= min, format!("{at}, floor {min:.2}x"))
+            });
+        }
+        if let Some(max) = self.max_seconds {
+            let secs = wall("runs")
+                .and_then(Json::as_arr)
+                .and_then(<[Json]>::last)
+                .and_then(|arm| arm.get("total_s"))
+                .and_then(Json::as_f64)
+                .unwrap_or(f64::NAN);
+            verdict.push((
+                secs <= max,
+                format!("N-thread arm {secs:.1}s, ceiling {max:.1}s"),
+            ));
+        }
+        verdict
+    }
+}
+
+/// Push a failing line for each value where `run` differs from `tier`
+/// below `path`, naming its path (`work.sim.cache_hits`,
+/// `models[1].replicas`). At the top level, `"wall_clock"` is skipped.
+fn mismatches(path: &str, tier: Option<&Json>, run: Option<&Json>, out: &mut Vec<(bool, String)>) {
+    match (tier, run) {
+        (Some(Json::Obj(a)), Some(Json::Obj(b))) => {
+            for key in a.keys().chain(b.keys()).collect::<BTreeSet<_>>() {
+                if !(path.is_empty() && key == "wall_clock") {
+                    mismatches(&format!("{path}.{key}"), a.get(key), b.get(key), out);
+                }
+            }
+        }
+        (Some(Json::Arr(a)), Some(Json::Arr(b))) if a.len() == b.len() => {
+            for (x, (a, b)) in a.iter().zip(b).enumerate() {
+                mismatches(&format!("{path}[{x}]"), Some(a), Some(b), out);
+            }
+        }
+        _ if tier != run => out.push((
+            false,
+            format!(
+                "`{}`: {} in the tier file, {} in this run",
+                path.trim_start_matches('.'),
+                show(tier),
+                show(run)
+            ),
+        )),
+        _ => {}
+    }
+}
+
+/// A value in a [`mismatches`] line: scalars as written, lists and objects
+/// by their shape.
+fn show(v: Option<&Json>) -> String {
+    match v {
+        None => "absent".into(),
+        Some(Json::Null) => "null".into(),
+        Some(Json::Bool(b)) => b.to_string(),
+        Some(Json::Num(x)) => x.to_string(),
+        Some(Json::Str(s)) => format!("{s:?}"),
+        Some(Json::Arr(a)) => format!("a list of {}", a.len()),
+        Some(Json::Obj(_)) => "an object".into(),
+    }
 }
 
 /// Format a CDF as CSV rows (`latency_ms,fraction`), downsampled to at most
@@ -908,5 +1068,202 @@ mod tests {
     fn table_rejects_a_row_of_the_wrong_width() {
         // A comma inside a cell would shift every later column.
         Table::new("t.csv", "claim,holds").row("a, b,yes".into());
+    }
+
+    #[test]
+    fn gate_flags_parse_into_the_gate() {
+        let line = "--min-speedup 1.5 --max-seconds 60";
+        assert_eq!(parse_with(GATED_SIMULATING, line).unwrap().1.gate, LIMITS);
+        let err = parse_with(GATED_PLANNING, "--baseline /nonexistent/t.json").unwrap_err();
+        assert!(
+            err.contains("--baseline: reading /nonexistent/t.json"),
+            "{err}"
+        );
+    }
+
+    /// A well-formed run: 1 s single-thread simulation, 2x on 2 threads of
+    /// 2 cores.
+    const RUN: &str = r#"{
+  "scale": "quick",
+  "models": [
+    {"model": "paper", "replicas": 14, "predicted_mean_hops": 3.000000},
+    {"model": "closed-form", "replicas": 12, "predicted_mean_hops": 3.100000}
+  ],
+  "work": {
+    "sim.cache_hits": 10,
+    "sim.requests_total": 1000
+  },
+  "work_identical": true,
+  "bit_identical": true,
+  "wall_clock": {
+    "baseline_threads": 1,
+    "parallel_threads": 2,
+    "available_parallelism": 2,
+    "runs": [{"threads": 1, "phases": {"simulation_s": 1.000000}, "total_s": 1.000000}, {"threads": 2, "phases": {"simulation_s": 0.500000}, "total_s": 0.500000}],
+    "speedup_total": 2.0000,
+    "plan_s": {"closed-form": 0.100000}
+  }
+}
+"#;
+
+    const LIMITS: Gate = Gate {
+        tier: None,
+        min_speedup: Some(1.5),
+        max_seconds: Some(60.0),
+    };
+
+    /// Every line of checking `RUN`, with each `(from, to)` replacement
+    /// applied, against `RUN` as its tier file, under `LIMITS`.
+    fn verdict(edits: &[(&str, &str)]) -> Vec<(bool, String)> {
+        let mut run = RUN.to_string();
+        for (from, to) in edits {
+            assert!(run.contains(from), "{from}");
+            run = run.replace(from, to);
+        }
+        let gate = Gate {
+            tier: Some(("tier.json".into(), json::parse(RUN).unwrap())),
+            ..LIMITS
+        };
+        gate.check(&json::parse(&run).unwrap())
+    }
+
+    /// The one failing line of [`verdict`].
+    fn only_failure(edits: &[(&str, &str)]) -> String {
+        let failures: Vec<String> = verdict(edits)
+            .into_iter()
+            .filter_map(|(ok, line)| (!ok).then_some(line))
+            .collect();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        failures[0].clone()
+    }
+
+    #[test]
+    fn a_well_formed_run_passes_against_itself() {
+        let lines = verdict(&[]);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines.iter().all(|(ok, _)| *ok), "{lines:?}");
+        // Nothing under "wall_clock" is compared with the tier file.
+        let slower = [
+            ("\"simulation_s\": 1.000000", "\"simulation_s\": 9.000000"),
+            ("\"closed-form\": 0.100000", "\"closed-form\": 0.900000"),
+        ];
+        assert!(verdict(&slower).iter().all(|(ok, _)| *ok));
+    }
+
+    const TOTAL: &str = "\"sim.requests_total\": 1000";
+
+    #[test]
+    fn a_drifted_counter_fails() {
+        let f = only_failure(&[(TOTAL, "\"sim.requests_total\": 999")]);
+        assert_eq!(
+            f,
+            "`work.sim.requests_total`: 1000 in the tier file, 999 in this run"
+        );
+    }
+
+    #[test]
+    fn an_extra_counter_fails() {
+        let extra = "\"sim.requests_total\": 1000, \"sim.new\": 0";
+        let f = only_failure(&[(TOTAL, extra)]);
+        assert!(f.starts_with("`work.sim.new`: absent"), "{f}");
+    }
+
+    #[test]
+    fn a_missing_counter_fails() {
+        let f = only_failure(&[(",\n    \"sim.requests_total\": 1000", "")]);
+        assert!(f.starts_with("`work.sim.requests_total`: 1000"), "{f}");
+    }
+
+    #[test]
+    fn a_drifted_model_row_fails() {
+        let f = only_failure(&[("\"replicas\": 12", "\"replicas\": 13")]);
+        assert!(f.starts_with("`models[1].replicas`: 12"), "{f}");
+    }
+
+    #[test]
+    fn a_broken_identity_fails() {
+        let f = only_failure(&[("\"bit_identical\": true", "\"bit_identical\": false")]);
+        assert!(f.starts_with("`bit_identical`: true"), "{f}");
+    }
+
+    #[test]
+    fn a_scale_mismatch_fails() {
+        let f = only_failure(&[("\"scale\": \"quick\"", "\"scale\": \"paper\"")]);
+        assert!(f.starts_with("`scale`: \"quick\""), "{f}");
+    }
+
+    #[test]
+    fn a_speedup_under_a_measurable_floor_fails() {
+        let slow = ("\"speedup_total\": 2.0000", "\"speedup_total\": 1.4000");
+        let f = "speedup 1.40x at 2 thread(s) on 2 core(s), floor 1.50x";
+        assert_eq!(only_failure(&[slow]), f);
+        // Two threads on four cores can still reach 1.5x.
+        let cores = (
+            "\"available_parallelism\": 2",
+            "\"available_parallelism\": 4",
+        );
+        assert!(only_failure(&[cores, slow]).ends_with("floor 1.50x"));
+    }
+
+    #[test]
+    fn a_floor_above_the_usable_parallelism_is_not_measured() {
+        // Four threads on one core: 1.5x is out of reach, so a 0.9x run
+        // neither fails nor passes the floor.
+        let lines = verdict(&[
+            ("\"parallel_threads\": 2", "\"parallel_threads\": 4"),
+            (
+                "\"available_parallelism\": 2",
+                "\"available_parallelism\": 1",
+            ),
+            ("\"speedup_total\": 2.0000", "\"speedup_total\": 0.9000"),
+        ]);
+        assert!(lines.iter().all(|(ok, _)| *ok), "{lines:?}");
+        assert!(lines[1]
+            .1
+            .ends_with("not measured, the 1.50x floor is out of reach"));
+    }
+
+    #[test]
+    fn a_parallel_arm_over_the_ceiling_fails() {
+        let f = only_failure(&[("\"total_s\": 0.500000", "\"total_s\": 61.000000")]);
+        assert_eq!(f, "N-thread arm 61.0s, ceiling 60.0s");
+    }
+
+    #[test]
+    fn every_baseline_ci_names_exists_and_passes_its_own_gate() {
+        // The CI workflow once gated against a tier its baseline lacked.
+        // Every tier file a CI command line names must parse, be of the
+        // command's scale, and pass its own gate under the command's limits.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
+        let mut named = BTreeSet::new();
+        for line in ci
+            .replace("\\\n", " ")
+            .lines()
+            .filter(|l| l.contains("--baseline"))
+        {
+            let (command, flags) = line.split_once(" -- ").expect("flags after --");
+            let table = match command.rsplit_once("--bin ").map(|(_, bin)| bin) {
+                Some("bench_parallel") => GATED_SIMULATING,
+                Some("bench_placement") => GATED_PLANNING,
+                _ => panic!("{line}: not a 1-vs-N binary"),
+            };
+            let mut words: Vec<String> = flags.split_whitespace().map(str::to_string).collect();
+            let at = 1 + words.iter().position(|w| w == "--baseline").unwrap();
+            named.insert(words[at].clone());
+            words[at] = root.join(&words[at]).display().to_string();
+            let a = Args::parse(words, table).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            let bench = BenchArgs::from_args(&a).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let tier = &bench.gate.tier.as_ref().expect("--baseline").1;
+            let scale = tier.get("scale").and_then(Json::as_str);
+            assert_eq!(scale, Some(bench.scale.label()), "{line}");
+            let lines = bench.gate.check(tier);
+            assert!(lines.iter().all(|(ok, _)| *ok), "{line}: {lines:?}");
+        }
+        let tiers = ["quick", "hybrid-paper", "large-ci", "hybrid-large-ci"];
+        assert_eq!(
+            named,
+            BTreeSet::from(tiers.map(|t| format!("results/baseline/{t}.json")))
+        );
     }
 }

@@ -1,8 +1,8 @@
-//! The one command-line parser behind `hybrid-cdn`, the bench binaries and
-//! `perf_gate`: `--key value` options and `--switch`es, checked against the
-//! command's flag table, with no external dependency. Every token must be
-//! a flag of the table, and a flag that takes a value must get one, so a
-//! typo or a dropped value fails loudly instead of running something else.
+//! The one command-line parser behind `hybrid-cdn` and the bench binaries:
+//! `--key value` options and `--switch`es, checked against the command's
+//! flag table, with no external dependency. Every token must be a flag of
+//! the table, and a flag that takes a value must get one, so a typo or a
+//! dropped value fails loudly instead of running something else.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

@@ -65,14 +65,6 @@ impl HitRatioTable {
         (ki as u64 + 1, (ki * base).exp())
     }
 
-    /// The K-grid cell index [`Self::site_hit_ratio`] serves horizon `k`
-    /// from — a stable fingerprint of the table column a query lands in.
-    /// Two horizons with equal cells receive bit-identical hit ratios for
-    /// every popularity `p`.
-    pub fn k_cell(&self, k: f64) -> u64 {
-        Self::quantise_k(k.max(0.0)).0
-    }
-
     /// Quantised, memoised `h(p, K)`: the one-horizon case of
     /// [`Self::site_hit_ratios`].
     pub fn site_hit_ratio(&self, p: f64, k: f64) -> f64 {

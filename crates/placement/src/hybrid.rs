@@ -525,9 +525,6 @@ struct LazyPlanner {
     /// sums in place (exact integer telescoping — the accumulator is
     /// quantised precisely so this reversal is lossless).
     remote: Vec<i64>,
-    /// Oracle fingerprint backing each current `hits` row (see
-    /// [`HitRatioOracle::buffer_signature`]).
-    row_sig: Vec<Option<u64>>,
 }
 
 impl LazyPlanner {
@@ -547,7 +544,6 @@ impl LazyPlanner {
             // First iteration: every candidate is unscored.
             stale: (0..(n * m) as u32).collect(),
             remote: vec![i64::MIN; n * m],
-            row_sig: Vec::new(),
         }
     }
 
@@ -609,13 +605,7 @@ pub fn hybrid_greedy(
         .map(|j| contrib_column(problem, &placement, j))
         .collect();
 
-    let mut lazy = (!config.dense_scan).then(|| {
-        let mut l = LazyPlanner::new(problem, n, m);
-        l.row_sig = (0..n)
-            .map(|i| oracle.buffer_signature(i, problem.buffer_objects(placement.free_bytes(i))))
-            .collect();
-        l
-    });
+    let mut lazy = (!config.dense_scan).then(|| LazyPlanner::new(problem, n, m));
 
     // How many candidates the dense scan would evaluate right now;
     // maintained incrementally (only the replicator's row ever changes).
@@ -802,38 +792,17 @@ pub fn hybrid_greedy(
         // Lines 22–23: refresh server i's hit ratios for its smaller cache,
         // and shift every memoised sum by the one term this placement
         // changed (replicator i and every server whose nearest distance to
-        // site j improved). The lazy planner reuses the whole row when the
-        // oracle fingerprints the shrunken buffer into the same
-        // quantisation cell, and records which entries actually changed —
-        // that set drives the hits-row part of the stale set below.
+        // site j improved). The entries that actually changed drive the
+        // lazy planner's hits-row part of the stale set below.
         let b = problem.buffer_objects(placement.free_bytes(i));
-        let changed_sites: Vec<(usize, f64, f64)> = if let Some(l) = &mut lazy {
-            let sig = oracle.buffer_signature(i, b);
-            let reused = sig.is_some() && sig == l.row_sig[i];
-            l.row_sig[i] = sig;
-            if reused {
-                if obs {
-                    telemetry::registry()
-                        .counter("placement.hit_rows_reused")
-                        .inc();
-                }
-                hits[i][j] = 0.0;
-                Vec::new()
-            } else {
-                let row = hit_row(problem, &placement, oracle, i, b);
-                // (site, old hit, new hit) — the delta pair the remote-gain
-                // cache update below needs to reverse the stale term exactly.
-                let changed = (0..m)
-                    .filter(|&k| k != j && row[k].to_bits() != hits[i][k].to_bits())
-                    .map(|k| (k, hits[i][k], row[k]))
-                    .collect();
-                hits[i] = row;
-                changed
-            }
-        } else {
-            hits[i] = hit_row(problem, &placement, oracle, i, b);
-            Vec::new()
-        };
+        let row = hit_row(problem, &placement, oracle, i, b);
+        // (site, old hit, new hit) — the delta pair the remote-gain cache
+        // update below needs to reverse the stale term exactly.
+        let changed_sites: Vec<(usize, f64, f64)> = (0..m)
+            .filter(|&k| k != j && row[k].to_bits() != hits[i][k].to_bits())
+            .map(|k| (k, hits[i][k], row[k]))
+            .collect();
+        hits[i] = row;
         memo.apply_replica(
             problem, &placement, oracle, &hits, i, j, &old_col, &improved,
         );

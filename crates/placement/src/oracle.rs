@@ -36,17 +36,6 @@ pub trait HitRatioOracle: Sync + Send {
             })
             .collect()
     }
-
-    /// Opaque fingerprint of the oracle's whole response surface at
-    /// `(server, b)`: if two buffer sizes return equal `Some` fingerprints,
-    /// `site_hit_ratio(server, p, ·)` is guaranteed bit-identical between
-    /// them for **every** `p`. `None` makes no such guarantee and callers
-    /// must recompute. The lazy hybrid planner uses this to skip whole
-    /// hit-ratio row refreshes when a buffer shrink stays inside one
-    /// quantisation cell.
-    fn buffer_signature(&self, _server: usize, _b: usize) -> Option<u64> {
-        None
-    }
 }
 
 /// Look `key` up in `memo`; on a miss, run `compute` with no lock held,
@@ -159,18 +148,6 @@ impl HitRatioOracle for PaperOracle {
                 row
             })
             .collect()
-    }
-
-    fn buffer_signature(&self, server: usize, b: usize) -> Option<u64> {
-        // `b` only reaches the table through the quantised horizon, so the
-        // K cell is a complete fingerprint of the row this buffer produces.
-        // (`b == 0` short-circuits to an all-zero row, which the K≈0 cell 0
-        // also denotes — a harmless collision, both rows are identical.)
-        if b == 0 {
-            return Some(0);
-        }
-        let k = self.horizon(server, b);
-        Some(self.table.k_cell(k))
     }
 }
 

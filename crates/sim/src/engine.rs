@@ -13,11 +13,13 @@ use cdn_workload::{Flavor, Request};
 type InflightTable = (u64, FxHashMap<ObjectKey, (u64, u32)>);
 
 /// Deterministic per-server observability, gathered only when telemetry
-/// is enabled: one [`Tally`] per site over the server's *measured*
-/// requests, plus a whole-stream (warm-up included) snapshot of the
-/// cache's own counters — the eviction/insertion/rejection totals the
-/// trace reports. Everything here is deterministic: the request stream,
-/// routing, and fault schedule are all seed-derived.
+/// is enabled: a whole-stream (warm-up included) snapshot of the cache's
+/// own counters — the eviction/insertion/rejection totals the metrics and
+/// the trace report — and, only while a trace is installed, one [`Tally`]
+/// per site over the server's *measured* requests, the source of the
+/// trace's `sim.site` events (empty otherwise). Everything here is
+/// deterministic: the request stream, routing, and fault schedule are all
+/// seed-derived.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineObs {
     pub per_site: Vec<Tally>,
@@ -289,9 +291,10 @@ where
     let mut timeline: Option<TimelineAcc> =
         (config.window > 0).then(|| TimelineAcc::new(config.window));
     // Per-site tallies: local to this server's loop, so plain (non-atomic)
-    // counts; gated once per run on the global telemetry flag.
-    let mut site_tallies: Option<Vec<Tally>> =
-        telemetry::enabled().then(|| vec![Tally::default(); plan.replicated.len()]);
+    // counts; kept only for a trace to read, and gated once per server.
+    let obs = telemetry::enabled();
+    let mut site_tallies: Option<Vec<Tally>> = (obs && telemetry::trace_installed())
+        .then(|| vec![Tally::default(); plan.replicated.len()]);
     // In-flight fetch table for delayed-hit coalescing: object -> (tick
     // the pending fetch completes, hops that fetch travels). Allocated
     // only for a positive fetch latency; `None` and `Some(0)` take the
@@ -418,8 +421,8 @@ where
         total_bytes: tally.total_bytes,
         origin_bytes: tally.origin_bytes,
         tally,
-        obs: site_tallies.map(|per_site| EngineObs {
-            per_site,
+        obs: obs.then(|| EngineObs {
+            per_site: site_tallies.unwrap_or_default(),
             cache: *cache.stats(),
         }),
         samples,

@@ -1,6 +1,7 @@
 //! Minimal JSON utilities: string escaping for the writers and a small
-//! recursive-descent parser for the CI perf gate (the workspace has no
-//! serde; this keeps the gate dependency-free).
+//! recursive-descent parser for the readers — `hybrid-cdn report` and the
+//! 1-vs-N bench binaries' tier-file gate (the workspace has no serde; this
+//! keeps both dependency-free).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,8 +28,8 @@ pub fn escape_into(out: &mut String, s: &str) {
 /// A parsed JSON value.
 ///
 /// Numbers are kept as `f64`; every counter in the workspace fits in the
-/// 2^53 exactly-representable range, and the perf gate compares integral
-/// counters after an exactness check.
+/// 2^53 exactly-representable range, and [`Json::as_u64`] reads an
+/// integral counter after an exactness check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,

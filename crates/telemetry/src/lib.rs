@@ -1,7 +1,7 @@
 //! Deterministic observability for the CDN reproduction.
 //!
 //! This crate is a lightweight, vendored-`tracing`-style layer with **zero
-//! external dependencies**. It provides three pieces:
+//! external dependencies**. It provides five pieces:
 //!
 //! * [`Trace`] — hierarchical spans plus structured events, rendered as a
 //!   JSONL stream. Records carry *deterministic* sequence numbers and
@@ -13,8 +13,9 @@
 //!   commutative and totals are thread-schedule independent. Gauges and
 //!   histogram fills from *parallel* sections must either be commutative
 //!   (atomic adds) or performed sequentially after a deterministic merge.
-//! * [`json`] — a minimal JSON writer/parser used for metrics snapshots and
-//!   the CI perf gate (no serde in the workspace).
+//! * [`json`] — a minimal JSON writer/parser used for metrics snapshots,
+//!   `hybrid-cdn report` and the bench binaries' tier-file gate (no serde
+//!   in the workspace).
 //! * [`profile`] — the opt-in **wall-clock** counterpart: nested timed
 //!   spans exported as Chrome Trace Event Format JSON. Deliberately
 //!   non-deterministic, so its output lives strictly in its own file

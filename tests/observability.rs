@@ -339,3 +339,31 @@ fn golden_timeline_quantiles_are_ordered_and_bounded_by_the_max() {
     }
     assert!(windows > 0, "the golden has no windows");
 }
+
+/// Only the trace's `sim.site` events read the engine's per-site tallies,
+/// so a metrics-only run keeps none, yet still hands its cache counters to
+/// the metrics. (With a trace installed they are kept:
+/// `site_events_sum_to_their_server_buckets`.)
+#[test]
+fn a_metrics_only_run_keeps_no_per_site_tallies() {
+    use cdn_core::cache::LruCache;
+    use cdn_core::sim::{simulate_server_faulted, ServerPlan};
+    let _telemetry = telemetry_lock();
+    let scenario = Scenario::generate(&ScenarioConfig::small());
+    let plan = scenario.plan(Strategy::Hybrid);
+    let server = ServerPlan::from_placement(&scenario.problem, &plan.placement, 0);
+    telemetry::set_enabled(true);
+    let report = simulate_server_faulted(
+        &server,
+        &scenario.config.sim,
+        scenario.trace.stream_for_server(0),
+        0,
+        |site, object| scenario.catalog.sites[site as usize].object_sizes[object as usize],
+        Box::new(LruCache::new(server.cache_bytes)),
+        None,
+    );
+    telemetry::set_enabled(false);
+    let obs = report.obs.expect("telemetry is on");
+    assert!(obs.per_site.is_empty());
+    assert!(obs.cache.insertions > 0);
+}
