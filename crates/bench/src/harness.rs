@@ -498,6 +498,26 @@ impl PhaseTimings {
     }
 }
 
+/// The shortest 1-thread arm whose speedup [`one_vs_n`] records. Shorter
+/// arms last a few scheduler quanta, so their ratio is noise: at quick
+/// scale, arms of 10–20 ms read 1.93x and 0.90x for the same code on the
+/// same 2-core host.
+pub const MIN_TIMED_ARM_S: f64 = 0.5;
+
+/// The speedup of an N-thread arm of `tn` seconds over a 1-thread arm of
+/// `t1` seconds on a host of `cores` cores, or why it is not measured.
+fn speedup(t1: f64, tn: f64, cores: usize) -> Result<f64, String> {
+    if cores < 2 {
+        Err(format!("the host has {cores} core"))
+    } else if t1 < MIN_TIMED_ARM_S {
+        Err(format!(
+            "the 1-thread arm took {t1:.3}s, under {MIN_TIMED_ARM_S}s"
+        ))
+    } else {
+        Ok(t1 / tn.max(1e-12))
+    }
+}
+
 /// Both arms of a [`one_vs_n`] run, the 1-thread arm first: each arm's
 /// phase timings, its output and the work counters it accumulated.
 pub type Arms<T> = [(PhaseTimings, T, Vec<(String, u64)>); 2];
@@ -511,7 +531,9 @@ pub type Arms<T> = [(PhaseTimings, T, Vec<(String, u64)>); 2];
 /// machine-dependent `"wall_clock"` section, which holds every timing
 /// (ending with the binary's own entries `"key": value`, the second part
 /// of `fields`) and records `available_parallelism` so a speedup is read
-/// against the cores that produced it. Panics after writing the file when the arms disagree
+/// against the cores that produced it. The speedup is `null`, not
+/// measured, on one core or when the 1-thread arm is under
+/// [`MIN_TIMED_ARM_S`]. Panics after writing the file when the arms disagree
 /// on either identity, so a divergent run still leaves its evidence. Then
 /// checks the file against `args.gate` and exits 1 when it fails.
 ///
@@ -553,8 +575,8 @@ pub fn one_vs_n<T>(
     let [(t1, out1, work1), (tn, outn, workn)] = &arms;
     let identical = same(out1, outn);
     let work_identical = work1 == workn;
-    let speedup = t1.total_seconds() / tn.total_seconds().max(1e-12);
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let measured = speedup(t1.total_seconds(), tn.total_seconds(), cores);
     for t in [t1, tn] {
         println!(
             "  [{} thread(s)] total {:.3}s",
@@ -565,7 +587,10 @@ pub fn one_vs_n<T>(
             println!("      {name:<12} {secs:.3}s");
         }
     }
-    println!("  speedup (total): {speedup:.2}x at {n} thread(s) on {cores} core(s)");
+    match &measured {
+        Ok(x) => println!("  speedup (total): {x:.2}x at {n} thread(s) on {cores} core(s)"),
+        Err(why) => println!("  speedup (total): not measured, {why}"),
+    }
     println!("  bit-identical outputs:       {identical}");
     println!("  bit-identical work counters: {work_identical}");
     // Which counter drifted is the debugging lead. The registry only
@@ -596,7 +621,8 @@ pub fn one_vs_n<T>(
     let _ = writeln!(json, "    \"parallel_threads\": {n},");
     let _ = writeln!(json, "    \"available_parallelism\": {cores},");
     let _ = writeln!(json, "    \"runs\": [{}, {}],", t1.to_json(), tn.to_json());
-    let _ = write!(json, "    \"speedup_total\": {speedup:.4}");
+    let recorded = measured.map_or_else(|_| "null".into(), |x| format!("{x:.4}"));
+    let _ = write!(json, "    \"speedup_total\": {recorded}");
     for entry in own_wall_clock {
         let _ = write!(json, ",\n    {entry}");
     }
@@ -633,9 +659,9 @@ pub struct Gate {
     /// the tier file's.
     tier: Option<(String, Json)>,
     /// `--min-speedup`: the least `wall_clock.speedup_total` the run may
-    /// report. A floor above min(`parallel_threads`,
-    /// `available_parallelism`) cannot be reached on the run's host, so it
-    /// is reported as not measured instead.
+    /// report. A `null` speedup was not measured, and a floor above
+    /// min(`parallel_threads`, `available_parallelism`) cannot be reached
+    /// on the run's host; both are reported as not measured instead.
     min_speedup: Option<f64>,
     /// `--max-seconds`: the most the N-thread arm may take.
     max_seconds: Option<f64>,
@@ -684,7 +710,12 @@ impl Gate {
                 number("available_parallelism"),
             );
             let at = format!("speedup {s:.2}x at {threads} thread(s) on {cores} core(s)");
-            verdict.push(if min > threads.min(cores) {
+            verdict.push(if wall("speedup_total") == Some(&Json::Null) {
+                (
+                    true,
+                    format!("speedup not measured at {threads} thread(s) on {cores} core(s)"),
+                )
+            } else if min > threads.min(cores) {
                 (
                     true,
                     format!("{at}: not measured, the {min:.2}x floor is out of reach"),
@@ -1221,6 +1252,21 @@ mod tests {
         assert!(lines[1]
             .1
             .ends_with("not measured, the 1.50x floor is out of reach"));
+    }
+
+    #[test]
+    fn a_short_arm_or_a_single_core_records_no_speedup() {
+        assert_eq!(speedup(MIN_TIMED_ARM_S, 0.25, 2), Ok(2.0));
+        let short = speedup(0.019, 0.010, 2).unwrap_err();
+        assert_eq!(short, "the 1-thread arm took 0.019s, under 0.5s");
+        assert_eq!(speedup(30.0, 30.0, 1).unwrap_err(), "the host has 1 core");
+        // A run that recorded none passes a reachable floor as not measured.
+        let lines = verdict(&[("\"speedup_total\": 2.0000", "\"speedup_total\": null")]);
+        assert!(lines.iter().all(|(ok, _)| *ok), "{lines:?}");
+        assert_eq!(
+            lines[1].1,
+            "speedup not measured at 2 thread(s) on 2 core(s)"
+        );
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! * **Replay** — [`ReplayStreams::from_events`] partitions events
 //!   across servers by a deterministic key hash (all requests for an
 //!   object land on one server, the regime where delayed-hit coalescing
-//!   matters), sorts each server's events stably by timestamp, and clamps
-//!   sites/objects into the replaying scenario's catalog, so any trace
-//!   replays against any scenario. The resulting per-server streams feed
+//!   matters), consuming its input as it goes so the trace is held once,
+//!   and sorts each server's events stably by timestamp;
+//!   [`ReplayStreams::stream_for_server`] clamps sites/objects into the
+//!   replaying scenario's catalog, so any trace replays against any
+//!   scenario. The resulting per-server streams feed
 //!   [`cdn_sim::simulate_system_streams`], which keeps replay
 //!   byte-identical at any thread or shard count (DESIGN.md §9.1:
 //!   per-server state is keyed on the deterministic stream tick).
@@ -155,10 +157,17 @@ pub fn parse_csv_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     Ok(events)
 }
 
+/// Events [`ReplayStreams::from_events`] moves out of its input per round
+/// before it shrinks the input: 2^20 events, 16 MiB.
+const DRAIN_CHUNK_EVENTS: usize = 1 << 20;
+
 /// Per-server request streams rebuilt from a trace, ready to feed
 /// [`cdn_sim::simulate_system_streams`].
 pub struct ReplayStreams {
-    streams: Vec<Vec<Request>>,
+    /// Each server's events, sorted stably by timestamp.
+    streams: Vec<Vec<TraceEvent>>,
+    m_sites: u32,
+    objects_per_site: u32,
 }
 
 impl ReplayStreams {
@@ -172,17 +181,21 @@ impl ReplayStreams {
     /// * Order: stable by timestamp (ties keep input order), so replay is
     ///   independent of how the trace was produced or stored.
     ///
-    /// The events are first moved, in input order, into one exactly sized
-    /// buffer per server, and the input is dropped; each server's buffer is
-    /// then sorted stably by timestamp in parallel. Filtering a stable sort
-    /// by server gives the same order as stable-sorting each server's
-    /// filtered events, so this equals one global sort followed by the
-    /// partition.
+    /// The partition consumes its input, so the trace is held once plus
+    /// one chunk. A counting pass sizes one buffer per server exactly.
+    /// Then the events move out of `events` from its tail, in chunks of
+    /// `DRAIN_CHUNK_EVENTS`, and the input shrinks after each chunk: a
+    /// `Vec` returns memory only at its end. Each buffer then holds its
+    /// server's events in reverse input order; reversing it restores input
+    /// order, and it is sorted stably by timestamp in place, the servers in
+    /// parallel. Filtering a stable sort by server gives the same order as
+    /// stable-sorting each server's filtered events, so this equals one
+    /// global sort followed by the partition.
     ///
     /// All requests replay as [`Flavor::Normal`]; the `.events` format
     /// carries no uncacheable/expired flags.
     pub fn from_events(
-        events: Vec<TraceEvent>,
+        mut events: Vec<TraceEvent>,
         n_servers: usize,
         m_sites: usize,
         objects_per_site: usize,
@@ -195,31 +208,24 @@ impl ReplayStreams {
         for e in &events {
             counts[server_of(e.key)] += 1;
         }
-        let mut by_server: Vec<Vec<TraceEvent>> =
+        let mut streams: Vec<Vec<TraceEvent>> =
             counts.into_iter().map(Vec::with_capacity).collect();
-        for e in &events {
-            by_server[server_of(e.key)].push(*e);
+        while !events.is_empty() {
+            let start = events.len().saturating_sub(DRAIN_CHUNK_EVENTS);
+            for e in events.drain(start..).rev() {
+                streams[server_of(e.key)].push(e);
+            }
+            events.shrink_to_fit();
         }
-        drop(events);
-        let (m_sites, objects_per_site) = (m_sites as u32, objects_per_site as u32);
-        let streams = by_server
-            .into_par_iter()
-            .map(|mut server_events| {
-                server_events.sort_by_key(|e| e.timestamp_us);
-                server_events
-                    .iter()
-                    .map(|e| {
-                        let (site, object) = unpack_key(e.key);
-                        Request {
-                            site: site % m_sites,
-                            object: object % objects_per_site,
-                            flavor: Flavor::Normal,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Self { streams }
+        streams.par_iter_mut().for_each(|server_events| {
+            server_events.reverse();
+            server_events.sort_by_key(|e| e.timestamp_us);
+        });
+        Self {
+            streams,
+            m_sites: m_sites as u32,
+            objects_per_site: objects_per_site as u32,
+        }
     }
 
     /// Stream lengths per server (the warm-up sizing input).
@@ -232,9 +238,18 @@ impl ReplayStreams {
         self.streams.iter().map(|s| s.len() as u64).sum()
     }
 
-    /// Iterate one server's stream (cloned requests, cheap `Copy` items).
+    /// Iterate one server's stream. Each event is clamped into the
+    /// replaying catalog as it is yielded, so no request list is built.
     pub fn stream_for_server(&self, server: usize) -> impl Iterator<Item = Request> + '_ {
-        self.streams[server].iter().copied()
+        let (m_sites, objects_per_site) = (self.m_sites, self.objects_per_site);
+        self.streams[server].iter().map(move |e| {
+            let (site, object) = unpack_key(e.key);
+            Request {
+                site: site % m_sites,
+                object: object % objects_per_site,
+                flavor: Flavor::Normal,
+            }
+        })
     }
 }
 

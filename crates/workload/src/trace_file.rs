@@ -125,7 +125,7 @@ pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
 /// Decode a full in-memory file image. Convenience for tests and small
 /// traces; large files should stream through [`EventsReader`].
 pub fn decode_events(bytes: &[u8]) -> Result<Vec<TraceEvent>, TraceFileError> {
-    EventsReader::new(bytes)?.collect()
+    EventsReader::new(bytes)?.read_all(bytes.len() as u64)
 }
 
 /// Write `events` to `path` as a `.events` file, streaming the records
@@ -144,8 +144,12 @@ pub fn open_events_file(path: &Path) -> Result<EventsReader<BufReader<File>>, Tr
 }
 
 /// Read a whole `.events` file into memory (streaming decode underneath).
+/// The output is allocated once, for the header's count or for what the
+/// file's length can hold, whichever is less.
 pub fn read_events_file(path: &Path) -> Result<Vec<TraceEvent>, TraceFileError> {
-    open_events_file(path)?.collect()
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    EventsReader::new(file)?.read_all(file_len)
 }
 
 /// How many bytes [`EventsReader`] asks the source for per refill.
@@ -159,11 +163,13 @@ const CHUNK_BYTES: usize = 64 * 1024;
 /// record are ever buffered.
 pub struct EventsReader<R: Read> {
     src: R,
-    /// Undecoded bytes carried between refills (always < [`EVENT_LEN`]).
-    carry: Vec<u8>,
-    buf: Vec<u8>,
+    /// `CHUNK_BYTES` plus room for the partial record a refill carries
+    /// over, allocated once.
+    buf: Box<[u8]>,
     /// Next undecoded position in `buf`.
     pos: usize,
+    /// End of the bytes read into `buf`.
+    end: usize,
     /// Events the header promised.
     declared: u64,
     /// Events yielded so far.
@@ -201,9 +207,9 @@ impl<R: Read> EventsReader<R> {
         let declared = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
         Ok(Self {
             src,
-            carry: Vec::new(),
-            buf: Vec::new(),
+            buf: vec![0; CHUNK_BYTES + EVENT_LEN].into_boxed_slice(),
             pos: 0,
+            end: 0,
             declared,
             yielded: 0,
             offset: HEADER_LEN as u64,
@@ -216,17 +222,28 @@ impl<R: Read> EventsReader<R> {
         self.declared
     }
 
-    /// Pull the next chunk from the source, keeping any partial record.
-    fn refill(&mut self) -> Result<usize, TraceFileError> {
-        self.carry.clear();
-        self.carry.extend_from_slice(&self.buf[self.pos..]);
-        self.buf.clear();
-        self.buf.resize(self.carry.len() + CHUNK_BYTES, 0);
-        self.buf[..self.carry.len()].copy_from_slice(&self.carry);
-        let got = read_up_to(&mut self.src, &mut self.buf[self.carry.len()..])?;
-        self.buf.truncate(self.carry.len() + got);
+    /// Pull the next chunk from the source. The partial record left
+    /// undecoded (fewer than [`EVENT_LEN`] bytes) moves to the front first.
+    fn refill(&mut self) -> Result<(), TraceFileError> {
+        let carry = self.end - self.pos;
+        self.buf.copy_within(self.pos..self.end, 0);
+        let got = read_up_to(&mut self.src, &mut self.buf[carry..carry + CHUNK_BYTES])?;
         self.pos = 0;
-        Ok(got)
+        self.end = carry + got;
+        Ok(())
+    }
+
+    /// Decode every remaining event into one vector, allocated once for
+    /// the header's count, but for no more events than `source_len` bytes
+    /// (the whole source, header included) can hold, so a header that
+    /// lies cannot force a huge allocation.
+    fn read_all(self, source_len: u64) -> Result<Vec<TraceEvent>, TraceFileError> {
+        let room = source_len.saturating_sub(HEADER_LEN as u64) / EVENT_LEN as u64;
+        let mut events = Vec::with_capacity(self.declared.min(room) as usize);
+        for event in self {
+            events.push(event?);
+        }
+        Ok(events)
     }
 }
 
@@ -237,15 +254,12 @@ impl<R: Read> Iterator for EventsReader<R> {
         if self.done {
             return None;
         }
-        if self.buf.len() - self.pos < EVENT_LEN {
-            match self.refill() {
-                Ok(_) => {}
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+        if self.end - self.pos < EVENT_LEN {
+            if let Err(e) = self.refill() {
+                self.done = true;
+                return Some(Err(e));
             }
-            let rest = self.buf.len() - self.pos;
+            let rest = self.end - self.pos;
             if rest == 0 {
                 self.done = true;
                 if self.yielded != self.declared {
@@ -452,6 +466,41 @@ mod tests {
         assert_eq!(r.declared_len(), 3);
         assert_eq!(read_events_file(&path).unwrap(), events);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_whole_file_decodes_into_one_exact_allocation() {
+        // Several refills, so a record straddles a chunk boundary.
+        let events: Vec<TraceEvent> = (0..10_000).map(|i| ev(i, i * 3 + 1)).collect();
+        let path = std::env::temp_dir().join("cdn-trace-file-exact.events");
+        write_events_file(&path, &events).unwrap();
+        let back = read_events_file(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(back, events);
+        assert_eq!(back.capacity(), events.len(), "the output regrew");
+        let bytes = encode_events(&events);
+        assert_eq!(decode_events(&bytes).unwrap().capacity(), events.len());
+    }
+
+    #[test]
+    fn a_lying_header_cannot_force_a_huge_allocation() {
+        let mut bytes = encode_events(&[ev(1, 10), ev(2, 20)]);
+        bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            decode_events(&bytes),
+            Err(TraceFileError::CountMismatch {
+                declared: u64::MAX,
+                found: 2
+            })
+        );
+        let path = std::env::temp_dir().join("cdn-trace-file-lying.events");
+        std::fs::write(&path, &bytes).unwrap();
+        let read = read_events_file(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(
+            read,
+            Err(TraceFileError::CountMismatch { found: 2, .. })
+        ));
     }
 
     #[test]
