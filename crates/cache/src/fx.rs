@@ -15,7 +15,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` alias used by [`LruCache`](crate::LruCache) (the simulator's
 /// default policy — the other policies keep std's hasher since they are
-/// ablation-only).
+/// ablation-only), the engine's in-flight table, and the planner's memos.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;

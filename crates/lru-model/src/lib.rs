@@ -32,6 +32,10 @@ pub mod model;
 pub mod table;
 pub mod validation;
 
+/// The Fx-hashed map of `cdn-cache`, which the memos here and the
+/// planner's use: their keys are small internal integers, and none is ever
+/// iterated into a result, so the hasher cannot move a value.
+pub use cdn_cache::FxHashMap;
 pub use che::CheModel;
 pub use closed_form::{ClosedFormLru, DemandScale};
 pub use model::LruModel;

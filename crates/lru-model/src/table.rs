@@ -16,8 +16,9 @@
 //! row.
 
 use crate::model::LruModel;
+use cdn_cache::FxHashMap;
 use parking_lot::RwLock;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
 /// Lazily filled lookup table over quantised `(p, K)`.
 ///
@@ -27,7 +28,7 @@ use std::collections::hash_map::{Entry, HashMap};
 #[derive(Debug)]
 pub struct HitRatioTable {
     model: LruModel,
-    cells: RwLock<HashMap<(u64, u64), f64>>,
+    cells: RwLock<FxHashMap<(u64, u64), f64>>,
 }
 
 impl HitRatioTable {
@@ -46,7 +47,7 @@ impl HitRatioTable {
     pub fn new(model: LruModel) -> Self {
         Self {
             model,
-            cells: RwLock::new(HashMap::new()),
+            cells: RwLock::new(FxHashMap::default()),
         }
     }
 
@@ -152,6 +153,7 @@ impl HitRatioTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn table() -> HitRatioTable {
         HitRatioTable::new(LruModel::new(200, 1.0))

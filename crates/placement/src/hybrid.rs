@@ -33,11 +33,11 @@ use crate::oracle::{CheOracle, ClosedFormOracle, HitRatioOracle, PaperOracle};
 use crate::problem::PlacementProblem;
 use crate::solution::Placement;
 use crate::Hops;
-use cdn_lru_model::{CheModel, ClosedFormLru, LruModel};
+use cdn_lru_model::{CheModel, ClosedFormLru, FxHashMap, LruModel};
 use cdn_telemetry::{self as telemetry, Value};
 use rayon::prelude::*;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Reference paths of the hybrid run, which tests compare the default
 /// planner against. The planner accepts a candidate only while its benefit
@@ -162,14 +162,14 @@ struct ShrinkMemo {
     /// `W` per server; `None` = needs recomputation.
     cur_w: Vec<Option<f64>>,
     /// `S(bucket)` per server. Written only between scans.
-    s: Vec<HashMap<u32, f64>>,
+    s: Vec<FxHashMap<u32, f64>>,
 }
 
 impl ShrinkMemo {
     fn new(n: usize) -> Self {
         Self {
             cur_w: vec![None; n],
-            s: vec![HashMap::new(); n],
+            s: vec![FxHashMap::default(); n],
         }
     }
 
@@ -214,9 +214,8 @@ impl ShrinkMemo {
     ///   keeps every other term, so `W` and each cached `S` bucket shift
     ///   by `h_j · r · (c_new − c_old)`.
     ///
-    /// Bucket updates are independent of one another, so the (seeded,
-    /// per-process) `HashMap` iteration order cannot affect the resulting
-    /// values, and the oracle work is one memoised query per cached bucket
+    /// Bucket updates are independent of one another, so the map's
+    /// iteration order cannot affect the resulting values, and the oracle work is one memoised query per cached bucket
     /// instead of M per rebuilt bucket.
     #[allow(clippy::too_many_arguments)] // internal update hook; mirrors evaluate_candidate
     fn apply_replica(

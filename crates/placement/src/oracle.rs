@@ -8,10 +8,9 @@
 //! [`ClosedFormOracle`] answers with the closed-form characteristic-rank
 //! model — O(1) per query after a scalar solve per `(server, buffer)`.
 
-use cdn_lru_model::{CheModel, ClosedFormLru, DemandScale, HitRatioTable, LruModel};
+use cdn_lru_model::{CheModel, ClosedFormLru, DemandScale, FxHashMap, HitRatioTable, LruModel};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A predictor of per-site LRU hit ratios.
@@ -44,7 +43,7 @@ pub trait HitRatioOracle: Sync + Send {
 /// racing loser's copy is bit-identical and dropped; work counted beneath
 /// `compute` is accounted once per cell by the [`HitRatioTable`] itself.
 pub(crate) fn memoised<K: Hash + Eq>(
-    memo: &Mutex<HashMap<K, f64>>,
+    memo: &Mutex<FxHashMap<K, f64>>,
     key: K,
     compute: impl FnOnce() -> f64,
 ) -> f64 {
@@ -73,7 +72,7 @@ pub struct PaperOracle {
     /// to build its memo-table key, so planners re-probing the same
     /// buffers would otherwise pay the summation millions of times.
     /// Filled with no lock held across the summation (see [`memoised`]).
-    horizons: Vec<Mutex<HashMap<usize, f64>>>,
+    horizons: Vec<Mutex<FxHashMap<usize, f64>>>,
 }
 
 impl PaperOracle {
@@ -88,7 +87,7 @@ impl PaperOracle {
             .map(|(pops, &b)| model.top_b_mass(pops, b))
             .collect();
         let horizons = (0..per_server_pops.len())
-            .map(|_| Mutex::new(HashMap::new()))
+            .map(|_| Mutex::new(FxHashMap::default()))
             .collect();
         Self {
             table: HitRatioTable::new(model),
@@ -160,7 +159,7 @@ pub struct CheOracle {
     model: CheModel,
     per_server_pops: Vec<Vec<f64>>,
     /// (server, b) → t_C.
-    memo: Mutex<HashMap<(usize, usize), f64>>,
+    memo: Mutex<FxHashMap<(usize, usize), f64>>,
 }
 
 impl CheOracle {
@@ -168,7 +167,7 @@ impl CheOracle {
         Self {
             model,
             per_server_pops,
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(FxHashMap::default()),
         }
     }
 
@@ -199,7 +198,7 @@ pub struct ClosedFormOracle {
     /// Per-server demand geometry (site popularity mix).
     scales: Vec<DemandScale>,
     /// (server, b) → τ.
-    memo: Mutex<HashMap<(usize, usize), f64>>,
+    memo: Mutex<FxHashMap<(usize, usize), f64>>,
 }
 
 impl ClosedFormOracle {
@@ -211,7 +210,7 @@ impl ClosedFormOracle {
         Self {
             model,
             scales,
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(FxHashMap::default()),
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::fault::FaultSchedule;
 use crate::metrics::{us_to_ms, Cause, LatencyHistogram, Outcome, RequestSample, Tally};
-use crate::plan::{ConsistencyMode, ServerPlan, SimConfig, HOP_DELAY_US};
+use crate::plan::{ConsistencyMode, Holder, ServerPlan, SimConfig, HOP_DELAY_US};
 use crate::timeline::{ServerTimeline, TimelineAcc};
 use cdn_cache::{Cache, CacheStats, FxHashMap, ObjectKey};
 use cdn_telemetry as telemetry;
@@ -143,29 +143,39 @@ pub struct Routed {
     pub from_origin: bool,
 }
 
-/// Walk `plan.holders[site]` from `start_rank`, skipping dead holders.
-/// Returns `(hops, from_origin, dead_skipped)` of the first live copy, or
-/// `None` when every holder is down.
+/// Walk site `site`'s holders from rank `start` (0 or 1), skipping dead
+/// ones. Rank 0 is read from the plan's flat nearest-copy array; the ranked
+/// list ([`ServerPlan::failover`]) is built and read only once the walk
+/// goes past it. Returns `(hops, from_origin, dead_skipped)` of the first
+/// live copy, or `Err(dead_skipped)` when every holder is down, `dead`
+/// counting the skips made before the walk.
 #[inline]
 fn first_live_holder(
     plan: &ServerPlan,
     site: usize,
     schedule: &FaultSchedule,
     tick: u64,
-    start_rank: usize,
+    start: usize,
     mut dead: u32,
-) -> Option<(u32, bool, u32)> {
-    for h in &plan.holders[site][start_rank..] {
-        let alive = match h.server {
-            None => !schedule.is_origin_down(tick),
-            Some(k) => !schedule.is_server_down(k as usize, tick),
-        };
-        if alive {
-            return Some((h.hops, h.server.is_none(), dead));
+) -> Result<(u32, bool, u32), u32> {
+    let alive = |h: &Holder| match h.server {
+        None => !schedule.is_origin_down(tick),
+        Some(k) => !schedule.is_server_down(k as usize, tick),
+    };
+    if start == 0 {
+        let h = &plan.nearest[site];
+        if alive(h) {
+            return Ok((h.hops, h.server.is_none(), dead));
         }
         dead += 1;
     }
-    None
+    for h in &plan.failover(site)[1..] {
+        if alive(h) {
+            return Ok((h.hops, h.server.is_none(), dead));
+        }
+        dead += 1;
+    }
+    Err(dead)
 }
 
 /// Resolve one request against a server's plan, cache and fault schedule.
@@ -173,7 +183,8 @@ fn first_live_holder(
 /// and everything else is fetched from the nearest *live* copy along the
 /// distance-ranked holder list, skipping crashed servers (and, possibly, an
 /// unreachable origin). Under an empty schedule every holder is live, so
-/// the nearest copy `holders[site][0]` always serves.
+/// the nearest copy `plan.nearest[site]` always serves and no failover list
+/// is built.
 ///
 /// Semantics under faults:
 /// * A down first-hop server serves nothing locally and its cache is not
@@ -200,37 +211,41 @@ pub fn resolve(
         dead_skipped: 0,
         from_origin: false,
     };
-    let remote = |resolution, (hops, from_origin, dead_skipped)| Routed {
-        resolution,
-        hops,
-        dead_skipped,
-        from_origin,
-    };
-    let failed = |dead_skipped| Routed {
-        resolution: Resolution::Failed,
-        hops: 0,
-        dead_skipped,
-        from_origin: false,
+    let walked = |resolution, found| match found {
+        Ok((hops, from_origin, dead_skipped)) => Routed {
+            resolution,
+            hops,
+            dead_skipped,
+            from_origin,
+        },
+        Err(dead_skipped) => Routed {
+            resolution: Resolution::Failed,
+            hops: 0,
+            dead_skipped,
+            from_origin: false,
+        },
     };
 
     if schedule.is_server_down(plan.server, tick) {
         // First-hop down: no replica, no cache. If this server replicates
         // the site it heads its own holder list — skip that dead entry;
         // otherwise the failed first-hop attempt itself costs one skip.
-        let start_rank = usize::from(plan.replicated[site]);
-        return match first_live_holder(plan, site, schedule, tick, start_rank, 1) {
-            Some(found) => remote(Resolution::Bypass, found),
-            None => failed(1 + (plan.holders[site].len() - start_rank) as u32),
-        };
+        let start = usize::from(plan.replicated[site]);
+        return walked(
+            Resolution::Bypass,
+            first_live_holder(plan, site, schedule, tick, start, 1),
+        );
     }
     if plan.replicated[site] {
         // Replicas are kept consistent by the CDN; even expired-flagged
         // requests are served locally.
         return local(Resolution::Replica);
     }
-    let fetch = |resolution| match first_live_holder(plan, site, schedule, tick, 0, 0) {
-        Some(found) => remote(resolution, found),
-        None => failed(plan.holders[site].len() as u32),
+    let fetch = |resolution| {
+        walked(
+            resolution,
+            first_live_holder(plan, site, schedule, tick, 0, 0),
+        )
     };
     if req.flavor == Flavor::Uncacheable {
         return fetch(Resolution::Bypass);
@@ -434,35 +449,63 @@ where
 mod tests {
     use super::*;
     use crate::fault::FaultParams;
-    use crate::plan::{ConsistencyMode as CM, Holder};
+    use crate::plan::ConsistencyMode as CM;
     use cdn_cache::LruCache as Lru;
+    use cdn_placement::{Placement, PlacementProblem};
 
-    /// Minimal holder lists: the local replica when replicated, otherwise
-    /// the primary `nearest[j]` hops away.
-    fn plan(replicated: Vec<bool>, nearest: Vec<u32>, cache_bytes: u64) -> ServerPlan {
-        let holders = replicated
-            .iter()
-            .zip(&nearest)
-            .map(|(&r, &h)| {
-                if r {
-                    vec![Holder {
-                        server: Some(0),
-                        hops: 0,
-                    }]
-                } else {
-                    vec![Holder {
-                        server: None,
-                        hops: h,
-                    }]
-                }
-            })
-            .collect();
-        ServerPlan {
-            server: 0,
-            replicated,
-            holders,
-            cache_bytes,
+    /// A placement and the problem it places; its plans are server 0's.
+    struct Fixture(PlacementProblem, Placement);
+
+    impl Fixture {
+        /// `problem` with `replicas` placed.
+        fn new(problem: PlacementProblem, replicas: &[(usize, usize)]) -> Self {
+            let mut placement = Placement::primaries_only(&problem);
+            for &(i, j) in replicas {
+                placement.add_replica(&problem, i, j);
+            }
+            Self(problem, placement)
         }
+
+        fn plan(&self) -> ServerPlan<'_> {
+            ServerPlan::from_placement(&self.0, &self.1, 0)
+        }
+    }
+
+    /// A problem of 0-byte sites, with `dist_ss` between the servers,
+    /// `dist_sp` from each server to each site's primary, and server 0's
+    /// capacity `cache_bytes` (the others hold nothing but replicas).
+    fn problem(
+        n: usize,
+        dist_ss: Vec<u32>,
+        dist_sp: Vec<u32>,
+        cache_bytes: u64,
+    ) -> PlacementProblem {
+        let m = dist_sp.len() / n;
+        let mut capacities = vec![0; n];
+        capacities[0] = cache_bytes;
+        PlacementProblem::new(
+            n,
+            m,
+            dist_ss,
+            dist_sp,
+            vec![0; m],
+            capacities,
+            vec![0; n * m],
+            vec![0.0; m],
+            1.0,
+            1,
+            1.0,
+        )
+    }
+
+    /// One server: a site is replicated locally when `replicated` says so,
+    /// and its primary is `nearest[j]` hops away.
+    fn plan(replicated: Vec<bool>, nearest: Vec<u32>, cache_bytes: u64) -> Fixture {
+        let replicas: Vec<(usize, usize)> = (0..replicated.len())
+            .filter(|&j| replicated[j])
+            .map(|j| (0, j))
+            .collect();
+        Fixture::new(problem(1, vec![0], nearest, cache_bytes), &replicas)
     }
 
     /// [`resolve`] at tick 0 under the empty schedule, where nothing is
@@ -487,7 +530,8 @@ mod tests {
 
     #[test]
     fn replica_requests_are_free() {
-        let p = plan(vec![true], vec![0], 100);
+        let fx = plan(vec![true], vec![0], 100);
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         let (res, hops) = resolve_up(&p, &mut cache, req(0, 5, Flavor::Normal), CM::Strong);
         assert_eq!(res, Resolution::Replica);
@@ -500,7 +544,8 @@ mod tests {
 
     #[test]
     fn miss_then_hit_sequence() {
-        let p = plan(vec![false], vec![7], 100);
+        let fx = plan(vec![false], vec![7], 100);
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Strong);
         assert_eq!((res, hops), (Resolution::CacheMiss, 7));
@@ -510,7 +555,8 @@ mod tests {
 
     #[test]
     fn expired_hit_pays_refresh() {
-        let p = plan(vec![false], vec![4], 100);
+        let fx = plan(vec![false], vec![4], 100);
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Strong);
         let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Expired), CM::Strong);
@@ -522,7 +568,8 @@ mod tests {
 
     #[test]
     fn weak_consistency_serves_stale_locally() {
-        let p = plan(vec![false], vec![4], 100);
+        let fx = plan(vec![false], vec![4], 100);
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         resolve_up(&p, &mut cache, req(0, 1, Flavor::Normal), CM::Weak);
         let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Expired), CM::Weak);
@@ -531,7 +578,8 @@ mod tests {
 
     #[test]
     fn uncacheable_bypasses_cache() {
-        let p = plan(vec![false], vec![5], 100);
+        let fx = plan(vec![false], vec![5], 100);
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         let (res, hops) = resolve_up(&p, &mut cache, req(0, 1, Flavor::Uncacheable), CM::Strong);
         assert_eq!((res, hops), (Resolution::Bypass, 5));
@@ -542,7 +590,8 @@ mod tests {
 
     #[test]
     fn simulate_server_counts_and_latencies() {
-        let p = plan(vec![true, false], vec![0, 3], 1000);
+        let fx = plan(vec![true, false], vec![0, 3], 1000);
+        let p = fx.plan();
         let cfg = SimConfig::default();
         let stream = vec![
             req(0, 1, Flavor::Normal),      // replica: 20 ms
@@ -570,7 +619,8 @@ mod tests {
 
     #[test]
     fn warmup_excluded_from_measurement() {
-        let p = plan(vec![false], vec![3], 1000);
+        let fx = plan(vec![false], vec![3], 1000);
+        let p = fx.plan();
         let cfg = SimConfig::default();
         let stream = vec![req(0, 1, Flavor::Normal), req(0, 1, Flavor::Normal)];
         let report = simulate_server_faulted(
@@ -591,7 +641,8 @@ mod tests {
 
     #[test]
     fn windowed_timeline_mirrors_run_level_accounting() {
-        let p = plan(vec![true, false], vec![0, 3], 1000);
+        let fx = plan(vec![true, false], vec![0, 3], 1000);
+        let p = fx.plan();
         let cfg = SimConfig {
             window: 2,
             ..Default::default()
@@ -650,7 +701,8 @@ mod tests {
         // Warm-up ticks advance the window clock without recording: with
         // warmup 3 and width 2, the first measured tick (3) lands in
         // window 1, and window 0 never materialises.
-        let p = plan(vec![false], vec![3], 1000);
+        let fx = plan(vec![false], vec![3], 1000);
+        let p = fx.plan();
         let cfg = SimConfig {
             window: 2,
             ..Default::default()
@@ -675,26 +727,9 @@ mod tests {
 
     /// One server (0), one site with three holders: peer 1 at 2 hops, peer
     /// 2 at 5 hops, the primary at 9 hops.
-    fn failover_plan() -> ServerPlan {
-        ServerPlan {
-            server: 0,
-            replicated: vec![false],
-            holders: vec![vec![
-                Holder {
-                    server: Some(1),
-                    hops: 2,
-                },
-                Holder {
-                    server: Some(2),
-                    hops: 5,
-                },
-                Holder {
-                    server: None,
-                    hops: 9,
-                },
-            ]],
-            cache_bytes: 100,
-        }
+    fn failover_plan() -> Fixture {
+        let dist_ss = vec![0, 2, 5, 2, 0, 3, 5, 3, 0];
+        Fixture::new(problem(3, dist_ss, vec![9, 9, 9], 100), &[(1, 0), (2, 0)])
     }
 
     /// Schedule where server `s` is down for ticks `[0, 100)`.
@@ -709,7 +744,8 @@ mod tests {
 
     #[test]
     fn dead_nearest_holder_fails_over_to_next() {
-        let p = failover_plan();
+        let fx = failover_plan();
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         let schedule = down(&[1], false);
         let routed = resolve(
@@ -752,8 +788,36 @@ mod tests {
     }
 
     #[test]
+    fn only_a_walk_past_a_dead_nearest_copy_builds_a_failover_list() {
+        let fx = failover_plan();
+        let p = fx.plan();
+        let stream: Vec<_> = (0..20).map(|o| req(0, o % 5, Flavor::Normal)).collect();
+        let run = |schedule| {
+            simulate_server_faulted(
+                &p,
+                &SimConfig::default(),
+                stream.clone().into_iter(),
+                0,
+                |_, _| 10,
+                Box::new(Lru::new(p.cache_bytes)),
+                schedule,
+            )
+        };
+        // Fault-free, the nearest copy serves every fetch.
+        assert_eq!(run(None).peer_fetches, 5);
+        assert_eq!(p.failover_lists().count(), 0);
+        // With the nearest holder down, the first fetch builds the list.
+        assert_eq!(run(Some(&down(&[1], false))).failover_fetches, 5);
+        let built: Vec<(usize, &[Holder])> = p.failover_lists().collect();
+        assert_eq!(built.len(), 1);
+        assert_eq!(built[0].0, 0);
+        assert_eq!(built[0].1.len(), 3);
+    }
+
+    #[test]
     fn both_peers_dead_falls_back_to_origin() {
-        let p = failover_plan();
+        let fx = failover_plan();
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         let schedule = down(&[1, 2], false);
         let routed = resolve(
@@ -773,7 +837,8 @@ mod tests {
 
     #[test]
     fn no_live_copy_fails_without_polluting_cache() {
-        let p = failover_plan();
+        let fx = failover_plan();
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         let schedule = down(&[1, 2], true);
         let routed = resolve(
@@ -804,7 +869,8 @@ mod tests {
 
     #[test]
     fn strong_refresh_fails_but_weak_serves_stale_during_blackout() {
-        let p = failover_plan();
+        let fx = failover_plan();
+        let p = fx.plan();
         let schedule = down(&[1, 2], true);
         let mut cache = Lru::new(100);
         cache.insert(cdn_cache::ObjectKey::new(0, 1), 10);
@@ -833,7 +899,8 @@ mod tests {
 
     #[test]
     fn down_first_hop_skips_local_service_and_cache() {
-        let p = failover_plan();
+        let fx = failover_plan();
+        let p = fx.plan();
         let mut cache = Lru::new(100);
         cache.insert(cdn_cache::ObjectKey::new(0, 1), 10);
         let schedule = down(&[0], false);
@@ -858,21 +925,21 @@ mod tests {
     fn down_replicator_fails_over_off_its_own_replica() {
         // Server 0 replicates the site (it heads its own holder list) but
         // is down: the request must reach the next holder.
-        let p = ServerPlan {
-            server: 0,
-            replicated: vec![true],
-            holders: vec![vec![
+        let fx = plan(vec![true], vec![9], 0);
+        let p = fx.plan();
+        assert_eq!(
+            p.failover(0),
+            [
                 Holder {
                     server: Some(0),
-                    hops: 0,
+                    hops: 0
                 },
                 Holder {
                     server: None,
-                    hops: 9,
-                },
-            ]],
-            cache_bytes: 0,
-        };
+                    hops: 9
+                }
+            ]
+        );
         let mut cache = Lru::new(0);
         let schedule = down(&[0], false);
         let routed = resolve(
@@ -903,7 +970,8 @@ mod tests {
 
     #[test]
     fn simulate_server_faulted_accounts_failures_and_failovers() {
-        let p = failover_plan();
+        let fx = failover_plan();
+        let p = fx.plan();
         let cfg = SimConfig {
             faults: Some(FaultParams {
                 retry_penalty_ms: 100.0,
@@ -954,7 +1022,8 @@ mod tests {
         // Non-replicated site 3 hops away, fetch takes 2 ticks: the miss at
         // tick 0 puts the fetch in flight until tick 2, so the hit at
         // tick 1 is a delayed hit and the hit at tick 2 is a plain one.
-        let p = plan(vec![false], vec![3], 1000);
+        let fx = plan(vec![false], vec![3], 1000);
+        let p = fx.plan();
         let cfg = SimConfig {
             fetch_latency: Some(2),
             ..Default::default()
@@ -999,7 +1068,8 @@ mod tests {
         // are all misses under instant fetch — but with a fetch in flight
         // the later ones coalesce, which is exactly the miss-reduction
         // delayed hits exist to model.
-        let p = plan(vec![false], vec![2], 0);
+        let fx = plan(vec![false], vec![2], 0);
+        let p = fx.plan();
         let cfg = SimConfig {
             fetch_latency: Some(3),
             ..Default::default()
@@ -1032,7 +1102,8 @@ mod tests {
     #[test]
     fn fetch_latency_off_switches_are_equivalent() {
         // `None` and `Some(0)` must both run the instant-fetch path.
-        let p = plan(vec![false], vec![3], 1000);
+        let fx = plan(vec![false], vec![3], 1000);
+        let p = fx.plan();
         let stream: Vec<_> = (0..20).map(|i| req(0, i % 4, Flavor::Normal)).collect();
         let run = |fetch_latency| {
             let cfg = SimConfig {
@@ -1064,7 +1135,8 @@ mod tests {
         // a panic in debug builds, and in release a completion tick that
         // wrapped into the past, so the fetch had already landed. It now
         // stays in flight for the whole stream.
-        let p = plan(vec![false], vec![3], 1000);
+        let fx = plan(vec![false], vec![3], 1000);
+        let p = fx.plan();
         let cfg = SimConfig {
             fetch_latency: Some(u64::MAX),
             ..Default::default()
@@ -1091,7 +1163,8 @@ mod tests {
 
     #[test]
     fn delayed_hits_appear_in_timeline_windows() {
-        let p = plan(vec![false], vec![3], 1000);
+        let fx = plan(vec![false], vec![3], 1000);
+        let p = fx.plan();
         let cfg = SimConfig {
             fetch_latency: Some(2),
             window: 2,
@@ -1122,7 +1195,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_cache_never_hits() {
-        let p = plan(vec![false], vec![2], 0);
+        let fx = plan(vec![false], vec![2], 0);
+        let p = fx.plan();
         let cfg = SimConfig::default();
         let stream = vec![req(0, 1, Flavor::Normal), req(0, 1, Flavor::Normal)];
         let report = simulate_server_faulted(

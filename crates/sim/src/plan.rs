@@ -3,6 +3,7 @@
 
 use crate::fault::FaultParams;
 use cdn_placement::{Nearest, Placement, PlacementProblem};
+use std::cell::OnceCell;
 
 /// One copy holder of a site as seen from a plan's server — the failover
 /// targets of [`crate::engine::resolve`].
@@ -15,49 +16,89 @@ pub struct Holder {
     pub hops: u32,
 }
 
+impl Holder {
+    fn new(holder: Nearest, hops: u32) -> Self {
+        let server = match holder {
+            Nearest::Primary => None,
+            Nearest::Server(k) => Some(k),
+        };
+        Self { server, hops }
+    }
+}
+
 /// What one CDN server needs to serve requests: which sites it replicates,
-/// where every copy of each site is, and how many bytes its cache gets
-/// (the capacity left over after replicas).
+/// the nearest copy of each site, and how many bytes its cache gets (the
+/// capacity left over after replicas). It borrows the placement it views,
+/// from which it ranks a site's other copies only when a request has to
+/// fail over past the nearest one.
+///
+/// Building a plan costs O(M): one nearest-copy lookup per site
+/// ([`Placement::nearest`]). A fault-free run reads nothing else. A site's
+/// ranked failover list, O(replicas of the site) to build, is built on the
+/// first walk past its nearest copy and then kept for the plan's lifetime.
 #[derive(Debug, Clone)]
-pub struct ServerPlan {
+pub struct ServerPlan<'a> {
     pub server: usize,
     /// `replicated[j]` — site j is fully replicated here.
     pub replicated: Vec<bool>,
-    /// `holders[j]` — every copy holder of site j (replicators plus the
-    /// primary) ranked by distance. `holders[j][0]` is the nearest copy
-    /// (this server itself when it replicates j); later entries are the
-    /// failover order when holders are down.
-    pub holders: Vec<Vec<Holder>>,
+    /// `nearest[j]` — the nearest copy of site j, rank 0 of its holder
+    /// list: this server itself when it replicates j.
+    pub nearest: Vec<Holder>,
     /// Bytes available to the LRU cache.
     pub cache_bytes: u64,
+    problem: &'a PlacementProblem,
+    placement: &'a Placement,
+    /// `failover[j]` — every copy holder of site j (replicators plus the
+    /// primary) ranked by distance, once a walk has needed it.
+    failover: Vec<OnceCell<Box<[Holder]>>>,
 }
 
-impl ServerPlan {
-    /// Extract server `i`'s plan from a placement, in O(M + replicas).
-    pub fn from_placement(problem: &PlacementProblem, placement: &Placement, i: usize) -> Self {
+impl<'a> ServerPlan<'a> {
+    /// Extract server `i`'s plan from a placement, in O(M).
+    pub fn from_placement(
+        problem: &'a PlacementProblem,
+        placement: &'a Placement,
+        i: usize,
+    ) -> Self {
         let m = problem.m_sites();
-        let replicated = (0..m).map(|j| placement.is_replicated(i, j)).collect();
-        let holders = (0..m)
-            .map(|j| {
-                placement
-                    .ranked_holders(problem, i, j)
-                    .into_iter()
-                    .map(|h| Holder {
-                        server: match h.holder {
-                            Nearest::Primary => None,
-                            Nearest::Server(k) => Some(k),
-                        },
-                        hops: h.dist,
-                    })
-                    .collect()
-            })
-            .collect();
         Self {
             server: i,
-            replicated,
-            holders,
+            replicated: (0..m).map(|j| placement.is_replicated(i, j)).collect(),
+            nearest: (0..m)
+                .map(|j| {
+                    Holder::new(
+                        placement.nearest(i, j),
+                        placement.nearest_dist(problem, i, j),
+                    )
+                })
+                .collect(),
             cache_bytes: placement.free_bytes(i),
+            problem,
+            placement,
+            failover: vec![OnceCell::new(); m],
         }
+    }
+
+    /// Every copy holder of site `j` ranked by distance, in
+    /// [`Placement::ranked_holders`]'s order and tie rules: rank 0 is
+    /// `nearest[j]`, and later ranks are the failover order when holders
+    /// are down. Built on the first call for `j` and kept.
+    pub fn failover(&self, j: usize) -> &[Holder] {
+        self.failover[j].get_or_init(|| {
+            self.placement
+                .ranked_holders(self.problem, self.server, j)
+                .into_iter()
+                .map(|h| Holder::new(h.holder, h.dist))
+                .collect()
+        })
+    }
+
+    /// The failover lists built so far, as `(site, list)` in site order.
+    pub fn failover_lists(&self) -> impl Iterator<Item = (usize, &[Holder])> {
+        self.failover
+            .iter()
+            .enumerate()
+            .filter_map(|(j, list)| list.get().map(|l| (j, &**l)))
     }
 }
 
@@ -192,10 +233,13 @@ mod tests {
         assert_eq!(plans[1].cache_bytes, 1500);
 
         // Holder lists: rank 0 is the nearest copy, and every copy
-        // (replicas + primary) appears in distance order.
+        // (replicas + primary) appears in distance order. Nothing is built
+        // before a list is asked for.
         for plan in &plans {
+            assert_eq!(plan.failover_lists().count(), 0);
             for j in 0..2 {
-                let h = &plan.holders[j];
+                let h = plan.failover(j);
+                assert_eq!(h[0], plan.nearest[j]);
                 assert_eq!(h[0].hops, pl.nearest_dist(&p, plan.server, j));
                 assert_eq!(
                     h[0].server.is_none(),
@@ -205,10 +249,11 @@ mod tests {
                     assert!(w[0].hops <= w[1].hops);
                 }
             }
+            assert_eq!(plan.failover_lists().count(), 2);
         }
         // Site 1 is replicated at server 0, which heads its own list.
         assert_eq!(
-            plans[0].holders[1][0],
+            plans[0].nearest[1],
             Holder {
                 server: Some(0),
                 hops: 0
@@ -217,8 +262,8 @@ mod tests {
         // Server 1 can fail over from the replica at server 0 (3 hops,
         // closer than the primary) to the primary (13 hops).
         assert_eq!(
-            plans[1].holders[1],
-            vec![
+            plans[1].failover(1),
+            [
                 Holder {
                     server: Some(0),
                     hops: 3
@@ -231,8 +276,8 @@ mod tests {
         );
         // Site 0 has no replicas: the primary (11 hops) is the only holder.
         assert_eq!(
-            plans[1].holders[0],
-            vec![Holder {
+            plans[1].failover(0),
+            [Holder {
                 server: None,
                 hops: 11
             }]
@@ -256,7 +301,8 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let p = tiny_problem();
-        let plan = ServerPlan::from_placement(&p, &Placement::primaries_only(&p), 0);
+        let placement = Placement::primaries_only(&p);
+        let plan = ServerPlan::from_placement(&p, &placement, 0);
         let cache = Box::new(cdn_cache::LruCache::new(plan.cache_bytes));
         crate::simulate_server_faulted(&plan, &c, std::iter::empty(), 0, |_, _| 1, cache, None);
     }

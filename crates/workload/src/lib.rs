@@ -7,7 +7,9 @@
 //! so this crate reproduces the marginals the evaluation depends on:
 //!
 //! * [`dist`] — normal / truncated-normal / lognormal / bounded-Pareto
-//!   samplers built directly on `rand` (no external distribution crate).
+//!   samplers built directly on `rand` (no external distribution crate),
+//!   and [`InverseCdf`], the O(1) guide-table lookup every request draw
+//!   goes through.
 //! * [`zipf`] — the Zipf-like law `P(rank k) = α / k^θ` with exact
 //!   normalisation, inverse-CDF sampling, and prefix-mass queries (the
 //!   analytical LRU model needs `p_B`, the mass of the top-B objects).
@@ -35,6 +37,7 @@ pub mod zipf;
 pub use analysis::TraceStats;
 pub use config::WorkloadConfig;
 pub use demand::DemandMatrix;
+pub use dist::InverseCdf;
 pub use site::{PopularityClass, Site, SiteCatalog};
 pub use temporal::{DriftConfig, Drifted};
 pub use trace::{Flavor, LambdaMode, Request, ServerStream, TraceSpec};

@@ -17,8 +17,8 @@ use cdn_cache::{Cache, LruCache, ObjectKey};
 use cdn_lru_model::{CheModel, ClosedFormLru, LruModel};
 use cdn_placement::hybrid::hybrid_greedy_paper;
 use cdn_placement::{
-    exhaustive_optimal, greedy_global, replication_cost_lower_bound, replication_only_cost,
-    update_cost, HybridConfig, PlacementProblem,
+    exhaustive_optimal, greedy_global, greedy_local, replication_cost_lower_bound,
+    replication_only_cost, update_cost, HybridConfig, Nearest, Placement, PlacementProblem,
 };
 use cdn_sim::{
     simulate_server_faulted, FaultParams, FaultSchedule, Holder, LatencyHistogram, ServerPlan,
@@ -255,39 +255,46 @@ proptest! {
 
 const FAULT_N_SERVERS: usize = 3;
 
-/// A random single-server plan: per-site holder chains over 3 servers plus
-/// the primary, with a random byte budget for the cache.
-fn random_server_plan(m: usize, rng: &mut StdRng) -> ServerPlan {
-    let mut replicated = Vec::with_capacity(m);
-    let mut holders = Vec::with_capacity(m);
-    for _ in 0..m {
-        let local = rng.gen_bool(0.3);
-        let mut chain = Vec::new();
-        if local {
-            chain.push(Holder {
-                server: Some(0),
-                hops: 0,
-            });
+/// A random placement over 3 servers whose server-0 plan is the one under
+/// test: per site an optional local replica, an optional peer replica and
+/// the primary, at random distances, with a random byte budget for the
+/// cache. Sites take 0 bytes, so replicas never crowd the cache.
+fn random_fault_placement(m: usize, rng: &mut StdRng) -> (PlacementProblem, Placement) {
+    let n = FAULT_N_SERVERS;
+    let mut dist_ss = vec![0; n * n];
+    for i in 0..n {
+        for k in i + 1..n {
+            let d = rng.gen_range(1u32..=4);
+            dist_ss[i * n + k] = d;
+            dist_ss[k * n + i] = d;
+        }
+    }
+    let dist_sp = (0..n * m).map(|_| rng.gen_range(4u32..=9)).collect();
+    let mut capacities = vec![0; n];
+    capacities[0] = rng.gen_range(0u64..=4096);
+    let problem = PlacementProblem::new(
+        n,
+        m,
+        dist_ss,
+        dist_sp,
+        vec![0; m],
+        capacities,
+        vec![0; n * m],
+        vec![0.0; m],
+        1.0,
+        1,
+        1.0,
+    );
+    let mut placement = Placement::primaries_only(&problem);
+    for j in 0..m {
+        if rng.gen_bool(0.3) {
+            placement.add_replica(&problem, 0, j);
         }
         if rng.gen_bool(0.5) {
-            chain.push(Holder {
-                server: Some(rng.gen_range(1u32..FAULT_N_SERVERS as u32)),
-                hops: rng.gen_range(1u32..=4),
-            });
+            placement.add_replica(&problem, rng.gen_range(1..n), j);
         }
-        chain.push(Holder {
-            server: None,
-            hops: rng.gen_range(4u32..=9),
-        });
-        replicated.push(local);
-        holders.push(chain);
     }
-    ServerPlan {
-        server: 0,
-        replicated,
-        holders,
-        cache_bytes: rng.gen_range(0u64..=4096),
-    }
+    (problem, placement)
 }
 
 fn random_requests(m: usize, count: usize, rng: &mut StdRng) -> Vec<Request> {
@@ -318,7 +325,8 @@ proptest! {
         const REQUESTS: usize = 1_000;
         const WARMUP: u64 = 200;
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = random_server_plan(m, &mut rng);
+        let (problem, placement) = random_fault_placement(m, &mut rng);
+        let plan = ServerPlan::from_placement(&problem, &placement, 0);
         let requests = random_requests(m, REQUESTS, &mut rng);
         let object_bytes = |site: u32, object: u32| 1 + (site as u64 * 131 + object as u64 * 17) % 64;
         let config = SimConfig::default();
@@ -351,6 +359,75 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Oracle 3a: a plan ranks a site's holders only when a request walks past
+// its nearest copy, and then exactly as `Placement::ranked_holders` does.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn failover_lists_are_built_on_first_use_and_equal_ranked_holders() {
+    use cdn_core::{Scenario, ScenarioConfig};
+
+    let scenario = Scenario::generate(&ScenarioConfig::small());
+    let problem = &scenario.problem;
+    let placement = greedy_local(problem);
+    let horizon = (0..problem.n_servers())
+        .map(|i| scenario.trace.len_for_server(i))
+        .max()
+        .unwrap_or(0);
+    let params = FaultParams {
+        mttf: 300.0,
+        mttr: 100.0,
+        origin_outage: 0.2,
+        ..Default::default()
+    };
+    let schedule = FaultSchedule::generate(&params, problem.n_servers(), horizon);
+    let config = SimConfig {
+        faults: Some(params),
+        ..Default::default()
+    };
+    let object_bytes = |site: u32, object: u32| {
+        scenario.catalog.sites[site as usize].object_sizes[object as usize]
+    };
+    let mut built = 0;
+    for i in 0..problem.n_servers() {
+        let run = |plan: &ServerPlan, schedule| {
+            simulate_server_faulted(
+                plan,
+                &config,
+                scenario.trace.stream_for_server(i),
+                0,
+                object_bytes,
+                Box::new(LruCache::new(plan.cache_bytes)),
+                schedule,
+            )
+        };
+        let plan = ServerPlan::from_placement(problem, &placement, i);
+        run(&plan, None);
+        assert_eq!(plan.failover_lists().count(), 0, "server {i}, fault-free");
+        run(&plan, Some(&schedule));
+        for (j, list) in plan.failover_lists() {
+            let ranked: Vec<Holder> = placement
+                .ranked_holders(problem, i, j)
+                .into_iter()
+                .map(|h| Holder {
+                    server: match h.holder {
+                        Nearest::Primary => None,
+                        Nearest::Server(k) => Some(k),
+                    },
+                    hops: h.dist,
+                })
+                .collect();
+            assert_eq!(list, ranked, "server {i}, site {j}");
+            built += 1;
+        }
+    }
+    assert!(
+        built > 0,
+        "the schedule never sent a request past a nearest copy"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Oracle 3b: window keying. The engine records each measured request into
 // its server's tally and, through the same `Tally::record`, into the tally
 // of the window its stream tick falls in. Summing every window therefore
@@ -368,7 +445,8 @@ proptest! {
         const REQUESTS: usize = 1_000;
         const WARMUP: u64 = 200;
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = random_server_plan(m, &mut rng);
+        let (problem, placement) = random_fault_placement(m, &mut rng);
+        let plan = ServerPlan::from_placement(&problem, &placement, 0);
         let requests = random_requests(m, REQUESTS, &mut rng);
         let object_bytes = |site: u32, object: u32| 1 + (site as u64 * 131 + object as u64 * 17) % 64;
         let config = SimConfig {
