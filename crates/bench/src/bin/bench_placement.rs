@@ -88,7 +88,7 @@ fn main() {
             let mut row = |key: &str, name: &str, plan: &PlanResult, secs: f64, replan: bool| {
                 let replicas = plan.placement.replica_count();
                 let hops = plan.predicted_mean_hops(&scenario.problem);
-                let note = if replan { "" } else { " (reused run 2/2)" };
+                let note = if replan { "" } else { " (the N-thread arm's)" };
                 let label = format!("{key} {name}");
                 println!(
                     "  {label:<21} {replicas:>5} replicas  predicted {hops:.4} hops  plan {secs:.3}s{note}"

@@ -27,6 +27,15 @@
 //! CELF — so the planner eagerly refreshes the exact stale set instead of
 //! lazily re-checking heap tops, and remains bit-identical to the dense
 //! scan ([`HybridConfig::dense_scan`]) at any thread count.
+//!
+//! The lazy scan itself queries no oracle. Before it, the rows whose free
+//! bytes changed (every row before the first scan, then the replicator's)
+//! get their missing shrink-memo sums and, per candidate, the shrunken
+//! buffer's memo bucket and the candidate site's hit ratio at that buffer
+//! (`ShrinkInputs`). A candidate's shrink penalty then reads only its
+//! `hits` row, the memo sums and those two values, so the scan's workers
+//! take no lock. The dense scan queries both values afresh per candidate,
+//! which is what lets the bit-for-bit tests check the cache.
 
 use crate::cost::predicted_cost;
 use crate::oracle::{CheOracle, ClosedFormOracle, HitRatioOracle, PaperOracle};
@@ -268,39 +277,36 @@ impl ShrinkMemo {
         }
     }
 
-    /// Fill every bucket that scoring `candidates` (flat indices; the
-    /// infeasible ones are skipped, as the scan skips them) will read and
-    /// the memo lacks, from the current placement.
+    /// Fill every bucket that scoring the feasible candidates of the
+    /// servers `rows` will read and the memo lacks, from the current
+    /// placement.
     ///
-    /// A bucket is filled in the first scan that reads it: `apply_replica`
-    /// then keeps it current in place, and a bucket filled from a later
-    /// placement would differ in its last bits. Servers go one at a time,
-    /// in order, so only one server's rows are held at once. For each
-    /// server, one [`HitRatioOracle::hit_ratio_rows`] query evaluates the
-    /// sites [`weighted_hit_sum`] reads at every missing bucket's
-    /// representative, the sites in parallel; each bucket then sums its
-    /// sites in site order, with `adjusted_hit`'s λ correction. So every
-    /// value is bit-identical to `weighted_hit_sum` over single
-    /// `adjusted_hit` queries at the bucket's representative.
+    /// A server's buckets change only with its free bytes, so after the
+    /// first scan only a replicator's row can lack one. A bucket is filled
+    /// in the first scan that reads it: `apply_replica` then keeps it
+    /// current in place, and a bucket filled from a later placement would
+    /// differ in its last bits. Servers go one at a time, in order, so only
+    /// one server's rows are held at once. For each server, one
+    /// [`HitRatioOracle::hit_ratio_rows`] query evaluates the sites
+    /// [`weighted_hit_sum`] reads at every missing bucket's representative,
+    /// the sites in parallel; each bucket then sums its sites in site
+    /// order, with `adjusted_hit`'s λ correction. So every value is
+    /// bit-identical to `weighted_hit_sum` over single `adjusted_hit`
+    /// queries at the bucket's representative.
     fn fill_missing(
         &mut self,
         problem: &PlacementProblem,
         placement: &Placement,
         oracle: &dyn HitRatioOracle,
-        candidates: impl IntoIterator<Item = usize>,
+        rows: impl IntoIterator<Item = usize>,
     ) {
         let m = problem.m_sites();
-        let mut missing: Vec<Vec<u32>> = vec![Vec::new(); problem.n_servers()];
-        for flat in candidates {
-            let (i, j) = (flat / m, flat % m);
-            if placement.fits(problem, i, j) {
-                let bucket = Self::bucket(shrunken_buffer(problem, placement, i, j));
-                if !self.s[i].contains_key(&bucket) {
-                    missing[i].push(bucket);
-                }
-            }
-        }
-        for (i, mut buckets) in missing.into_iter().enumerate() {
+        for i in rows {
+            let mut buckets: Vec<u32> = (0..m)
+                .filter(|&j| placement.fits(problem, i, j))
+                .map(|j| Self::bucket(shrunken_buffer(problem, placement, i, j)))
+                .filter(|b| !self.s[i].contains_key(b))
+                .collect();
             if buckets.is_empty() {
                 continue;
             }
@@ -325,12 +331,79 @@ impl ShrinkMemo {
         }
     }
 
-    /// `S_i(B')`, from the bucket [`Self::fill_missing`] filled before the
-    /// scan.
-    fn shrunken_sum(&self, i: usize, new_buf: usize) -> f64 {
+    /// `S_i(B')` of the bucket of `B'`, which [`Self::fill_missing`] filled
+    /// before the scan.
+    fn shrunken_sum(&self, i: usize, bucket: u32) -> f64 {
         *self.s[i]
-            .get(&Self::bucket(new_buf))
+            .get(&bucket)
             .expect("fill_missing filled every bucket the scan reads")
+    }
+}
+
+/// The lazy planner's copy of the two inputs of each flat candidate
+/// `(i, j)`'s memoised shrink penalty that stay fixed while server `i`'s
+/// free bytes do: the [`ShrinkMemo`] bucket of its shrunken buffer, and
+/// site `j`'s λ-adjusted hit ratio at that buffer. With them the scan
+/// scores a candidate with no oracle query, so no lock, and no `ln`.
+struct ShrinkInputs {
+    /// Free bytes of each server when its row was last filled (`None`:
+    /// never filled).
+    filled_at: Vec<Option<u64>>,
+    /// Bucket per flat candidate; meaningless for an infeasible one.
+    bucket: Vec<u32>,
+    /// λ-adjusted hit ratio per flat candidate; meaningless for an
+    /// infeasible one.
+    hit: Vec<f64>,
+}
+
+impl ShrinkInputs {
+    fn new(n: usize, m: usize) -> Self {
+        Self {
+            filled_at: vec![None; n],
+            bucket: vec![0; n * m],
+            hit: vec![0.0; n * m],
+        }
+    }
+
+    /// Refill every row whose free bytes changed since it was last filled:
+    /// before the first scan every row, after a placement only the
+    /// replicator's (whose candidates are all stale anyway, DESIGN.md §9.2
+    /// case 1). A candidate's feasibility, shrunken buffer and popularity
+    /// depend only on its row's free bytes and replicas, and a replica
+    /// that takes no bytes only makes its own candidate infeasible, so
+    /// each cached value is the very query the scan would make, and a row
+    /// whose free bytes held lacks no `memo` bucket either. The rows'
+    /// missing buckets are filled first ([`ShrinkMemo::fill_missing`]), so
+    /// most of the single queries that follow find their table cell
+    /// filled by the batch. Those run with the rows in parallel; a
+    /// one-row refresh, the common case, runs on the calling thread.
+    fn refresh(
+        &mut self,
+        memo: &mut ShrinkMemo,
+        problem: &PlacementProblem,
+        placement: &Placement,
+        oracle: &dyn HitRatioOracle,
+    ) {
+        let m = problem.m_sites();
+        let mut rows = Vec::new();
+        let all = self.bucket.chunks_mut(m).zip(self.hit.chunks_mut(m));
+        for (i, row) in all.enumerate() {
+            let free = Some(placement.free_bytes(i));
+            if self.filled_at[i] != free {
+                self.filled_at[i] = free;
+                rows.push((i, row));
+            }
+        }
+        memo.fill_missing(problem, placement, oracle, rows.iter().map(|(i, _)| *i));
+        rows.into_par_iter().for_each(|(i, (buckets, hits))| {
+            for (j, (bucket, hit)) in buckets.iter_mut().zip(hits).enumerate() {
+                if placement.fits(problem, i, j) {
+                    let new_buf = shrunken_buffer(problem, placement, i, j);
+                    *bucket = ShrinkMemo::bucket(new_buf);
+                    *hit = adjusted_hit(problem, oracle, i, j, new_buf);
+                }
+            }
+        });
     }
 }
 
@@ -391,16 +464,35 @@ fn contrib_column(problem: &PlacementProblem, placement: &Placement, j: usize) -
     v
 }
 
+/// How [`evaluate_candidate`] prices candidate `(i, j)`'s cache-shrink
+/// penalty.
+#[derive(Clone, Copy)]
+enum Shrink<'a> {
+    /// The literal Figure 2 loop: every other site's hit ratio at the
+    /// shrunken buffer, queried from the oracle.
+    Exact(&'a dyn HitRatioOracle),
+    /// The memoised decomposition (see [`ShrinkMemo`]), given the
+    /// shrunken buffer's memo `bucket` and site `j`'s λ-adjusted hit ratio
+    /// `hit` at that buffer: the lazy scan reads both from
+    /// [`ShrinkInputs`], the dense scan queries them per candidate.
+    Memo {
+        memo: &'a ShrinkMemo,
+        bucket: u32,
+        hit: f64,
+    },
+}
+
+/// Candidate `(i, j)`'s benefit, and its remote gain in fixed point (which
+/// `cached_remote`, when given, supplies instead of a contributor walk).
+/// With [`Shrink::Memo`] it makes no oracle query, so it takes no lock.
 #[allow(clippy::needless_range_loop)] // k indexes hits alongside problem lookups
 #[allow(clippy::too_many_arguments)] // internal scan helper; grouping would obscure the formula
 fn evaluate_candidate(
     problem: &PlacementProblem,
     placement: &Placement,
-    oracle: &dyn HitRatioOracle,
     hits: &[Vec<f64>],
-    memo: &ShrinkMemo,
     contrib: &[Vec<u32>],
-    exact: bool,
+    shrink: Shrink<'_>,
     cached_remote: Option<i64>,
     i: usize,
     j: usize,
@@ -412,32 +504,33 @@ fn evaluate_candidate(
     let mut b = (1.0 - hits[i][j]) * r_ij * c_ij - problem.replica_update_cost(i, j);
 
     // Cache-shrink penalty at server i.
-    let new_buf = shrunken_buffer(problem, placement, i, j);
-    if exact {
-        // Literal Figure 2, lines 10–13: recompute every remaining site's
-        // hit ratio at the shrunken buffer.
-        for k in 0..problem.m_sites() {
-            if k == j || placement.is_replicated(i, k) {
-                continue;
+    match shrink {
+        Shrink::Exact(oracle) => {
+            // Literal Figure 2, lines 10–13: recompute every remaining
+            // site's hit ratio at the shrunken buffer.
+            let new_buf = shrunken_buffer(problem, placement, i, j);
+            for k in 0..problem.m_sites() {
+                if k == j || placement.is_replicated(i, k) {
+                    continue;
+                }
+                let c = placement.nearest_dist(problem, i, k) as f64;
+                if c == 0.0 {
+                    continue;
+                }
+                let r = problem.requests(i, k) as f64;
+                if r == 0.0 {
+                    continue;
+                }
+                let h_new = adjusted_hit(problem, oracle, i, k, new_buf);
+                b -= (hits[i][k] - h_new) * r * c;
             }
-            let c = placement.nearest_dist(problem, i, k) as f64;
-            if c == 0.0 {
-                continue;
-            }
-            let r = problem.requests(i, k) as f64;
-            if r == 0.0 {
-                continue;
-            }
-            let h_new = adjusted_hit(problem, oracle, i, k, new_buf);
-            b -= (hits[i][k] - h_new) * r * c;
         }
-    } else {
-        // Memoised decomposition (see ShrinkMemo).
-        let w_cur = memo.cur_w[i].expect("refresh_w ran before the scan");
-        let s_new = memo.shrunken_sum(i, new_buf);
-        let h_j_new = adjusted_hit(problem, oracle, i, j, new_buf);
-        let j_term = (hits[i][j] - h_j_new) * r_ij * c_ij;
-        b -= (w_cur - s_new) - j_term;
+        Shrink::Memo { memo, bucket, hit } => {
+            let w_cur = memo.cur_w[i].expect("refresh_w ran before the scan");
+            let s_new = memo.shrunken_sum(i, bucket);
+            let j_term = (hits[i][j] - hit) * r_ij * c_ij;
+            b -= (w_cur - s_new) - j_term;
+        }
     }
 
     // Remote gain: servers that would reroute site j's traffic to i.
@@ -524,6 +617,9 @@ struct LazyPlanner {
     /// sums in place (exact integer telescoping — the accumulator is
     /// quantised precisely so this reversal is lossless).
     remote: Vec<i64>,
+    /// Each candidate's shrink inputs, refilled only for rows whose free
+    /// bytes changed.
+    inputs: ShrinkInputs,
 }
 
 impl LazyPlanner {
@@ -543,6 +639,7 @@ impl LazyPlanner {
             // First iteration: every candidate is unscored.
             stale: (0..(n * m) as u32).collect(),
             remote: vec![i64::MIN; n * m],
+            inputs: ShrinkInputs::new(n, m),
         }
     }
 
@@ -648,31 +745,34 @@ pub fn hybrid_greedy(
             l.stale.sort_unstable();
             l.stale.dedup();
             if !config.exact_shrink_scan {
-                memo.fill_missing(
-                    problem,
-                    &placement,
-                    oracle,
-                    l.stale.iter().map(|&flat| flat as usize),
-                );
+                l.inputs.refresh(&mut memo, problem, &placement, oracle);
             }
-            let remote_cache: &[i64] = &l.remote;
+            let (remote_cache, inputs) = (&l.remote, &l.inputs);
             let scores: Vec<(u32, Option<(f64, i64)>)> = l
                 .stale
                 .par_iter()
                 .map(|&flat| {
-                    let (i, j) = (flat as usize / m, flat as usize % m);
+                    let f = flat as usize;
+                    let (i, j) = (f / m, f % m);
                     if !placement.fits(problem, i, j) {
                         return (flat, None);
                     }
-                    let cached = remote_cache[flat as usize];
+                    let shrink = if config.exact_shrink_scan {
+                        Shrink::Exact(oracle)
+                    } else {
+                        Shrink::Memo {
+                            memo: &memo,
+                            bucket: inputs.bucket[f],
+                            hit: inputs.hit[f],
+                        }
+                    };
+                    let cached = remote_cache[f];
                     let scored = evaluate_candidate(
                         problem,
                         &placement,
-                        oracle,
                         &hits,
-                        &memo,
                         &contrib,
-                        config.exact_shrink_scan,
+                        shrink,
                         (cached != i64::MIN).then_some(cached),
                         i,
                         j,
@@ -708,7 +808,7 @@ pub fn hybrid_greedy(
             (l.pop_best(), evaluated)
         } else {
             if !config.exact_shrink_scan {
-                memo.fill_missing(problem, &placement, oracle, 0..n * m);
+                memo.fill_missing(problem, &placement, oracle, 0..n);
             }
             let best = (0..n * m)
                 .into_par_iter()
@@ -717,17 +817,20 @@ pub fn hybrid_greedy(
                     if !placement.fits(problem, i, j) {
                         return None;
                     }
+                    // The uncached reference: both shrink inputs are
+                    // queried afresh for every candidate.
+                    let shrink = if config.exact_shrink_scan {
+                        Shrink::Exact(oracle)
+                    } else {
+                        let new_buf = shrunken_buffer(problem, &placement, i, j);
+                        Shrink::Memo {
+                            memo: &memo,
+                            bucket: ShrinkMemo::bucket(new_buf),
+                            hit: adjusted_hit(problem, oracle, i, j, new_buf),
+                        }
+                    };
                     let (benefit, _) = evaluate_candidate(
-                        problem,
-                        &placement,
-                        oracle,
-                        &hits,
-                        &memo,
-                        &contrib,
-                        config.exact_shrink_scan,
-                        None,
-                        i,
-                        j,
+                        problem, &placement, &hits, &contrib, shrink, None, i, j,
                     );
                     (benefit > 0.0).then_some(Candidate { benefit, flat })
                 })
@@ -1159,14 +1262,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_bucket_fill_matches_the_per_bucket_sum_bit_for_bit() {
-        // Every skip in `weighted_hit_sum` is taken: site 1 is replicated at
-        // server 0, server 1 never requests site 4, and server 2 sits on
-        // site 3's primary (distance 0). λ > 0 on sites 1, 3 and 5. Site
-        // sizes differ, so each server's candidates read several buckets,
-        // and server 3's whole capacity is site 0, so one of its shrunken
-        // buffers is 0 (bucket 0).
+    /// Every skip in `weighted_hit_sum` is taken: site 1 is replicated at
+    /// server 0, server 1 never requests site 4, and server 2 sits on site
+    /// 3's primary (distance 0). λ > 0 on sites 1, 3 and 5. Site sizes
+    /// differ, so each server's candidates read several buckets, and server
+    /// 3's whole capacity is site 0, so one of its shrunken buffers is 0
+    /// (bucket 0).
+    fn all_skips_fixture() -> (PlacementProblem, Placement) {
         let (n, m) = (4, 6);
         let mut demand: Vec<u64> = (0..n * m).map(|x| 20 + (x as u64 * 7) % 13).collect();
         demand[m + 4] = 0;
@@ -1192,9 +1294,16 @@ mod tests {
         );
         let mut placement = Placement::primaries_only(&p);
         placement.add_replica(&p, 0, 1);
+        (p, placement)
+    }
+
+    #[test]
+    fn batched_bucket_fill_matches_the_per_bucket_sum_bit_for_bit() {
+        let (p, placement) = all_skips_fixture();
+        let (n, m) = (p.n_servers(), p.m_sites());
         let oracle = paper_oracle_for(&p);
         let mut memo = ShrinkMemo::new(n);
-        memo.fill_missing(&p, &placement, &oracle, 0..n * m);
+        memo.fill_missing(&p, &placement, &oracle, 0..n);
         // The single queries run on a fresh oracle, so none of them reads a
         // cell the batch's row queries filled.
         let fresh = paper_oracle_for(&p);
@@ -1213,6 +1322,50 @@ mod tests {
         assert!(memo.s[3].contains_key(&0));
         assert!(memo.s.iter().all(|s| s.len() >= 3));
         assert!(memo.s.iter().flat_map(|s| s.values()).any(|&s| s > 0.0));
+    }
+
+    #[test]
+    fn shrink_inputs_equal_fresh_queries_and_refill_only_the_replicators_row() {
+        let (p, mut placement) = all_skips_fixture();
+        let (n, m) = (p.n_servers(), p.m_sites());
+        let oracle = paper_oracle_for(&p);
+        let (mut memo, mut inputs) = (ShrinkMemo::new(n), ShrinkInputs::new(n, m));
+        inputs.refresh(&mut memo, &p, &placement, &oracle);
+        // The single queries run on a fresh oracle, so none of them reads a
+        // cell the refresh filled.
+        let fresh = paper_oracle_for(&p);
+        let check_row = |inputs: &ShrinkInputs, memo: &ShrinkMemo, placement: &Placement, i| {
+            for j in (0..m).filter(|&j| placement.fits(&p, i, j)) {
+                let new_buf = shrunken_buffer(&p, placement, i, j);
+                let (bucket, hit) = (inputs.bucket[i * m + j], inputs.hit[i * m + j]);
+                let want = adjusted_hit(&p, &fresh, i, j, new_buf);
+                assert_eq!(bucket, ShrinkMemo::bucket(new_buf), "({i}, {j})");
+                assert_eq!(hit.to_bits(), want.to_bits(), "({i}, {j})");
+                assert!(memo.s[i].contains_key(&bucket), "({i}, {j})");
+            }
+        };
+        for i in 0..n {
+            check_row(&inputs, &memo, &placement, i);
+        }
+        assert_eq!((inputs.bucket[3 * m], inputs.hit[3 * m]), (0, 0.0));
+        assert!(inputs.hit[m + 4] == 0.0 && inputs.hit[3] > 0.0);
+
+        // With every value poisoned, a refresh computes only the rows whose
+        // free bytes changed: none before the placement, then only the
+        // replicator's.
+        inputs.bucket.fill(u32::MAX);
+        inputs.hit.fill(f64::NAN);
+        let refilled = |inputs: &ShrinkInputs| -> Vec<usize> {
+            (0..n)
+                .filter(|&i| (i * m..(i + 1) * m).any(|f| inputs.bucket[f] != u32::MAX))
+                .collect()
+        };
+        inputs.refresh(&mut memo, &p, &placement, &oracle);
+        assert!(refilled(&inputs).is_empty());
+        placement.add_replica(&p, 2, 0);
+        inputs.refresh(&mut memo, &p, &placement, &oracle);
+        assert_eq!(refilled(&inputs), vec![2]);
+        check_row(&inputs, &memo, &placement, 2);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 
 use cdn_cache::{Cache, LruCache, ObjectKey};
 use cdn_lru_model::{CheModel, ClosedFormLru, LruModel};
-use cdn_placement::hybrid::hybrid_greedy_paper;
+use cdn_placement::hybrid::{hybrid_greedy_paper, paper_oracle_for};
 use cdn_placement::{
-    exhaustive_optimal, greedy_global, greedy_local, replication_cost_lower_bound,
+    exhaustive_optimal, greedy_global, greedy_local, hybrid_greedy, replication_cost_lower_bound,
     replication_only_cost, update_cost, HybridConfig, Nearest, Placement, PlacementProblem,
 };
 use cdn_sim::{
@@ -215,7 +215,9 @@ proptest! {
 // inner loops. The contract is bit-identicality of the full greedy trace,
 // not approximate agreement: the lazy planner re-evaluates exactly the
 // candidates whose inputs changed, so any divergence means its stale-set
-// bookkeeping missed an invalidation.
+// bookkeeping missed an invalidation. Each plan runs on its own fresh
+// oracle, and both must fill the same hit-ratio table cells: the lazy
+// planner's cached shrink inputs are the very queries the dense scan makes.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -227,11 +229,17 @@ proptest! {
         with_updates in any::<bool>(),
     ) {
         let problem = random_problem(n, m, seed, with_updates);
-        let lazy = hybrid_greedy_paper(&problem, &HybridConfig::default());
-        let dense = hybrid_greedy_paper(&problem, &HybridConfig {
+        let (lazy_oracle, dense_oracle) = (paper_oracle_for(&problem), paper_oracle_for(&problem));
+        let lazy = hybrid_greedy(&problem, &lazy_oracle, &HybridConfig::default());
+        let dense = hybrid_greedy(&problem, &dense_oracle, &HybridConfig {
             dense_scan: true,
             ..HybridConfig::default()
         });
+        prop_assert_eq!(
+            lazy_oracle.table().cells_filled(),
+            dense_oracle.table().cells_filled(),
+            "the planners queried different cells"
+        );
         prop_assert_eq!(&lazy.replicas, &dense.replicas);
         let (a, b): (Vec<u64>, Vec<u64>) = (
             lazy.benefits.iter().map(|x| x.to_bits()).collect(),
