@@ -61,48 +61,95 @@ fn mix64(mut x: u64) -> u64 {
 ///
 /// Each server's stream is seeded on its own and reads no other stream's
 /// state, so blocks of `EXPORT_BLOCK_TICKS` ticks are drawn from all
-/// streams in parallel and then interleaved; the output is identical at
-/// any thread count.
+/// streams in parallel. Each block is then interleaved in parallel too:
+/// its rows (one per tick offset) are split into runs of
+/// `INTERLEAVE_RUN_TICKS` offsets, and each run writes its own contiguous
+/// slice of the output, placed from the lanes' lengths alone. So the
+/// output is identical at any thread count.
 pub fn export_events(scenario: &Scenario) -> Vec<TraceEvent> {
+    let _prof = cdn_telemetry::profile::span("workload.export");
     let trace = &scenario.trace;
     let n = trace.n_servers();
     let total: u64 = (0..n).map(|s| trace.len_for_server(s)).sum();
-    let mut lanes: Vec<_> = (0..n)
-        .map(|s| (trace.stream_for_server(s), Vec::new()))
-        .collect();
+    let mut streams: Vec<_> = (0..n).map(|s| trace.stream_for_server(s)).collect();
+    let mut lanes: Vec<Vec<u64>> = vec![Vec::new(); n];
     let mut events = Vec::with_capacity(total as usize);
     for first_tick in (0u64..).step_by(EXPORT_BLOCK_TICKS) {
-        lanes.par_iter_mut().for_each(|(stream, keys)| {
-            keys.clear();
-            keys.extend(
-                stream
-                    .take(EXPORT_BLOCK_TICKS)
-                    .map(|req| pack_key(req.site, req.object)),
-            );
-        });
-        for offset in 0..EXPORT_BLOCK_TICKS {
-            let tick = first_tick + offset as u64;
-            for (server, (_, keys)) in lanes.iter().enumerate() {
-                if let Some(&key) = keys.get(offset) {
-                    events.push(TraceEvent {
-                        key,
-                        timestamp_us: tick * 1000 + server as u64,
-                    });
-                }
-            }
-        }
-        if lanes
-            .iter()
-            .all(|(_, keys)| keys.len() < EXPORT_BLOCK_TICKS)
         {
+            let _prof = cdn_telemetry::profile::span("workload.export.draw");
+            let jobs: Vec<_> = streams.iter_mut().zip(lanes.iter_mut()).collect();
+            jobs.into_par_iter().for_each(|(stream, keys)| {
+                keys.clear();
+                keys.extend(
+                    stream
+                        .take(EXPORT_BLOCK_TICKS)
+                        .map(|req| pack_key(req.site, req.object)),
+                );
+            });
+        }
+        let _prof = cdn_telemetry::profile::span("workload.export.interleave");
+        interleave_block(&lanes, first_tick, &mut events);
+        if lanes.iter().all(|keys| keys.len() < EXPORT_BLOCK_TICKS) {
             break;
         }
     }
     events
 }
 
-/// Parse a CSV trace into events. Accepted row shapes (header rows and
-/// blank lines are skipped):
+/// Tick offsets of one block that one [`interleave_block`] job writes.
+const INTERLEAVE_RUN_TICKS: usize = 16;
+
+/// Append one block to `events`: for each tick offset in turn, every lane
+/// that reaches that offset, in server order, stamped as
+/// [`export_events`] describes.
+fn interleave_block(lanes: &[Vec<u64>], first_tick: u64, events: &mut Vec<TraceEvent>) {
+    // rows[o] = lanes reaching offset o: count each lane at its last
+    // offset, then sum from the end.
+    let mut rows = vec![0usize; EXPORT_BLOCK_TICKS];
+    for keys in lanes {
+        if let Some(last) = keys.len().checked_sub(1) {
+            rows[last] += 1;
+        }
+    }
+    for o in (1..EXPORT_BLOCK_TICKS).rev() {
+        rows[o - 1] += rows[o];
+    }
+    let start = events.len();
+    let block_len: usize = rows.iter().sum();
+    events.resize(
+        start + block_len,
+        TraceEvent {
+            key: 0,
+            timestamp_us: 0,
+        },
+    );
+    let mut out = &mut events[start..];
+    let mut jobs = Vec::new();
+    for first in (0..EXPORT_BLOCK_TICKS).step_by(INTERLEAVE_RUN_TICKS) {
+        let run = first..first + INTERLEAVE_RUN_TICKS;
+        let (slots, rest) = out.split_at_mut(rows[run.clone()].iter().sum());
+        out = rest;
+        jobs.push((run, slots));
+    }
+    jobs.into_par_iter().for_each(|(run, slots)| {
+        let mut slots = slots.iter_mut();
+        for offset in run {
+            let stamp = (first_tick + offset as u64) * 1000;
+            for (server, keys) in lanes.iter().enumerate() {
+                if let Some(&key) = keys.get(offset) {
+                    *slots.next().expect("slots counted from the lane lengths") = TraceEvent {
+                        key,
+                        timestamp_us: stamp + server as u64,
+                    };
+                }
+            }
+        }
+    });
+}
+
+/// Parse a CSV trace into events. Accepted row shapes (blank lines are
+/// skipped, and so is the first non-blank row when it is a header, that
+/// is, not numeric):
 ///
 /// * `timestamp_us,key` — the key is used verbatim;
 /// * `timestamp_us,site,object` — packed via [`pack_key`].
@@ -111,6 +158,7 @@ pub fn export_events(scenario: &Scenario) -> Vec<TraceEvent> {
 /// deterministically.
 pub fn parse_csv_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
+    let mut first_row = true;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -145,11 +193,12 @@ pub fn parse_csv_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
                 ))
             }
         };
+        let header_allowed = std::mem::replace(&mut first_row, false);
         match event {
             Some(e) => events.push(e),
             // A non-numeric first row is a header; anywhere else it is data
             // corruption worth reporting.
-            None if lineno == 0 => continue,
+            None if header_allowed => continue,
             None => return Err(format!("line {}: non-numeric field: {line}", lineno + 1)),
         }
     }
@@ -158,7 +207,8 @@ pub fn parse_csv_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
 }
 
 /// Events [`ReplayStreams::from_events`] moves out of its input per round
-/// before it shrinks the input: 2^20 events, 16 MiB.
+/// before it shrinks the input: 2^20 events, 16 MiB. Its parallel count
+/// takes the input in pieces of the same size.
 const DRAIN_CHUNK_EVENTS: usize = 1 << 20;
 
 /// Per-server request streams rebuilt from a trace, ready to feed
@@ -182,13 +232,23 @@ impl ReplayStreams {
     ///   independent of how the trace was produced or stored.
     ///
     /// The partition consumes its input, so the trace is held once plus
-    /// one chunk. A counting pass sizes one buffer per server exactly.
-    /// Then the events move out of `events` from its tail, in chunks of
-    /// `DRAIN_CHUNK_EVENTS`, and the input shrinks after each chunk: a
-    /// `Vec` returns memory only at its end. Each buffer then holds its
-    /// server's events in reverse input order; reversing it restores input
-    /// order, and it is sorted stably by timestamp in place, the servers in
-    /// parallel. Filtering a stable sort by server gives the same order as
+    /// one chunk. Three stages, each under its own profile span:
+    ///
+    /// * **count** — per-server counts of pieces of `DRAIN_CHUNK_EVENTS`
+    ///   events, the pieces in parallel, size one buffer per server
+    ///   exactly;
+    /// * **scatter** — the events move out of `events` from its tail, in
+    ///   chunks of `DRAIN_CHUNK_EVENTS`, and the input shrinks after each
+    ///   chunk: a `Vec` returns memory only at its end. Each chunk's events
+    ///   are pushed in reverse, on one thread, so each buffer holds its
+    ///   server's events in reverse input order;
+    /// * **sort** — each buffer, the servers in parallel, is reversed back
+    ///   to input order and sorted stably by timestamp: an insertion sort,
+    ///   since the streams are nearly sorted, that falls back to
+    ///   `sort_by_key` once it has moved more than `4 * len + 64` events
+    ///   (`sort_stream`).
+    ///
+    /// Filtering a stable sort by server gives the same order as
     /// stable-sorting each server's filtered events, so this equals one
     /// global sort followed by the partition.
     ///
@@ -203,23 +263,42 @@ impl ReplayStreams {
         assert!(n_servers > 0, "need at least one server");
         assert!(m_sites > 0, "need at least one site");
         assert!(objects_per_site > 0, "need at least one object per site");
+        let _prof = cdn_telemetry::profile::span("replay.partition");
         let server_of = |key: u64| (mix64(key) % n_servers as u64) as usize;
-        let mut counts = vec![0usize; n_servers];
-        for e in &events {
-            counts[server_of(e.key)] += 1;
-        }
+        let counts = {
+            let _prof = cdn_telemetry::profile::span("replay.partition.count");
+            let pieces: Vec<&[TraceEvent]> = events.chunks(DRAIN_CHUNK_EVENTS).collect();
+            pieces
+                .into_par_iter()
+                .map(|piece| {
+                    let mut counts = vec![0usize; n_servers];
+                    for e in piece {
+                        counts[server_of(e.key)] += 1;
+                    }
+                    counts
+                })
+                .reduce_with(|mut a, b| {
+                    a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
+                    a
+                })
+                .unwrap_or_else(|| vec![0; n_servers])
+        };
         let mut streams: Vec<Vec<TraceEvent>> =
             counts.into_iter().map(Vec::with_capacity).collect();
-        while !events.is_empty() {
-            let start = events.len().saturating_sub(DRAIN_CHUNK_EVENTS);
-            for e in events.drain(start..).rev() {
-                streams[server_of(e.key)].push(e);
+        {
+            let _prof = cdn_telemetry::profile::span("replay.partition.scatter");
+            while !events.is_empty() {
+                let start = events.len().saturating_sub(DRAIN_CHUNK_EVENTS);
+                for e in events.drain(start..).rev() {
+                    streams[server_of(e.key)].push(e);
+                }
+                events.shrink_to_fit();
             }
-            events.shrink_to_fit();
         }
+        let _prof = cdn_telemetry::profile::span("replay.partition.sort");
         streams.par_iter_mut().for_each(|server_events| {
             server_events.reverse();
-            server_events.sort_by_key(|e| e.timestamp_us);
+            sort_stream(server_events);
         });
         Self {
             streams,
@@ -251,6 +330,36 @@ impl ReplayStreams {
             }
         })
     }
+}
+
+/// Sort one server's events stably by timestamp, in place, and say
+/// whether the insertion sort gave up.
+///
+/// A stable insertion sort runs first, since replay's streams are nearly
+/// sorted (the export's timestamps step back once per tick above 1,000
+/// servers). Once it has moved more than `4 * len + 64` events, it gives
+/// up and `sort_by_key` sorts the whole slice. That yields the same order:
+/// the abandoned prefix is itself a stable sort of the events it holds, so
+/// equal timestamps still stand in input order, and stable sorting keeps
+/// them so.
+fn sort_stream(events: &mut [TraceEvent]) -> bool {
+    let budget = 4 * events.len() + 64;
+    let mut moves = 0;
+    for i in 1..events.len() {
+        let event = events[i];
+        let mut j = i;
+        while j > 0 && events[j - 1].timestamp_us > event.timestamp_us {
+            events[j] = events[j - 1];
+            j -= 1;
+        }
+        events[j] = event;
+        moves += i - j;
+        if moves > budget {
+            events.sort_by_key(|e| e.timestamp_us);
+            return true;
+        }
+    }
+    false
 }
 
 /// Replay a trace against a planned scenario: the placement and catalog
@@ -412,6 +521,47 @@ mod tests {
     }
 
     #[test]
+    fn csv_header_may_follow_blank_lines() {
+        let one = vec![TraceEvent {
+            key: pack_key(1, 5),
+            timestamp_us: 10,
+        }];
+        for text in [
+            "timestamp_us,site,object\n10,1,5\n",
+            "\ntimestamp_us,site,object\n10,1,5\n",
+            "\n \n\r\ntimestamp_us,site,object\n\n10,1,5\n",
+        ] {
+            assert_eq!(parse_csv_trace(text), Ok(one.clone()), "{text:?}");
+        }
+        // Only the first non-blank row may be a header.
+        let err = parse_csv_trace("\n\nts,site,object\n10,1,5\nnope,2,3\n").unwrap_err();
+        assert!(err.starts_with("line 5: non-numeric"), "{err}");
+        let err = parse_csv_trace("\n10,1,5\nts,site,object\n").unwrap_err();
+        assert!(err.starts_with("line 3: non-numeric"), "{err}");
+    }
+
+    #[test]
+    fn export_bytes_are_pinned_at_1_and_4_threads() {
+        // FNV-1a of the small scenario's encoded export, recorded before
+        // the export's interleave ran in parallel.
+        const EXPORT_FNV: u64 = 0x0a8e_f3ba_696c_2009;
+        let s = Scenario::generate(&ScenarioConfig::small());
+        let fnv = |bytes: Vec<u8>| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let bytes = pool.install(|| cdn_workload::encode_events(&export_events(&s)));
+            assert_eq!(fnv(bytes), EXPORT_FNV, "{threads} thread(s)");
+        }
+    }
+
+    #[test]
     fn csv_errors_are_contextful() {
         let err = parse_csv_trace("1,2,3\nnope,2,3\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
@@ -516,8 +666,21 @@ mod tests {
     }
 
     mod properties {
-        use crate::replay::parse_csv_trace;
+        use crate::replay::{mix64, parse_csv_trace, sort_stream, ReplayStreams};
+        use cdn_workload::{pack_key, TraceEvent};
         use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        /// Each server's events, in the order of `events`.
+        fn by_server(events: &[TraceEvent], n: usize) -> Vec<Vec<TraceEvent>> {
+            let mut streams = vec![Vec::new(); n];
+            for &e in events {
+                streams[(mix64(e.key) % n as u64) as usize].push(e);
+            }
+            streams
+        }
 
         /// Pieces of trace text, well-formed and not, that arbitrary text
         /// is built from, besides any char at all.
@@ -548,6 +711,50 @@ mod tests {
         }
 
         proptest! {
+            /// The partition equals a global stable sort by timestamp
+            /// followed by a filter by server, on the export's layout above
+            /// 1,000 servers (nearly sorted, timestamps tie and step back
+            /// once per tick), on its reverse and on a shuffle. Keys come
+            /// from a pool smaller than the server count, so tied events
+            /// share a server and some servers stay empty. The reversed and
+            /// shuffled inputs exhaust the insertion sort's budget.
+            #[test]
+            fn partition_equals_a_global_stable_sort_then_filter(
+                extra in 1u64..64,
+                ticks in 2u64..5,
+                pool in 1u64..24,
+                n in 24usize..64,
+                seed in any::<u64>(),
+            ) {
+                let export: Vec<TraceEvent> = (0..ticks)
+                    .flat_map(|tick| {
+                        (0..1000 + extra).map(move |server| TraceEvent {
+                            key: pack_key(3, (mix64(seed ^ (tick << 32) ^ server) % pool) as u32),
+                            timestamp_us: tick * 1000 + server,
+                        })
+                    })
+                    .collect();
+                let reversed: Vec<TraceEvent> = export.iter().rev().copied().collect();
+                let mut shuffled = export.clone();
+                shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+                for (shape, events, falls_back) in
+                    [("export", export, false), ("reversed", reversed, true), ("shuffled", shuffled, true)]
+                {
+                    let fallbacks = by_server(&events, n)
+                        .iter_mut()
+                        .map(|s| sort_stream(s))
+                        .filter(|&fell| fell)
+                        .count();
+                    prop_assert_eq!(fallbacks > 0, falls_back, "{}", shape);
+                    let mut sorted = events.clone();
+                    sorted.sort_by_key(|e| e.timestamp_us);
+                    let reference = by_server(&sorted, n);
+                    let replay = ReplayStreams::from_events(events, n, 5, 30);
+                    prop_assert!(replay.streams.iter().any(Vec::is_empty), "{}", shape);
+                    prop_assert!(replay.streams == reference, "{}", shape);
+                }
+            }
+
             /// Arbitrary text parses to timestamp-ordered events or to an
             /// error, never a panic.
             #[test]

@@ -3,15 +3,17 @@
 //! The paper collapses the topology to `C(i, j)`, the hop count of the
 //! shortest path between CDN hosts, computed once up front ("we assume that
 //! the values of C(i, j) are known a priori"). [`DistanceMatrix::compute`]
-//! reproduces that: one BFS per host node (every edge is one hop),
-//! parallelised with rayon since the sources are independent.
+//! reproduces that: one BFS per host node (every edge is one hop), each
+//! written straight into its row, parallelised with rayon since the
+//! sources are independent.
 
 use crate::graph::{Graph, NodeId};
 use crate::{Hops, UNREACHABLE};
 use rayon::prelude::*;
 
 /// Single-source BFS hop counts. Returns a distance per node,
-/// `UNREACHABLE` for nodes not connected to `source`.
+/// `UNREACHABLE` for nodes not connected to `source`. The per-source
+/// reference [`DistanceMatrix::compute`]'s rows are checked against.
 pub fn bfs_hops(graph: &Graph, source: NodeId) -> Vec<Hops> {
     let mut dist = vec![UNREACHABLE; graph.n_nodes()];
     let mut queue = std::collections::VecDeque::new();
@@ -42,13 +44,49 @@ pub struct DistanceMatrix {
     rows: Vec<Hops>,
 }
 
+/// Hosts whose rows one [`DistanceMatrix::compute`] job fills, reusing
+/// one queue.
+const HOSTS_PER_JOB: usize = 16;
+
+/// BFS from `source` into `row`, one entry per node; `queue` is scratch
+/// space, emptied first. Each node enters the queue once, so a `Vec` read
+/// from the front by index serves as the FIFO.
+fn bfs_into(graph: &Graph, source: NodeId, row: &mut [Hops], queue: &mut Vec<NodeId>) {
+    row.fill(UNREACHABLE);
+    queue.clear();
+    row[source as usize] = 0;
+    queue.push(source);
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
+        let dv = row[v as usize];
+        for &w in graph.neighbors(v) {
+            if row[w as usize] == UNREACHABLE {
+                row[w as usize] = dv + 1;
+                queue.push(w);
+            }
+        }
+    }
+}
+
 impl DistanceMatrix {
-    /// Run one BFS per host, in parallel across hosts.
+    /// Run one BFS per host, in parallel across jobs of `HOSTS_PER_JOB`
+    /// hosts, each search writing straight into its row of the one
+    /// allocated matrix.
     pub fn compute(graph: &Graph, hosts: &[NodeId]) -> Self {
-        let rows: Vec<Hops> = hosts
-            .par_iter()
-            .flat_map_iter(|&h| bfs_hops(graph, h))
+        let n = graph.n_nodes();
+        // Zeroed, so the pages are first touched by the parallel fills.
+        let mut rows: Vec<Hops> = vec![0; hosts.len() * n];
+        let jobs: Vec<_> = rows
+            .chunks_mut((HOSTS_PER_JOB * n).max(1))
+            .zip(hosts.chunks(HOSTS_PER_JOB))
             .collect();
+        jobs.into_par_iter().for_each(|(rows, hosts)| {
+            let mut queue = Vec::with_capacity(n);
+            for (row, &h) in rows.chunks_mut(n).zip(hosts) {
+                bfs_into(graph, h, row, &mut queue);
+            }
+        });
         Self {
             n_nodes: graph.n_nodes(),
             hosts: hosts.to_vec(),

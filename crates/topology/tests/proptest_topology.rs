@@ -110,6 +110,22 @@ proptest! {
     }
 
     #[test]
+    fn distance_matrix_is_identical_at_1_and_4_threads(g in connected_graph(), seed in any::<u64>()) {
+        use rand::rngs::StdRng;
+        use rand::{seq::SliceRandom, SeedableRng};
+        // Every node is a host, in a shuffled order, so the rows span
+        // several jobs.
+        let mut hosts: Vec<NodeId> = (0..g.n_nodes() as NodeId).collect();
+        hosts.shuffle(&mut StdRng::seed_from_u64(seed));
+        let pool = |n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap();
+        let one = pool(1).install(|| DistanceMatrix::compute(&g, &hosts));
+        let four = pool(4).install(|| DistanceMatrix::compute(&g, &hosts));
+        for h in 0..hosts.len() {
+            prop_assert_eq!(one.row(h), four.row(h));
+        }
+    }
+
+    #[test]
     fn transit_stub_generation_always_connected(seed in any::<u64>(),
                                                 t in 1usize..3,
                                                 nt in 1usize..4,

@@ -8,15 +8,17 @@
 //! in the low 32 bits; foreign traces may use any 64-bit key, which replay
 //! folds onto a scenario's catalog.
 //!
-//! Reading is streaming and allocation-bounded: [`EventsReader`] decodes
-//! through a fixed 64 KiB buffer, so a multi-gigabyte trace never has more
-//! than one chunk resident. Truncated or corrupt files surface as
+//! Records move in blocks: [`write_events_file`] encodes 1 MiB of records
+//! at a time and writes each block with one call, and [`EventsReader`]
+//! reads through a fixed 1 MiB buffer, so a multi-gigabyte trace never has
+//! more than one block resident; [`read_events_file`] decodes every whole
+//! record of a block in one pass. Truncated or corrupt files surface as
 //! contextful [`TraceFileError`]s — never panics — naming the byte offset
 //! where decoding stopped.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 /// File magic: identifies a `.events` trace. 8 bytes, then a u32 version.
@@ -103,19 +105,33 @@ impl From<io::Error> for TraceFileError {
     }
 }
 
-/// Write `events` to `out` as a `.events` stream: header, then records.
+/// Records [`write_events`] encodes per block: 2^16 records, 1 MiB.
+const WRITE_BLOCK_EVENTS: usize = 1 << 16;
+
+/// Write `events` to `out` as a `.events` stream: the header, then the
+/// records encoded `WRITE_BLOCK_EVENTS` at a time into one reused 1 MiB
+/// block, each block passed to `out` with one `write_all`.
 fn write_events<W: Write>(out: &mut W, events: &[TraceEvent]) -> io::Result<()> {
-    out.write_all(EVENTS_MAGIC)?;
-    out.write_all(&EVENTS_VERSION.to_le_bytes())?;
-    out.write_all(&(events.len() as u64).to_le_bytes())?;
-    for e in events {
-        out.write_all(&e.key.to_le_bytes())?;
-        out.write_all(&e.timestamp_us.to_le_bytes())?;
+    let _prof = cdn_telemetry::profile::span("workload.encode");
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(EVENTS_MAGIC);
+    header[8..12].copy_from_slice(&EVENTS_VERSION.to_le_bytes());
+    header[12..].copy_from_slice(&(events.len() as u64).to_le_bytes());
+    out.write_all(&header)?;
+    let mut block = vec![0u8; events.len().min(WRITE_BLOCK_EVENTS) * EVENT_LEN];
+    for chunk in events.chunks(WRITE_BLOCK_EVENTS) {
+        let bytes = &mut block[..chunk.len() * EVENT_LEN];
+        for (record, e) in bytes.chunks_exact_mut(EVENT_LEN).zip(chunk) {
+            record[..8].copy_from_slice(&e.key.to_le_bytes());
+            record[8..].copy_from_slice(&e.timestamp_us.to_le_bytes());
+        }
+        out.write_all(bytes)?;
     }
     Ok(())
 }
 
-/// Encode `events` into the full file image (header + records).
+/// Encode `events` into the full file image (header + records): the bytes
+/// [`write_events_file`] writes.
 pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + events.len() * EVENT_LEN);
     write_events(&mut out, events).expect("writing to a Vec cannot fail");
@@ -128,12 +144,10 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<TraceEvent>, TraceFileError> {
     EventsReader::new(bytes)?.read_all(bytes.len() as u64)
 }
 
-/// Write `events` to `path` as a `.events` file, streaming the records
-/// through a buffer rather than building the file image in memory.
+/// Write `events` to `path` as a `.events` file, one 1 MiB block of
+/// records per write rather than the whole file image in memory.
 pub fn write_events_file(path: &Path, events: &[TraceEvent]) -> Result<(), TraceFileError> {
-    let mut f = BufWriter::new(File::create(path)?);
-    write_events(&mut f, events)?;
-    f.flush()?;
+    write_events(&mut File::create(path)?, events)?;
     Ok(())
 }
 
@@ -143,17 +157,19 @@ pub fn open_events_file(path: &Path) -> Result<EventsReader<BufReader<File>>, Tr
     EventsReader::new(BufReader::new(File::open(path)?))
 }
 
-/// Read a whole `.events` file into memory (streaming decode underneath).
-/// The output is allocated once, for the header's count or for what the
-/// file's length can hold, whichever is less.
+/// Read a whole `.events` file into memory, decoding each 1 MiB block of
+/// whole records in one pass. The output is allocated once, for the
+/// header's count or for what the file's length can hold, whichever is
+/// less.
 pub fn read_events_file(path: &Path) -> Result<Vec<TraceEvent>, TraceFileError> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     EventsReader::new(file)?.read_all(file_len)
 }
 
-/// How many bytes [`EventsReader`] asks the source for per refill.
-const CHUNK_BYTES: usize = 64 * 1024;
+/// How many bytes [`EventsReader`] asks the source for per refill: 1 MiB,
+/// a whole number of records.
+const CHUNK_BYTES: usize = 1 << 20;
 
 /// Streaming `.events` decoder over any byte source.
 ///
@@ -237,13 +253,28 @@ impl<R: Read> EventsReader<R> {
     /// the header's count, but for no more events than `source_len` bytes
     /// (the whole source, header included) can hold, so a header that
     /// lies cannot force a huge allocation.
-    fn read_all(self, source_len: u64) -> Result<Vec<TraceEvent>, TraceFileError> {
+    ///
+    /// The whole records already buffered, up to the header's count, are
+    /// decoded in one pass; the iterator takes only the record at each
+    /// buffer boundary, so it alone refills and reports every error and
+    /// offset.
+    fn read_all(mut self, source_len: u64) -> Result<Vec<TraceEvent>, TraceFileError> {
+        let _prof = cdn_telemetry::profile::span("workload.decode");
         let room = source_len.saturating_sub(HEADER_LEN as u64) / EVENT_LEN as u64;
         let mut events = Vec::with_capacity(self.declared.min(room) as usize);
-        for event in self {
-            events.push(event?);
+        loop {
+            let whole = ((self.end - self.pos) / EVENT_LEN) as u64;
+            let take = whole.min(self.declared.saturating_sub(self.yielded)) as usize;
+            let bytes = &self.buf[self.pos..self.pos + take * EVENT_LEN];
+            events.extend(bytes.chunks_exact(EVENT_LEN).map(decode_record));
+            self.pos += take * EVENT_LEN;
+            self.offset += (take * EVENT_LEN) as u64;
+            self.yielded += take as u64;
+            match self.next() {
+                Some(event) => events.push(event?),
+                None => return Ok(events),
+            }
         }
-        Ok(events)
     }
 }
 
@@ -278,10 +309,7 @@ impl<R: Read> Iterator for EventsReader<R> {
                 }));
             }
         }
-        let at = self.pos;
-        let key = u64::from_le_bytes(self.buf[at..at + 8].try_into().expect("8 bytes"));
-        let timestamp_us =
-            u64::from_le_bytes(self.buf[at + 8..at + 16].try_into().expect("8 bytes"));
+        let event = decode_record(&self.buf[self.pos..self.pos + EVENT_LEN]);
         self.pos += EVENT_LEN;
         self.offset += EVENT_LEN as u64;
         self.yielded += 1;
@@ -293,7 +321,16 @@ impl<R: Read> Iterator for EventsReader<R> {
                 found: self.yielded,
             }));
         }
-        Some(Ok(TraceEvent { key, timestamp_us }))
+        Some(Ok(event))
+    }
+}
+
+/// Decode one [`EVENT_LEN`]-byte record.
+fn decode_record(record: &[u8]) -> TraceEvent {
+    let (key, timestamp_us) = record.split_at(8);
+    TraceEvent {
+        key: u64::from_le_bytes(key.try_into().expect("8 key bytes")),
+        timestamp_us: u64::from_le_bytes(timestamp_us.try_into().expect("8 timestamp bytes")),
     }
 }
 
@@ -432,13 +469,12 @@ mod tests {
 
     #[test]
     fn streaming_reader_crosses_chunk_boundaries() {
-        // Enough events that the 64 KiB refill happens mid-stream, with a
-        // record straddling the boundary (16 | 65536 so none straddles —
-        // force it by prepending an odd carry via a 1-byte reader).
-        let events: Vec<TraceEvent> = (0..10_000).map(|i| ev(i, i * 3 + 1)).collect();
+        // Enough events that a refill happens mid-stream.
+        let n = (CHUNK_BYTES / EVENT_LEN + 1_000) as u64;
+        let events: Vec<TraceEvent> = (0..n).map(|i| ev(i, i * 3 + 1)).collect();
         let bytes = encode_events(&events);
-        // A reader that returns at most 7 bytes per read() call exercises
-        // carry handling on every boundary.
+        // A reader that returns at most 7 bytes per read() call, so every
+        // refill is assembled from reads that end mid-record.
         struct Dribble<'a>(&'a [u8]);
         impl Read for Dribble<'_> {
             fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
@@ -501,6 +537,74 @@ mod tests {
             read,
             Err(TraceFileError::CountMismatch { found: 2, .. })
         ));
+    }
+
+    #[test]
+    fn block_io_keeps_the_bytes_errors_and_offsets_across_blocks() {
+        // More than two write blocks and two read chunks, and a record
+        // count that is a multiple of neither.
+        assert_eq!(WRITE_BLOCK_EVENTS * EVENT_LEN, CHUNK_BYTES);
+        let n = 2 * WRITE_BLOCK_EVENTS + 777;
+        let events: Vec<TraceEvent> = (0..n as u64)
+            .map(|i| ev(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i / 3))
+            .collect();
+        let bytes = encode_events(&events);
+        assert_eq!(bytes.len(), HEADER_LEN + n * EVENT_LEN);
+        let path = std::env::temp_dir().join("cdn-trace-file-blocks.events");
+        write_events_file(&path, &events).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        let read = read_events_file(&path);
+        assert!(written == bytes, "the file differs from encode_events");
+        assert_eq!(read, decode_events(&bytes));
+        assert_eq!(read.unwrap(), events);
+
+        // Each damaged image gives the same error from the file and from
+        // memory.
+        let both = |image: &[u8]| {
+            std::fs::write(&path, image).unwrap();
+            let from_file = read_events_file(&path);
+            let from_memory = decode_events(image);
+            assert_eq!(from_file, from_memory);
+            from_memory
+        };
+        let boundary = HEADER_LEN + CHUNK_BYTES;
+        let whole = (CHUNK_BYTES / EVENT_LEN) as u64;
+        // Cut exactly at the first chunk's end: whole records, too few.
+        assert_eq!(
+            both(&bytes[..boundary]),
+            Err(TraceFileError::CountMismatch {
+                declared: n as u64,
+                found: whole
+            })
+        );
+        // Cut inside the last record of the first chunk, and inside the
+        // first record of the second.
+        assert_eq!(
+            both(&bytes[..boundary - 5]),
+            Err(TraceFileError::TruncatedEvent {
+                offset: (boundary - EVENT_LEN) as u64,
+                got: EVENT_LEN - 5
+            })
+        );
+        assert_eq!(
+            both(&bytes[..boundary + 5]),
+            Err(TraceFileError::TruncatedEvent {
+                offset: boundary as u64,
+                got: 5
+            })
+        );
+        // A header count one below and one above the records, and one far
+        // below them, where a read must stop at the first surplus record.
+        for declared in [3, n as u64 - 1, n as u64 + 1] {
+            let mut lying = bytes.clone();
+            lying[12..20].copy_from_slice(&declared.to_le_bytes());
+            let found = (n as u64).min(declared + 1);
+            assert_eq!(
+                both(&lying),
+                Err(TraceFileError::CountMismatch { declared, found })
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
